@@ -49,7 +49,7 @@ from .formulas import (
     per_evaluation_ds,
     per_evaluation_mb,
 )
-from .montecarlo import estimate, estimate_per_evaluation
+from .montecarlo import SAMPLER, estimate, estimate_per_evaluation
 from .optimizer import ITERATION_KINDS, DriverConfig
 from .rng import RngStream
 
@@ -157,6 +157,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         {
             "spec": spec_payload,
             "version": __version__,
+            "sampler": SAMPLER,
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             **manifest_extra,
         },
@@ -186,6 +187,15 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 0
+
+
+def _verify_nsims(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(
+            f"verify needs at least 2 replicates per cell for a standard error, got {n}"
+        )
+    return n
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(fn=_cmd_optimize)
 
     p_verify = sub.add_parser("verify", help="run the full gate suite")
-    p_verify.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
+    p_verify.add_argument("--nsims", type=_verify_nsims, default=DEFAULT_NSIMS)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.set_defaults(fn=_cmd_verify)

@@ -32,6 +32,7 @@ from .formulas import (
     per_evaluation_mb,
 )
 from .montecarlo import (
+    SAMPLER,
     estimate,
     evaluation_cost,
     paired_compare,
@@ -177,6 +178,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(data) - set(fields))
+        if unknown:
+            raise ValueError(f"unknown spec keys {unknown}; known keys are {sorted(fields)}")
+        missing = [
+            name
+            for name, f in fields.items()
+            if f.default is dataclasses.MISSING and name not in data
+        ]
+        if missing:
+            raise ValueError(f"spec is missing required keys {missing}")
         data = dict(data)
         for key in ("d_values", "include"):
             if key in data and not isinstance(data[key], str):
@@ -365,6 +377,11 @@ def run_parallel_sweep(
     for cores in cores_list:
         metric = f"per-work({cores})"
         grid = _sweep_grid(variant, d, cores, p_multiples)
+        if not grid:
+            raise ValueError(
+                f"{variant} sweep at c={cores} cores has an empty p grid at d={d}; "
+                "use a larger d or fewer cores"
+            )
         values: list[float] = []
         for p in grid:
             if variant == "mb" or p <= P_MAX:
@@ -808,6 +825,7 @@ def run_verify(
                 "n_sims": n_sims,
                 "version": __version__,
                 "passed": exit_code == 0,
+                "sampler": SAMPLER,
                 "gates": {r.name: r.passed for r in results},
                 "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             },

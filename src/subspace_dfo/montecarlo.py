@@ -4,11 +4,16 @@ This is both the evaluation path for subspace dimensions beyond the
 quadrature cap and the independent check of every closed form.  Two sampling
 modes exist:
 
-* ``reduced`` draws only the random gradient direction and scores the first p
+* ``reduced`` draws only the random gradient direction and scores its first p
   coordinates (largest absolute coordinate for polling, Euclidean norm for the
   model step).  This is distributionally exact because composing a uniformly
-  random basis with a uniformly random direction is again uniform, and costs
-  O(d) per replicate.
+  random basis with a uniformly random direction is again uniform.  The
+  direction is a normalized Gaussian z in R^d, and the score reads only
+  z_1..z_p and the norm of z.  Since ||z||^2 = ||z_{1:p}||^2 + ||z_{p+1:d}||^2
+  with the two parts independent, and the second is chi-square with d - p
+  degrees of freedom, each replicate draws p normals plus one chi-square
+  tail: the same distribution as d normals, at O(p) cost per replicate
+  instead of O(d).  At p = d the tail is exactly zero.
 * ``full-basis`` draws the basis as well and scores the projected gradient,
   reproducing the raw two-sample definition at O(d p^2) per replicate.  It
   exists to validate the reduction.
@@ -29,6 +34,9 @@ from .formulas import VARIANTS
 from .rng import RngStream, split_stream
 
 REDUCTIONS = ("reduced", "full-basis")
+
+# How the reduced path draws a replicate; recorded in every run manifest.
+SAMPLER = "reduced: p normals + chi-square tail"
 
 # Replicates per block in reduced mode; full-basis blocks shrink so the
 # stacked basis array stays within a fixed memory budget.
@@ -90,19 +98,38 @@ def _check_cell(variant: str, p: int, d: int, n_sims: int) -> None:
         raise ValueError(f"need at least one replicate, got {n_sims}")
 
 
-def _score_reduced(z: np.ndarray, variant: str, p: int) -> np.ndarray:
-    """Decrease per replicate from raw Gaussian rows.
+def _draw_reduced(
+    gen: np.random.Generator, m: int, p: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first p coordinates of m Gaussian draws in R^d, and each draw's norm.
 
-    Scoring the unnormalized rows as a ratio keeps the p = d model case exact:
-    numerator and denominator are then the same float, so every replicate is
-    exactly 1.
+    The d - p remaining coordinates enter only through their squared norm, a
+    chi-square with d - p degrees of freedom: twice a Gamma((d - p)/2) draw,
+    which numpy returns as exactly 0 for shape 0 (p = d).
     """
-    denom = np.linalg.norm(z, axis=1)
+    head = gen.standard_normal((m, p))
+    tail = 2.0 * gen.standard_gamma((d - p) / 2.0, m)
+    return head, np.sqrt(_squared_norms(head) + tail)
+
+
+def _squared_norms(x: np.ndarray) -> np.ndarray:
+    # einsum sums the row products without an (m, p) temporary.
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _score_reduced(head: np.ndarray, norm: np.ndarray, variant: str, p: int) -> np.ndarray:
+    """Decrease per replicate from the first p head coordinates.
+
+    Scoring the unnormalized coordinates as a ratio keeps the p = d model case
+    exact: numerator and denominator are then the same float, so every
+    replicate is exactly 1.
+    """
+    z = head[:, :p]
     if variant == "ds":
-        num = np.max(np.abs(z[:, :p]), axis=1)
+        num = np.max(np.abs(z), axis=1)
     else:
-        num = np.linalg.norm(z[:, :p], axis=1)
-    return num / denom
+        num = np.sqrt(_squared_norms(z))
+    return num / norm
 
 
 def _score_full_basis(gen: np.random.Generator, m: int, variant: str, p: int, d: int) -> np.ndarray:
@@ -143,7 +170,7 @@ def replicate_decreases(
         m = min(block, n_sims - start)
         gen = split_stream(rng, j).generator()
         if reduction == "reduced":
-            out[start : start + m] = _score_reduced(gen.standard_normal((m, d)), variant, p)
+            out[start : start + m] = _score_reduced(*_draw_reduced(gen, m, p, d), variant, p)
         else:
             out[start : start + m] = _score_full_basis(gen, m, variant, p, d)
     return out
@@ -201,16 +228,21 @@ def estimate_per_evaluation(
 def _paired_values(
     variant: str, p1: int, p2: int, d: int, n_sims: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced-mode replicate values for p1 and p2 from the same draws."""
+    """Reduced-mode replicate values for p1 and p2 from the same draws.
+
+    Each replicate draws max(p1, p2) head coordinates and one chi-square tail
+    with d - max(p1, p2) degrees of freedom; both scores share its norm.
+    """
     _check_cell(variant, p1, d, n_sims)
     _check_cell(variant, p2, d, n_sims)
+    top = max(p1, p2)
     v1 = np.empty(n_sims)
     v2 = np.empty(n_sims)
     for j, start in enumerate(range(0, n_sims, _BLOCK)):
         m = min(_BLOCK, n_sims - start)
-        z = split_stream(rng, j).generator().standard_normal((m, d))
-        v1[start : start + m] = _score_reduced(z, variant, p1)
-        v2[start : start + m] = _score_reduced(z, variant, p2)
+        head, norm = _draw_reduced(split_stream(rng, j).generator(), m, top, d)
+        v1[start : start + m] = _score_reduced(head, norm, variant, p1)
+        v2[start : start + m] = _score_reduced(head, norm, variant, p2)
     return v1, v2
 
 

@@ -166,3 +166,40 @@ def test_verify_small_run_exits_cleanly(tmp_path, capsys):
         assert f"criterion {criterion} " in out
     assert (tmp_path / "verify_gates.csv").exists()
     assert code in (0, 1)
+
+
+def test_manifests_record_sampler(tmp_path):
+    assert main(["figure", "mb-vary-p", "--nsims", "100", "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--nsims", "200", "--out", str(tmp_path)]) in (0, 1)
+    for name in ("mb-vary-p.manifest.json", "verify_manifest.json"):
+        manifest = json.loads((tmp_path / name).read_text())
+        assert manifest["sampler"] == "reduced: p normals + chi-square tail"
+
+
+def test_verify_rejects_single_replicate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nsims", "1"])
+    assert exc.value.code == 2
+    assert "at least 2 replicates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"name": "ds-vary-d", "variant": "ds", "d_values": [8], "nsim": 5},
+         "unknown spec keys ['nsim']"),
+        ({"name": "ds-vary-d", "d_values": [8]}, "missing required keys ['variant']"),
+    ],
+)
+def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["figure", "ds-vary-d", "--config", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_parallel_sweep_names_core_count_with_empty_grid(tmp_path, capsys):
+    code = main(["figure", "parallel-sweep", "--d", "3", "--out", str(tmp_path)])
+    assert code == 2
+    assert "c=8 cores has an empty p grid at d=3" in capsys.readouterr().err

@@ -89,14 +89,19 @@ class TestEstimate:
         # Computing blocks independently (as parallel workers would, each with
         # its own child stream) and concatenating them in block order
         # reproduces the serial replicate array bit for bit.
+        # Each block draws its p head coordinates, then one chi-square tail
+        # with d - p degrees of freedom per replicate.
         p, d, n = 2, 6, 10_000
         rng = RngStream(21)
         serial = replicate_decreases("ds", p, d, n, rng)
         blocks = []
         for j, start in enumerate(range(0, n, 4096)):
             m = min(4096, n - start)
-            z = split_stream(rng, j).generator().standard_normal((m, d))
-            blocks.append(np.max(np.abs(z[:, :p]), axis=1) / np.linalg.norm(z, axis=1))
+            gen = split_stream(rng, j).generator()
+            head = gen.standard_normal((m, p))
+            tail = 2.0 * gen.standard_gamma((d - p) / 2.0, m)
+            norm = np.sqrt(np.einsum("ij,ij->i", head, head) + tail)
+            blocks.append(np.max(np.abs(head), axis=1) / norm)
         assert np.array_equal(serial, np.concatenate(blocks))
 
     def test_circle_closed_form(self):
@@ -183,3 +188,53 @@ class TestPairing:
             "mb", 1, 2, 1000, math.pi / 4.0, 10_000, RngStream(14), per_evaluation=True
         )
         assert abs(gap.delta_mean) <= 3.0 * gap.delta_std_error
+
+
+def _d_normal_values(variant, ps, d, n, rng):
+    """Reference sampler: d Gaussian coordinates per replicate, normalized.
+
+    This is the recipe the chi-square tail replaces; one array of replicate
+    values per entry of ``ps``, all scored on the same draws.
+    """
+    out = [[] for _ in ps]
+    for j, start in enumerate(range(0, n, 4096)):
+        z = split_stream(rng, j).generator().standard_normal((min(4096, n - start), d))
+        norm = np.linalg.norm(z, axis=1)
+        for values, p in zip(out, ps):
+            head = z[:, :p]
+            num = np.max(np.abs(head), axis=1) if variant == "ds" else np.linalg.norm(head, axis=1)
+            values.append(num / norm)
+    return [np.concatenate(v) for v in out]
+
+
+def _mean_se(values):
+    return values.mean(), values.std(ddof=1) / math.sqrt(values.size)
+
+
+class TestChiSquareTailOracle:
+    """The p normals + chi-square tail sampler against the d-normal one."""
+
+    N = 10_000
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    @pytest.mark.parametrize("p,d", [(1, 8), (2, 1000), (500, 1000), (16, 16)])
+    def test_estimate_matches_d_normal_sampler(self, variant, p, d):
+        base = RngStream(5)
+        new = replicate_decreases(variant, p, d, self.N, split_stream(base, 0))
+        (old,) = _d_normal_values(variant, (p,), d, self.N, split_stream(base, 1))
+        if variant == "mb" and p == d:
+            assert np.all(new == 1.0) and np.all(old == 1.0)
+            return
+        (m_new, se_new), (m_old, se_old) = _mean_se(new), _mean_se(old)
+        assert abs(m_new - m_old) <= 3.0 * math.hypot(se_new, se_old)
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_paired_compare_matches_d_normal_sampler(self, variant):
+        p1, p2, d = 5, 2, 300
+        base = RngStream(5)
+        new = paired_compare(variant, p1, p2, d, self.N, split_stream(base, 2))
+        v1, v2 = _d_normal_values(variant, (p1, p2), d, self.N, split_stream(base, 3))
+        diffs = v1 / evaluation_cost(variant, p1) - v2 / evaluation_cost(variant, p2)
+        m_old, se_old = _mean_se(diffs)
+        gap = abs(new.delta_mean - m_old)
+        assert gap <= 3.0 * math.hypot(new.delta_std_error, se_old)
