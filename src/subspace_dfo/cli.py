@@ -114,7 +114,10 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _parse_cores(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens or not all(tok.isdecimal() and int(tok) >= 1 for tok in tokens):
+        raise argparse.ArgumentTypeError(f"expected core counts >= 1 such as 2,4,8, got {text!r}")
+    return tuple(map(int, tokens))
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -126,9 +129,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     if name == "parallel-sweep":
         variant = args.variant or "ds"
         d = args.d or (64 if variant == "ds" else 128)
-        cores = _parse_cores(args.cores_model) if args.cores_model else (
-            (2, 4, 8) if variant == "ds" else (1, 2, 4, 8)
-        )
+        cores = args.cores_model or ((2, 4, 8) if variant == "ds" else (1, 2, 4, 8))
         rows, summaries = run_parallel_sweep(variant, d, cores, n_sims=nsims, seed=seed)
         manifest_extra = {
             "argmax": {str(s.cores): s.argmax_p for s in summaries},
@@ -138,7 +139,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
                         "n_sims": nsims, "seed": seed}
     else:
         if args.config:
-            spec = ExperimentSpec.from_dict(json.loads(Path(args.config).read_text()))
+            try:
+                config = json.loads(Path(args.config).read_text())
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot read --config {args.config}: {exc}") from None
+            spec = ExperimentSpec.from_dict(config)
         else:
             spec = default_figure_spec(name)
         # Flags supplied on the command line win over config-file values.
@@ -247,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", type=str, default=None)
     p_fig.add_argument("--config", type=str, default=None,
                        help="JSON file with ExperimentSpec fields (flags override)")
-    p_fig.add_argument("--cores-model", type=str, default=None,
+    p_fig.add_argument("--cores-model", type=_parse_cores, default=None,
                        help="comma-separated core counts for parallel-sweep")
     p_fig.set_defaults(fn=_cmd_figure)
 

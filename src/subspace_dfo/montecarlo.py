@@ -10,10 +10,10 @@ modes exist:
   random basis with a uniformly random direction is again uniform.  The
   direction is a normalized Gaussian z in R^d, and the score reads only
   z_1..z_p and the norm of z.  Since ||z||^2 = ||z_{1:p}||^2 + ||z_{p+1:d}||^2
-  with the two parts independent, and the second is chi-square with d - p
-  degrees of freedom, each replicate draws p normals plus one chi-square
-  tail: the same distribution as d normals, at O(p) cost per replicate
-  instead of O(d).  At p = d the tail is exactly zero.
+  with independent chi-square parts, polling draws p normals plus one
+  chi-square tail (O(p) per replicate), and the model step, which reads
+  only the two squared norms, draws one chi-square each (O(1)).  At p = d
+  the tail is exactly zero.
 * ``full-basis`` draws the basis as well and scores the projected gradient,
   reproducing the raw two-sample definition at O(d p^2) per replicate.  It
   exists to validate the reduction.
@@ -25,7 +25,7 @@ blocks run serially or are dispatched to workers and combined in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +35,11 @@ from .rng import RngStream, split_stream
 
 REDUCTIONS = ("reduced", "full-basis")
 
-# How the reduced path draws a replicate; recorded in every run manifest.
-SAMPLER = "reduced: p normals + chi-square tail"
+# How each path draws a replicate; recorded in every run manifest.
+SAMPLER = (
+    "reduced: ds p normals + chi-square tail, mb chi-square head + tail; "
+    "full-basis: R of QR([A, g])"
+)
 
 # Replicates per block in reduced mode; full-basis blocks shrink so the
 # stacked basis array stays within a fixed memory budget.
@@ -98,58 +101,90 @@ def _check_cell(variant: str, p: int, d: int, n_sims: int) -> None:
         raise ValueError(f"need at least one replicate, got {n_sims}")
 
 
-def _draw_reduced(
-    gen: np.random.Generator, m: int, p: int, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first p coordinates of m Gaussian draws in R^d, and each draw's norm.
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    # Row-wise largest |x| without an |x| copy of the array.
+    return np.maximum(x.max(axis=1), -x.min(axis=1))
 
-    The d - p remaining coordinates enter only through their squared norm, a
-    chi-square with d - p degrees of freedom: twice a Gamma((d - p)/2) draw,
-    which numpy returns as exactly 0 for shape 0 (p = d).
+
+def _polling_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
+    """Largest |z_i| over i <= p, over ||z||, for each p in ps on the same draws.
+
+    Draws the first max(ps) coordinates of z, then the squared norm of the
+    rest as one chi-square with d - max(ps) degrees of freedom: twice a
+    Gamma((d - max(ps))/2) draw, which numpy returns as exactly 0 for shape 0.
     """
-    head = gen.standard_normal((m, p))
-    tail = 2.0 * gen.standard_gamma((d - p) / 2.0, m)
-    return head, np.sqrt(_squared_norms(head) + tail)
+    top = max(ps)
+    head = gen.standard_normal((m, top))
+    tail = 2.0 * gen.standard_gamma((d - top) / 2.0, m)
+    # einsum sums the row products without an (m, top) temporary.
+    norm = np.sqrt(np.einsum("ij,ij->i", head, head) + tail)
+    return [_max_abs(head[:, :p]) / norm for p in ps]
 
 
-def _squared_norms(x: np.ndarray) -> np.ndarray:
-    # einsum sums the row products without an (m, p) temporary.
-    return np.einsum("ij,ij->i", x, x)
+def _model_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
+    """||z_{1:p}|| / ||z|| for each p in ps on the same draws.
 
-
-def _score_reduced(head: np.ndarray, norm: np.ndarray, variant: str, p: int) -> np.ndarray:
-    """Decrease per replicate from the first p head coordinates.
-
-    Scoring the unnormalized coordinates as a ratio keeps the p = d model case
-    exact: numerator and denominator are then the same float, so every
-    replicate is exactly 1.
+    The score reads z only through squared norms, so each replicate draws
+    one chi-square piece per gap between sorted cut points (in increasing
+    order) and one chi-square tail for the d - max(ps) coordinates beyond.
+    A zero-width piece or tail is exactly 0, so p = d scores exactly 1 and
+    equal cut points score the same float.
     """
-    z = head[:, :p]
-    if variant == "ds":
-        num = np.max(np.abs(z), axis=1)
-    else:
-        num = np.sqrt(_squared_norms(z))
-    return num / norm
+    cuts = sorted(ps)
+    head_sq = {}
+    total = np.zeros(m)
+    for lo, hi in zip([0] + cuts, cuts):
+        total = total + 2.0 * gen.standard_gamma((hi - lo) / 2.0, m)
+        head_sq[hi] = total
+    norm_sq = total + 2.0 * gen.standard_gamma((d - max(ps)) / 2.0, m)
+    return [np.sqrt(head_sq[p] / norm_sq) for p in ps]
 
 
-def _score_full_basis(gen: np.random.Generator, m: int, variant: str, p: int, d: int) -> np.ndarray:
+def _full_basis_scores(
+    gen: np.random.Generator, m: int, variant: str, p: int, d: int
+) -> np.ndarray:
+    """Scores of the unit gradient g projected on a Haar-random basis.
+
+    The basis is the Q factor of a Gaussian d-by-p draw A.  Q is never
+    formed: the R factor of [A, g] holds Q^T g in the top p entries of its
+    last column.  QR fixes each basis vector's sign by convention, which
+    neither score can see (both read |Q^T g| only).
+    """
     g = gen.standard_normal((m, d))
-    a = gen.standard_normal((m, d, p))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.einsum("kii->ki", r))
-    signs[signs == 0.0] = 1.0
-    basis = q * signs[:, None, :]
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    proj = np.einsum("kdp,kd->kp", basis, g)
-    if variant == "ds":
-        return np.max(np.abs(proj), axis=1)
-    return np.linalg.norm(proj, axis=1)
+    ag = np.concatenate((gen.standard_normal((m, d, p)), g[:, :, None]), axis=2)
+    # Raw QR factors a copy of [A, g] and returns it transposed, R_k[i, j] at
+    # [k, j, i] for i <= j, without the triangular copy that mode "r" makes.
+    proj = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
+    return _max_abs(proj) if variant == "ds" else np.linalg.norm(proj, axis=1)
 
 
-def _block_size(reduction: str, p: int, d: int) -> int:
-    if reduction == "reduced":
-        return _BLOCK
-    return max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * p)))
+def _replicates(
+    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream, reduction: str
+) -> np.ndarray:
+    """Replicate values, one row per cut point in ps, scored on common draws.
+
+    Blocks of replicates each come from their own child stream and fill the
+    rows in block order.  Full-basis mode scores a single cut point, in
+    blocks shrunk so the stacked basis draws stay within a fixed budget.
+    """
+    for p in ps:
+        _check_cell(variant, p, d, n_sims)
+    if reduction not in REDUCTIONS:
+        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
+    block = _BLOCK
+    if reduction == "full-basis":
+        block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * ps[0])))
+    out = np.empty((len(ps), n_sims))
+    for j, start in enumerate(range(0, n_sims, block)):
+        m = min(block, n_sims - start)
+        gen = split_stream(rng, j).generator()
+        if reduction == "full-basis":
+            out[:, start : start + m] = _full_basis_scores(gen, m, variant, ps[0], d)
+        else:
+            scores = _polling_scores if variant == "ds" else _model_scores
+            out[:, start : start + m] = scores(gen, m, ps, d)
+    return out
 
 
 def replicate_decreases(
@@ -161,19 +196,7 @@ def replicate_decreases(
     reduction: str = "reduced",
 ) -> np.ndarray:
     """Per-replicate decrease values, each in [0, 1], in deterministic order."""
-    _check_cell(variant, p, d, n_sims)
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    block = _block_size(reduction, p, d)
-    out = np.empty(n_sims)
-    for j, start in enumerate(range(0, n_sims, block)):
-        m = min(block, n_sims - start)
-        gen = split_stream(rng, j).generator()
-        if reduction == "reduced":
-            out[start : start + m] = _score_reduced(*_draw_reduced(gen, m, p, d), variant, p)
-        else:
-            out[start : start + m] = _score_full_basis(gen, m, variant, p, d)
-    return out
+    return _replicates(variant, (p,), d, n_sims, rng, reduction)[0]
 
 
 def _summarize(values: np.ndarray) -> tuple[float, float]:
@@ -192,11 +215,8 @@ def estimate(
     reduction: str = "reduced",
 ) -> DecreaseEstimate:
     """Estimate the expected per-iteration decrease with its standard error."""
-    values = replicate_decreases(variant, p, d, n_sims, rng, reduction)
-    mean, std_error = _summarize(values)
-    return DecreaseEstimate(
-        mean=mean, std_error=std_error, n_sims=n_sims, p=p, d=d, variant=variant, seed=rng.seed
-    )
+    mean, std_error = _summarize(replicate_decreases(variant, p, d, n_sims, rng, reduction))
+    return DecreaseEstimate(mean, std_error, n_sims, p, d, variant, rng.seed)
 
 
 def estimate_per_evaluation(
@@ -214,36 +234,7 @@ def estimate_per_evaluation(
     """
     base = estimate(variant, p, d, n_sims, rng, reduction)
     cost = evaluation_cost(variant, p)
-    return DecreaseEstimate(
-        mean=base.mean / cost,
-        std_error=base.std_error / cost,
-        n_sims=base.n_sims,
-        p=p,
-        d=d,
-        variant=variant,
-        seed=rng.seed,
-    )
-
-
-def _paired_values(
-    variant: str, p1: int, p2: int, d: int, n_sims: int, rng: RngStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced-mode replicate values for p1 and p2 from the same draws.
-
-    Each replicate draws max(p1, p2) head coordinates and one chi-square tail
-    with d - max(p1, p2) degrees of freedom; both scores share its norm.
-    """
-    _check_cell(variant, p1, d, n_sims)
-    _check_cell(variant, p2, d, n_sims)
-    top = max(p1, p2)
-    v1 = np.empty(n_sims)
-    v2 = np.empty(n_sims)
-    for j, start in enumerate(range(0, n_sims, _BLOCK)):
-        m = min(_BLOCK, n_sims - start)
-        head, norm = _draw_reduced(split_stream(rng, j).generator(), m, top, d)
-        v1[start : start + m] = _score_reduced(head, norm, variant, p1)
-        v2[start : start + m] = _score_reduced(head, norm, variant, p2)
-    return v1, v2
+    return replace(base, mean=base.mean / cost, std_error=base.std_error / cost)
 
 
 def paired_compare(
@@ -256,10 +247,9 @@ def paired_compare(
     variance than two independent estimates.  Returns the mean and standard
     error of (per-eval value at p1) - (per-eval value at p2).
     """
-    v1, v2 = _paired_values(variant, p1, p2, d, n_sims, rng)
+    v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
     diffs = v1 / evaluation_cost(variant, p1) - v2 / evaluation_cost(variant, p2)
-    mean, std_error = _summarize(diffs)
-    return PairedDelta(delta_mean=mean, delta_std_error=std_error)
+    return PairedDelta(*_summarize(diffs))
 
 
 def paired_ratio_gap(
@@ -279,10 +269,8 @@ def paired_ratio_gap(
     noise, and the returned standard error calibrates that noise.  With
     ``per_evaluation`` both sides are first divided by their evaluation costs.
     """
-    v1, v2 = _paired_values(variant, p1, p2, d, n_sims, rng)
+    v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
     if per_evaluation:
         v1 = v1 / evaluation_cost(variant, p1)
         v2 = v2 / evaluation_cost(variant, p2)
-    diffs = v2 - target_ratio * v1
-    mean, std_error = _summarize(diffs)
-    return PairedDelta(delta_mean=mean, delta_std_error=std_error)
+    return PairedDelta(*_summarize(v2 - target_ratio * v1))

@@ -39,9 +39,10 @@ class GammaRatio:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise InvalidDimensionError(f"dimension must be positive, got {self.d}")
-        lower = math.sqrt(2.0) / math.sqrt(self.d)
-        upper = math.sqrt(2.0) * math.sqrt(self.d + 2.0) / self.d
-        if not (0.0 < self.value and lower < self.value < upper):
+        # Rounding-level slack: at astronomical d the ratio rounds onto sqrt(2/d).
+        lower = math.sqrt(2.0) / math.sqrt(self.d) * (1.0 - 1e-15)
+        upper = math.sqrt(2.0) * math.sqrt(self.d + 2.0) / self.d * (1.0 + 1e-15)
+        if not (0.0 < self.value and lower <= self.value <= upper):
             raise ValueError(
                 f"ratio {self.value!r} violates the bracket ({lower!r}, {upper!r}) for d={self.d}"
             )
@@ -59,12 +60,17 @@ def gamma_half_ratio(d: int) -> GammaRatio:
     For very large d the direct difference of log-gamma values loses the
     leading digits to cancellation, so the log-ratio is evaluated by its
     expansion 1/(4d) - 1/(24 d^3) + O(d^-5) instead (truncation below 1e-30
-    at the switch point).
+    at the switch point).  A d beyond the float range is refused.
     """
     if d < 1:
         raise InvalidDimensionError(f"dimension must be positive, got {d}")
-    if d >= _RATIO_SERIES_THRESHOLD:
-        value = math.sqrt(2.0 / d) * math.exp(1.0 / (4.0 * d) - 1.0 / (24.0 * d**3))
+    try:
+        x = float(d)
+    except OverflowError:
+        raise InvalidDimensionError(f"dimension d of {d.bit_length()} bits is too large") from None
+    if x >= _RATIO_SERIES_THRESHOLD:
+        # x * x * x overflows to inf, and its reciprocal to 0, without an error.
+        value = math.sqrt(2.0) / math.sqrt(x) * math.exp(0.25 / x - 1.0 / (24.0 * x * x * x))
     else:
         value = math.exp(log_gamma(d / 2.0) - log_gamma(d / 2.0 + 0.5))
     return GammaRatio(d=d, value=value)

@@ -173,7 +173,10 @@ def test_manifests_record_sampler(tmp_path):
     assert main(["verify", "--nsims", "200", "--out", str(tmp_path)]) in (0, 1)
     for name in ("mb-vary-p.manifest.json", "verify_manifest.json"):
         manifest = json.loads((tmp_path / name).read_text())
-        assert manifest["sampler"] == "reduced: p normals + chi-square tail"
+        assert manifest["sampler"] == (
+            "reduced: ds p normals + chi-square tail, mb chi-square head + tail; "
+            "full-basis: R of QR([A, g])"
+        )
 
 
 def test_verify_rejects_single_replicate(capsys):
@@ -203,3 +206,22 @@ def test_parallel_sweep_names_core_count_with_empty_grid(tmp_path, capsys):
     code = main(["figure", "parallel-sweep", "--d", "3", "--out", str(tmp_path)])
     assert code == 2
     assert "c=8 cores has an empty p grid at d=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,reason", [(None, "No such file"), ("{bad", "Expecting")])
+def test_figure_unreadable_config_file_is_named(tmp_path, capsys, content, reason):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_text(content)
+    code = main(["figure", "ds-vary-d", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"cannot read --config {path}: " in err and reason in err
+
+
+@pytest.mark.parametrize("cores", ["0", "x", "2,-1"])
+def test_parallel_sweep_bad_core_count_names_flag(tmp_path, capsys, cores):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "parallel-sweep", "--cores-model", cores, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --cores-model: expected core counts >= 1" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from subspace_dfo import (
     replicate_decreases,
     split_stream,
 )
+from subspace_dfo.montecarlo import _replicates
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -104,6 +105,22 @@ class TestEstimate:
             blocks.append(np.max(np.abs(head), axis=1) / norm)
         assert np.array_equal(serial, np.concatenate(blocks))
 
+    def test_model_block_parallel_reduction_equivalence(self):
+        # The model score reads two squared norms: each block draws one
+        # chi-square piece for the first p coordinates, then one for the
+        # d - p beyond, from its own child stream.
+        p, d, n = 3, 40, 10_000
+        rng = RngStream(22)
+        serial = replicate_decreases("mb", p, d, n, rng)
+        blocks = []
+        for j, start in enumerate(range(0, n, 4096)):
+            m = min(4096, n - start)
+            gen = split_stream(rng, j).generator()
+            head_sq = 2.0 * gen.standard_gamma(p / 2.0, m)
+            tail = 2.0 * gen.standard_gamma((d - p) / 2.0, m)
+            blocks.append(np.sqrt(head_sq / (head_sq + tail)))
+        assert np.array_equal(serial, np.concatenate(blocks))
+
     def test_circle_closed_form(self):
         # Polling one direction on the circle has mean decrease 2/pi.
         est = estimate("ds", 1, 2, 1_000_000, RngStream(0))
@@ -166,6 +183,16 @@ class TestPairing:
     def test_identical_levels_give_zero(self):
         delta = paired_compare("ds", 3, 3, 50, 2000, RngStream(10))
         assert delta.delta_mean == 0.0 and delta.delta_std_error == 0.0
+
+    def test_identical_model_levels_give_zero(self):
+        # The gap between equal cut points is a Gamma(0) piece, exactly 0.
+        delta = paired_compare("mb", 4, 4, 50, 5000, RngStream(15))
+        assert delta.delta_mean == 0.0 and delta.delta_std_error == 0.0
+
+    def test_model_full_dimension_level_is_exactly_one(self):
+        v1, v2 = _replicates("mb", (30, 7), 30, 5000, RngStream(16), "reduced")
+        assert np.all(v1 == 1.0)
+        assert np.all((v2 > 0.0) & (v2 < 1.0))
 
     def test_polling_drop_is_significant(self):
         delta = paired_compare("ds", 1, 2, 1000, 10_000, RngStream(11))
@@ -238,3 +265,39 @@ class TestChiSquareTailOracle:
         m_old, se_old = _mean_se(diffs)
         gap = abs(new.delta_mean - m_old)
         assert gap <= 3.0 * math.hypot(new.delta_std_error, se_old)
+
+
+def _q_forming_values(variant, p, d, n, rng):
+    """Reference full-basis sampler: form the sign-fixed Q, project g onto it.
+
+    Draws g, then the d-by-p Gaussian A, in blocks of the same size and from
+    the same child streams as the package's full-basis mode.
+    """
+    block = max(1, min(4096, 2_000_000 // (d * p)))
+    out = []
+    for j, start in enumerate(range(0, n, block)):
+        m = min(block, n - start)
+        gen = split_stream(rng, j).generator()
+        g = gen.standard_normal((m, d))
+        a = gen.standard_normal((m, d, p))
+        q, r = np.linalg.qr(a)
+        signs = np.sign(np.einsum("kii->ki", r))
+        signs[signs == 0.0] = 1.0
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        proj = np.einsum("kdp,kd->kp", q * signs[:, None, :], g)
+        score = np.max(np.abs(proj), axis=1) if variant == "ds" else np.linalg.norm(proj, axis=1)
+        out.append(score)
+    return np.concatenate(out)
+
+
+class TestFullBasisOracle:
+    """The R-only full-basis sampler against the one that forms Q."""
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    @pytest.mark.parametrize("p,d", [(1, 16), (32, 64), (16, 16)])
+    def test_values_match_q_forming_sampler(self, variant, p, d):
+        # 2000 replicates span three blocks at (32, 64).
+        rng = RngStream(17)
+        new = replicate_decreases(variant, p, d, 2000, rng, "full-basis")
+        old = _q_forming_values(variant, p, d, 2000, rng)
+        assert np.max(np.abs(new - old)) <= 1e-10

@@ -81,6 +81,18 @@ class TestGammaHalfRatio:
         assert math.isfinite(r.value)
         assert r.value == pytest.approx(math.sqrt(2.0 / 10**9), rel=1e-4)
 
+    @pytest.mark.parametrize(
+        "d", [10**100, 1e100, 10**200, 1e200], ids=["int1e100", "1e100", "int1e200", "1e200"]
+    )
+    def test_astronomical_dimension(self, d):
+        # The ratio rounds onto its lower bracket sqrt(2/d) here.
+        r = gamma_half_ratio(d)
+        assert r.value == pytest.approx(math.sqrt(2.0) / math.sqrt(float(d)), rel=1e-15)
+
+    def test_dimension_beyond_float_range(self):
+        with pytest.raises(InvalidDimensionError, match="dimension d"):
+            gamma_half_ratio(10**400)
+
     def test_limit_scaling(self):
         d = 10**6
         assert abs(gamma_half_ratio(d).value * math.sqrt(d) - math.sqrt(2.0)) < 1e-5
