@@ -5,12 +5,12 @@ The package bundles three layers:
 * an optimizer that iterates direct-search or linear-model steps inside
   uniformly random low-dimensional subspaces (:mod:`subspace_dfo.optimizer`,
   :mod:`subspace_dfo.rng`);
-* closed-form, quadrature, and asymptotic evaluation of the expected
-  per-iteration and per-evaluation objective decrease as a function of the
-  subspace dimension p and the ambient dimension d
+* closed-form, one-dimensional quadrature, and asymptotic evaluation of the
+  expected per-iteration and per-evaluation objective decrease as a function
+  of the subspace dimension p and the ambient dimension d, exact for every p
   (:mod:`subspace_dfo.formulas`, :mod:`subspace_dfo.specfun`);
-* seeded Monte Carlo estimation of the same quantities, used both as the
-  evaluation path for large p and as the independent check of every formula
+* seeded Monte Carlo estimation of the same quantities, the independent
+  check of every formula
   (:mod:`subspace_dfo.montecarlo`, :mod:`subspace_dfo.experiments`).
 """
 
@@ -32,18 +32,17 @@ from .rng import (
 )
 from .specfun import GammaRatio, gamma_half_ratio, kershaw_bounds, log_gamma, sin_power_integral
 from .formulas import (
-    P_MAX,
     VARIANTS,
     FormulaResult,
-    NestedIntegral,
     asymptotic_decrease,
+    evaluation_cost,
     expected_decrease_ds,
     expected_decrease_mb,
-    nested_sine_integral,
     parallel_per_work,
     parallel_rounds,
     per_evaluation_ds,
     per_evaluation_mb,
+    polling_factor,
 )
 from .optimizer import (
     DriverConfig,
@@ -62,7 +61,6 @@ from .montecarlo import (
     PairedDelta,
     estimate,
     estimate_per_evaluation,
-    evaluation_cost,
     paired_compare,
     paired_ratio_gap,
     replicate_decreases,
@@ -99,18 +97,17 @@ __all__ = [
     "kershaw_bounds",
     "log_gamma",
     "sin_power_integral",
-    "P_MAX",
     "VARIANTS",
     "FormulaResult",
-    "NestedIntegral",
     "asymptotic_decrease",
+    "evaluation_cost",
     "expected_decrease_ds",
     "expected_decrease_mb",
-    "nested_sine_integral",
     "parallel_per_work",
     "parallel_rounds",
     "per_evaluation_ds",
     "per_evaluation_mb",
+    "polling_factor",
     "DriverConfig",
     "DriverTrace",
     "IterationOutcome",
@@ -125,7 +122,6 @@ __all__ = [
     "PairedDelta",
     "estimate",
     "estimate_per_evaluation",
-    "evaluation_cost",
     "paired_compare",
     "paired_ratio_gap",
     "replicate_decreases",

@@ -23,7 +23,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .errors import UnsupportedSubspaceDimensionError
 from .experiments import (
     DEFAULT_NSIMS,
     DEFAULT_SEED,
@@ -124,19 +123,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else _default_outdir()
     out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name
-    nsims = args.nsims if args.nsims is not None else DEFAULT_NSIMS
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     if name == "parallel-sweep":
         variant = args.variant or "ds"
-        d = args.d or (64 if variant == "ds" else 128)
+        d = args.d if args.d is not None else (64 if variant == "ds" else 128)
         cores = args.cores_model or ((2, 4, 8) if variant == "ds" else (1, 2, 4, 8))
-        rows, summaries = run_parallel_sweep(variant, d, cores, n_sims=nsims, seed=seed)
+        rows, summaries = run_parallel_sweep(variant, d, cores)
         manifest_extra = {
             "argmax": {str(s.cores): s.argmax_p for s in summaries},
             "ties": {str(s.cores): list(s.tied_p) for s in summaries},
         }
-        spec_payload = {"name": name, "variant": variant, "d": d, "cores": list(cores),
-                        "n_sims": nsims, "seed": seed}
+        spec_payload = {"name": name, "variant": variant, "d": d, "cores": list(cores)}
     else:
         if args.config:
             try:
@@ -150,7 +146,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         spec = spec.merged(
             n_sims=args.nsims,
             seed=args.seed,
-            d_values=(args.d,) if args.d else None,
+            d_values=(args.d,) if args.d is not None else None,
         )
         rows = run_named_figure(spec)
         manifest_extra = {}
@@ -281,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, UnsupportedSubspaceDimensionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

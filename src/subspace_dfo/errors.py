@@ -10,10 +10,9 @@ class DomainError(ValueError):
 
 
 class UnsupportedSubspaceDimensionError(ValueError):
-    """The quadrature path was asked for a subspace dimension above its depth cap.
+    """A formula exists only for some subspace dimensions and was asked for another.
 
-    Callers should fall back to the Monte Carlo estimator, which handles any
-    subspace dimension.
+    The large-d asymptotic forms cover p in {1, 2} only.
     """
 
 

@@ -20,24 +20,17 @@ import numpy as np
 from . import __version__
 from .errors import InvalidDimensionError
 from .formulas import (
-    P_MAX,
     VARIANTS,
     asymptotic_decrease,
+    evaluation_cost,
     expected_decrease_ds,
     expected_decrease_mb,
-    nested_sine_integral,
     parallel_per_work,
-    parallel_rounds,
     per_evaluation_ds,
     per_evaluation_mb,
+    polling_factor,
 )
-from .montecarlo import (
-    SAMPLER,
-    estimate,
-    evaluation_cost,
-    paired_compare,
-    paired_ratio_gap,
-)
+from .montecarlo import SAMPLER, estimate, paired_compare, paired_ratio_gap
 from .optimizer import (
     DriverConfig,
     DriverTrace,
@@ -234,10 +227,10 @@ def _exact_per_eval(variant: str, p: int, d: int):
     return per_evaluation_ds(p, d) if variant == "ds" else per_evaluation_mb(p, d)
 
 
-def _grid_rows(spec: ExperimentSpec, exact_p_limit) -> list[ResultRow]:
+def _grid_rows(spec: ExperimentSpec, exact_p_max: float) -> list[ResultRow]:
     """Shared emitter for the vary-d and vary-p grids.
 
-    ``exact_p_limit(d)`` bounds which cells get exact rows.  Cell streams are
+    Cells with p <= ``exact_p_max`` get exact rows.  Cell streams are
     keyed by cell identity under RngStream(spec.seed), so reruns with the same
     spec are bit-identical.
     """
@@ -266,7 +259,7 @@ def _grid_rows(spec: ExperimentSpec, exact_p_limit) -> list[ResultRow]:
                             est.seed,
                         )
                     )
-            if "formula" in spec.include and p <= exact_p_limit(d):
+            if "formula" in spec.include and p <= exact_p_max:
                 for metric in metrics:
                     res = (
                         _exact_result(spec.variant, p, d)
@@ -292,13 +285,13 @@ def _grid_rows(spec: ExperimentSpec, exact_p_limit) -> list[ResultRow]:
 def run_figure_vary_d(spec: ExperimentSpec) -> list[ResultRow]:
     """Decrease versus ambient dimension: MC for every cell, exact and
     asymptotic rows for p in {1, 2}."""
-    return _grid_rows(spec, exact_p_limit=lambda d: 2)
+    return _grid_rows(spec, exact_p_max=2)
 
 
 def run_figure_vary_p(spec: ExperimentSpec) -> list[ResultRow]:
-    """Decrease versus subspace dimension at fixed d: MC for every cell,
-    exact rows where the formula path applies (p <= P_MAX)."""
-    return _grid_rows(spec, exact_p_limit=lambda d: P_MAX)
+    """Decrease versus subspace dimension at fixed d: MC and exact rows for
+    every cell."""
+    return _grid_rows(spec, exact_p_max=math.inf)
 
 
 def default_figure_spec(
@@ -357,23 +350,17 @@ def run_parallel_sweep(
     d: int,
     cores_list: tuple[int, ...],
     p_multiples: int = 100,
-    n_sims: int = DEFAULT_NSIMS,
-    seed: int = DEFAULT_SEED,
-    rng: RngStream | None = None,
 ) -> tuple[list[ResultRow], list[SweepSummary]]:
-    """Expected decrease per batched evaluation round over a p grid, per core count.
+    """Exact expected decrease per batched evaluation round over a p grid, per
+    core count.
 
-    Formula values cover the quadrature range; polling cells beyond it fall
-    back to the Monte Carlo estimator divided by the deterministic round
-    count.  Each summary reports the grid argmax (first index on ties within
-    1e-12) and every tied grid point.
+    Each summary reports the grid argmax (first index on ties within 1e-12)
+    and every tied grid point.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    base = rng if rng is not None else RngStream(seed)
     rows: list[ResultRow] = []
     summaries: list[SweepSummary] = []
-    mc_cache: dict[int, object] = {}
     for cores in cores_list:
         metric = f"per-work({cores})"
         grid = _sweep_grid(variant, d, cores, p_multiples)
@@ -382,38 +369,10 @@ def run_parallel_sweep(
                 f"{variant} sweep at c={cores} cores has an empty p grid at d={d}; "
                 "use a larger d or fewer cores"
             )
-        values: list[float] = []
-        for p in grid:
-            if variant == "mb" or p <= P_MAX:
-                res = parallel_per_work(p, d, cores, variant)
-                rows.append(ResultRow(variant, d, p, METHOD_EXACT, metric, res.value))
-                values.append(res.value)
-            else:
-                # One estimate per p serves every core count; the per-work
-                # value only rescales it by the deterministic round count.
-                if p not in mc_cache:
-                    mc_cache[p] = estimate(variant, p, d, n_sims, cell_stream(base, variant, p, d))
-                est = mc_cache[p]
-                rounds = parallel_rounds(p, cores, variant)
-                rows.append(
-                    ResultRow(
-                        variant,
-                        d,
-                        p,
-                        METHOD_MC,
-                        metric,
-                        est.mean / rounds,
-                        est.std_error / rounds,
-                        est.n_sims,
-                        est.seed,
-                    )
-                )
-                values.append(est.mean / rounds)
-        arr = np.asarray(values)
-        top = float(arr.max())
-        tied = tuple(
-            int(p) for p, v in zip(grid, arr) if v >= top - max(1e-12, 1e-12 * abs(top))
-        )
+        values = [parallel_per_work(p, d, cores, variant).value for p in grid]
+        rows += [ResultRow(variant, d, p, METHOD_EXACT, metric, v) for p, v in zip(grid, values)]
+        top = max(values)
+        tied = tuple(p for p, v in zip(grid, values) if v >= top - max(1e-12, 1e-12 * abs(top)))
         summaries.append(SweepSummary(cores, tied[0], top, tied))
     return rows, summaries
 
@@ -547,8 +506,9 @@ def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -
 def gate_quadrature_constants(
     n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
 ) -> GateResult:
-    """Level-2 integral and the p = 3, 4 decrease-to-dimension-factor constants."""
-    level2 = abs(nested_sine_integral(2).value - 1.0 / math.sqrt(2.0))
+    """The general polling factor at p = 2 against its closed form, and the
+    p = 3, 4 decrease-to-dimension-factor constants."""
+    level2 = abs(polling_factor(2) - math.sqrt(2.0 / math.pi))
     ok = level2 <= 1e-10
     worst3 = 0.0
     worst4 = 0.0
@@ -563,7 +523,7 @@ def gate_quadrature_constants(
         3,
         "quadrature-constants",
         ok,
-        f"|I2 - 1/sqrt2| = {_fmt(level2)}; |ratio3 - {DS_RATIO_P3}| = {_fmt(worst3)}; "
+        f"|pf2 - sqrt(2/pi)| = {_fmt(level2)}; |ratio3 - {DS_RATIO_P3}| = {_fmt(worst3)}; "
         f"|ratio4 - {DS_RATIO_P4}| = {_fmt(worst4)}",
     )
 
@@ -612,9 +572,10 @@ def gate_per_evaluation_monotonicity(
     base = _gate_stream(seed, 5)
     ok = True
     for d in (64, 1024):
-        ds_seq = [per_evaluation_ds(p, d).value for p in range(1, P_MAX + 1)]
+        top = min(d - 1, 64)
+        ds_seq = [per_evaluation_ds(p, d).value for p in range(1, top + 1)]
         ok = ok and all(a > b for a, b in zip(ds_seq, ds_seq[1:]))
-        mb_seq = [per_evaluation_mb(p, d).value for p in range(2, min(d - 1, 64) + 1)]
+        mb_seq = [per_evaluation_mb(p, d).value for p in range(2, top + 1)]
         ok = ok and all(a > b for a, b in zip(mb_seq, mb_seq[1:]))
         ok = ok and per_evaluation_mb(1, d).value > per_evaluation_mb(2, d).value
     min_z = math.inf
@@ -635,11 +596,12 @@ def gate_per_evaluation_monotonicity(
 
 
 def gate_separability(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
-    """Cross-ratio identity over 100 random (p1, p2, d1, d2) tuples, both variants."""
+    """Cross-ratio identity over 100 random (p1, p2, d1, d2) tuples with p1, p2
+    in 1..8, both variants."""
     gen = _gate_stream(seed, 6).generator()
     worst = 0.0
     for _ in range(100):
-        p1, p2 = int(gen.integers(1, P_MAX + 1)), int(gen.integers(1, P_MAX + 1))
+        p1, p2 = int(gen.integers(1, 9)), int(gen.integers(1, 9))
         low = max(p1, p2)
         d1, d2 = int(gen.integers(low, 2049)), int(gen.integers(low, 2049))
         for fn in (expected_decrease_ds, expected_decrease_mb):
@@ -697,18 +659,13 @@ def gate_basis_invariance(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
 def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Per-work argmax lands at p = c/2 (polling) and p = c (model), with the
     documented two-way tie for the model at c = 2."""
-    base = _gate_stream(seed, 9)
     ok = True
     notes = []
-    _, ds_summaries = run_parallel_sweep(
-        "ds", 64, (2, 4, 8), n_sims=n_sims, rng=split_stream(base, 0)
-    )
+    _, ds_summaries = run_parallel_sweep("ds", 64, (2, 4, 8))
     for s in ds_summaries:
         ok = ok and s.argmax_p == s.cores // 2
         notes.append(f"ds c={s.cores} argmax p={s.argmax_p}")
-    _, mb_summaries = run_parallel_sweep(
-        "mb", 128, (1, 2, 4, 8), n_sims=n_sims, rng=split_stream(base, 1)
-    )
+    _, mb_summaries = run_parallel_sweep("mb", 128, (1, 2, 4, 8))
     for s in mb_summaries:
         ok = ok and s.argmax_p == s.cores
         notes.append(f"mb c={s.cores} argmax p={s.argmax_p}")

@@ -1,8 +1,7 @@
 """Seeded Monte Carlo estimation of expected one-iteration decrease.
 
-This is both the evaluation path for subspace dimensions beyond the
-quadrature cap and the independent check of every closed form.  Two sampling
-modes exist:
+This is the independent check of every formula, closed form and quadrature
+alike.  Two sampling modes exist:
 
 * ``reduced`` draws only the random gradient direction and scores its first p
   coordinates (largest absolute coordinate for polling, Euclidean norm for the
@@ -30,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDimensionError
-from .formulas import VARIANTS
+from .formulas import VARIANTS, evaluation_cost
 from .rng import RngStream, split_stream
 
 REDUCTIONS = ("reduced", "full-basis")
@@ -45,22 +44,6 @@ SAMPLER = (
 # stacked basis array stays within a fixed memory budget.
 _BLOCK = 4096
 _FULL_BASIS_BUDGET = 2_000_000
-
-
-def evaluation_cost(variant: str, p: int) -> float:
-    """New objective evaluations one iteration consumes.
-
-    Complete polling: 2p.  Model step: p + 1, except p = 1 where the trial
-    point reuses the poll point half the time, for 3/2 on average (the same
-    3/2 applies to opportunistic polling).
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if p < 1:
-        raise InvalidDimensionError(f"subspace dimension must be positive, got {p}")
-    if variant == "ds":
-        return 2.0 * p
-    return 1.5 if p == 1 else p + 1.0
 
 
 @dataclass(frozen=True)

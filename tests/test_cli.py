@@ -112,6 +112,8 @@ def test_figure_parallel_sweep_reports_argmax(tmp_path):
     assert manifest["argmax"]["1"] == 1
     assert manifest["argmax"]["2"] == 2
     assert manifest["ties"]["2"] == [2, 4]
+    # The sweep is exact, so replicate count and seed do not shape it.
+    assert "n_sims" not in manifest["spec"] and "seed" not in manifest["spec"]
 
 
 def test_figure_outdir_from_environment(tmp_path, monkeypatch):
@@ -206,6 +208,19 @@ def test_parallel_sweep_names_core_count_with_empty_grid(tmp_path, capsys):
     code = main(["figure", "parallel-sweep", "--d", "3", "--out", str(tmp_path)])
     assert code == 2
     assert "c=8 cores has an empty p grid at d=3" in capsys.readouterr().err
+
+
+def test_figure_zero_dimension_is_refused(tmp_path, capsys):
+    code = main(["figure", "ds-vary-d", "--d", "0", "--nsims", "100", "--out", str(tmp_path)])
+    assert code == 2
+    assert "d_values must be positive, got (0,)" in capsys.readouterr().err
+    assert not (tmp_path / "ds-vary-d.csv").exists()
+
+
+def test_parallel_sweep_zero_dimension_is_refused(tmp_path, capsys):
+    code = main(["figure", "parallel-sweep", "--d", "0", "--out", str(tmp_path)])
+    assert code == 2
+    assert "empty p grid at d=0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content,reason", [(None, "No such file"), ("{bad", "Expecting")])

@@ -114,7 +114,7 @@ class TestGridRows:
         metrics = {r.metric for r in both}
         assert metrics == {"per-iteration", "per-evaluation"}
 
-    def test_vary_p_exact_rows_respect_depth_cap(self):
+    def test_vary_p_exact_rows_at_every_p(self):
         spec = ExperimentSpec(
             name="ds-vary-p",
             variant="ds",
@@ -125,10 +125,11 @@ class TestGridRows:
             include=("formula", "monte-carlo"),
         )
         rows = run_figure_vary_p(spec)
-        exact_p = {r.p for r in rows if r.method == "exact"}
-        mc_p = {r.p for r in rows if r.method == "mc"}
-        assert exact_p == {1, 2, 3}
-        assert mc_p == {1, 2, 3, 10, 64}
+        exact = {r.p: r.value for r in rows if r.method == "exact"}
+        mc = {r.p: r for r in rows if r.method == "mc"}
+        assert set(exact) == set(mc) == {1, 2, 3, 10, 64}
+        for p, value in exact.items():
+            assert abs(mc[p].value - value) <= 4.0 * mc[p].std_error, p
 
     def test_vary_p_full_dimension_model_cell_is_exactly_one(self):
         spec = ExperimentSpec(
@@ -227,7 +228,7 @@ class TestCsvSerialization:
 
 class TestParallelSweep:
     def test_polling_argmax_at_half_cores(self):
-        rows, summaries = run_parallel_sweep("ds", 64, (2, 4, 8), n_sims=4000, seed=0)
+        rows, summaries = run_parallel_sweep("ds", 64, (2, 4, 8))
         for s in summaries:
             assert s.argmax_p == s.cores // 2
         # Grid steps by c/2 and is capped by d.
@@ -235,22 +236,24 @@ class TestParallelSweep:
         assert c2 == list(range(1, 65))
 
     def test_model_argmax_at_cores_with_tie(self):
-        rows, summaries = run_parallel_sweep("mb", 128, (1, 2, 4, 8), n_sims=1000, seed=0)
+        rows, summaries = run_parallel_sweep("mb", 128, (1, 2, 4, 8))
         for s in summaries:
             assert s.argmax_p == s.cores
         tie = next(s for s in summaries if s.cores == 2)
         assert tie.tied_p == (2, 4)
         assert all(r.method == "exact" for r in rows)
 
-    def test_polling_cells_beyond_quadrature_use_mc(self):
-        rows, _ = run_parallel_sweep("ds", 64, (8,), n_sims=1000, seed=0)
-        methods = {r.p: r.method for r in rows}
-        assert methods[8] == "exact"
-        assert methods[12] == "mc"
+    def test_polling_sweep_is_exact_at_every_p(self):
+        rows, _ = run_parallel_sweep("ds", 1000, (2, 200))
+        assert {r.p for r in rows} >= {9, 100, 1000}
+        assert all(r.method == "exact" and r.std_error is None for r in rows)
+        by_key = {(r.metric, r.p): r.value for r in rows}
+        for p in (100, 1000):
+            assert by_key[("per-work(200)", p)] == expected_decrease_ds(p, 1000).value / (p // 100)
 
     def test_deterministic(self):
-        a = run_parallel_sweep("ds", 32, (4,), n_sims=1000, seed=5)
-        b = run_parallel_sweep("ds", 32, (4,), n_sims=1000, seed=5)
+        a = run_parallel_sweep("ds", 32, (4,))
+        b = run_parallel_sweep("ds", 32, (4,))
         assert rows_to_csv(a[0]) == rows_to_csv(b[0])
 
 

@@ -1,15 +1,18 @@
 """Formula tests: frozen oracle values, closed-form identities, monotonicity."""
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
 
 from subspace_dfo import (
-    P_MAX,
     FormulaResult,
     InvalidDimensionError,
     RngStream,
@@ -18,11 +21,11 @@ from subspace_dfo import (
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
-    nested_sine_integral,
     parallel_per_work,
     parallel_rounds,
     per_evaluation_ds,
     per_evaluation_mb,
+    polling_factor,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -87,6 +90,92 @@ def rejection_mc_i3(n: int, seed: int) -> tuple[float, float]:
     return area * float(values.mean()), area * float(values.std(ddof=1) / math.sqrt(n))
 
 
+# Oracle for polling_factor: the polling p-factor written as the (p-1)-fold
+# nested sine-power integral the decrease formula is usually stated with.
+
+
+class NestedIntegral(NamedTuple):
+    value: float
+    abs_error: float
+
+
+def _tail_levels(p: int, n_quad: int, n_cheb: int) -> float:
+    """One pass of the nested quadrature at fixed node counts.
+
+    The integral is over angles t_1..t_{p-1} with integrand
+    prod_i sin(t_i)^i; t_1 starts at pi/4 and each later t_i starts at
+    arctan of the product of cosecants of the outer angles.  Writing c for
+    that cosecant product, the tail from level i inward,
+
+        T_i(c) = integral over [arctan c, pi/2] of sin(t)^i * T_{i+1}(c / sin t) dt,
+
+    is a smooth function of the single variable c in [1, sqrt(i)], so each
+    tail is represented by a Chebyshev interpolant built from Gauss-Legendre
+    panel sums, level by level from the innermost outward.  The result is
+    T_1(1).
+    """
+    x_gl, w_gl = leggauss(n_quad)
+
+    def level_values(cs: np.ndarray, i: int, inner) -> np.ndarray:
+        cs = np.atleast_1d(np.asarray(cs, dtype=float))
+        lo = np.arctan(cs)
+        half = (np.pi / 2.0 - lo) / 2.0
+        mid = (np.pi / 2.0 + lo) / 2.0
+        phi = mid[:, None] + half[:, None] * x_gl[None, :]
+        s = np.sin(phi)
+        vals = s**i
+        if inner is not None:
+            vals = vals * inner(cs[:, None] / s)
+        return half * (vals @ w_gl)
+
+    inner = None
+    for i in range(p - 1, 1, -1):
+        inner = Chebyshev.interpolate(
+            (lambda cs, i=i, inner=inner: level_values(cs, i, inner)),
+            n_cheb,
+            domain=[1.0, math.sqrt(i)],
+        )
+    return float(level_values(np.array([1.0]), 1, inner)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def nested_sine_integral(p: int, tol: float = 1e-10) -> NestedIntegral:
+    """Level-p nested integral (exactly 1 at p = 1), refining node counts until
+    two successive passes agree within ``tol``; ``abs_error`` is that last
+    difference."""
+    if p == 1:
+        return NestedIntegral(1.0, 0.0)
+    value = _tail_levels(p, 24, 24)
+    for n in (48, 96, 192):
+        refined = _tail_levels(p, n, n)
+        abs_error = abs(refined - value)
+        value = refined
+        if abs_error <= tol:
+            break
+    return NestedIntegral(value, abs_error)
+
+
+def _p_factor(p: int) -> float:
+    """Gamma prefactor that turns the level-p nested integral into the polling factor."""
+    return (p / 2.0) * (2.0 / SQRT_PI) ** p * math.gamma(p / 2.0 + 0.5)
+
+
+def quad_polling_factor(p: int) -> float:
+    """polling_factor by adaptive quadrature, split at the bulk of the maximum."""
+
+    def tail(x: float) -> float:
+        u = x / SQRT2
+        log_cdf = math.log(math.erf(u)) if u < 1.0 else math.log1p(-math.erfc(u))
+        return -math.expm1(p * log_cdf)
+
+    bulk = math.sqrt(2.0 * math.log(p))
+    total = sum(
+        quad(tail, lo, hi, epsabs=0.0, epsrel=1.2e-14, limit=200)[0]
+        for lo, hi in ((0.0, bulk), (bulk, math.inf))
+    )
+    return total / SQRT2
+
+
 class TestNestedSineIntegral:
     def test_level_one_is_exact(self):
         res = nested_sine_integral(1)
@@ -109,19 +198,45 @@ class TestNestedSineIntegral:
         assert value == pytest.approx(brute_force_i4(), abs=1e-9)
 
     def test_reported_error_is_honest(self):
-        for p in range(2, P_MAX + 1):
+        for p in range(2, 9):
             res = nested_sine_integral(p, tol=1e-10)
             assert res.abs_error <= 1e-10
 
     def test_contraction_across_levels(self):
         # Each extra level shrinks the integral by more than sqrt(2p/pi).
-        for p in range(1, P_MAX):
+        for p in range(1, 8):
             upper = (SQRT_PI / (SQRT2 * math.sqrt(p))) * nested_sine_integral(p).value
             assert nested_sine_integral(p + 1).value < upper
 
-    def test_depth_cap(self):
-        with pytest.raises(UnsupportedSubspaceDimensionError):
-            nested_sine_integral(P_MAX + 1)
+
+class TestPollingFactor:
+    def test_matches_nested_quadrature_oracle(self):
+        for p in range(2, 9):
+            oracle = _p_factor(p) * nested_sine_integral(p, tol=1e-12).value
+            assert polling_factor(p) == pytest.approx(oracle, rel=1e-14, abs=0.0), p
+
+    def test_matches_symbolic_constants(self):
+        assert polling_factor(3) == pytest.approx(DS3_CONST, rel=1e-14, abs=0.0)
+        assert polling_factor(4) == pytest.approx(DS4_CONST, rel=1e-14, abs=0.0)
+
+    def test_closed_forms_at_p1_p2(self):
+        assert polling_factor(1) == pytest.approx(math.sqrt(1.0 / math.pi), rel=1e-14, abs=0.0)
+        assert polling_factor(2) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [10, 10**3, 10**6, 10**15, 10**100])
+    def test_matches_adaptive_quadrature(self, p):
+        assert polling_factor(p) == pytest.approx(quad_polling_factor(p), rel=1e-13, abs=0.0)
+
+    def test_no_depth_cap(self):
+        # E[max_{i<=p} |z_i|] <= sqrt(2 ln(2p)), and the mean maximum grows with p.
+        values = [polling_factor(p) for p in (8, 9, 100, 1000)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+        for p, value in zip((8, 9, 100, 1000), values):
+            assert value <= math.sqrt(math.log(2.0 * p))
+
+    def test_invalid_level(self):
+        with pytest.raises(InvalidDimensionError):
+            polling_factor(0)
 
 
 class TestPollingDecrease:
@@ -182,9 +297,12 @@ class TestPollingDecrease:
         assert expected_decrease_ds(2, 5).method == "closed-form"
         assert expected_decrease_ds(3, 5).method == "quadrature"
 
-    def test_depth_cap_and_dimension_errors(self):
-        with pytest.raises(UnsupportedSubspaceDimensionError):
-            expected_decrease_ds(P_MAX + 1, 100)
+    def test_any_p_and_dimension_errors(self):
+        ratio = gamma_half_ratio(1000).value
+        for p in (9, 100, 1000):
+            res = expected_decrease_ds(p, 1000)
+            assert res.method == "quadrature"
+            assert res.value == ratio * polling_factor(p)
         with pytest.raises(InvalidDimensionError):
             expected_decrease_ds(5, 4)
 
@@ -214,7 +332,7 @@ class TestModelDecrease:
             assert expected_decrease_mb(1, d).value == pytest.approx(
                 expected_decrease_ds(1, d).value, rel=1e-14
             )
-            for p in range(2, min(d, P_MAX) + 1):
+            for p in range(2, d + 1):
                 assert expected_decrease_mb(p, d).value > expected_decrease_ds(p, d).value
 
 
@@ -258,7 +376,7 @@ class TestPerEvaluation:
 
     def test_strict_monotonicity(self):
         for d in (16, 200):
-            ds_seq = [per_evaluation_ds(p, d).value for p in range(1, P_MAX + 1)]
+            ds_seq = [per_evaluation_ds(p, d).value for p in range(1, d)]
             assert all(a > b for a, b in zip(ds_seq, ds_seq[1:]))
             mb_seq = [per_evaluation_mb(p, d).value for p in range(1, d)]
             assert all(a > b for a, b in zip(mb_seq, mb_seq[1:]))
@@ -330,8 +448,8 @@ class TestAsymptotics:
 
 class TestStructuralInvariants:
     @given(
-        st.integers(min_value=1, max_value=P_MAX),
-        st.integers(min_value=1, max_value=P_MAX),
+        st.integers(min_value=1, max_value=2048),
+        st.integers(min_value=1, max_value=2048),
         st.integers(min_value=0, max_value=2040),
         st.integers(min_value=0, max_value=2040),
     )
@@ -345,7 +463,7 @@ class TestStructuralInvariants:
             )
             assert abs(cross - 1.0) <= 1e-10
 
-    @given(st.integers(min_value=1, max_value=P_MAX), st.integers(min_value=0, max_value=3000))
+    @given(st.integers(min_value=1, max_value=2048), st.integers(min_value=0, max_value=3000))
     @settings(max_examples=100, deadline=None)
     def test_values_lie_in_unit_interval(self, p, extra):
         d = p + extra

@@ -141,8 +141,8 @@ class TestEstimate:
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
     def test_consistency_with_quadrature_formulas(self):
-        # The quadrature path and the sampler must agree for every level the
-        # quadrature supports, on both variants.
+        # The formulas, closed form and quadrature alike, and the sampler must
+        # agree on both variants.
         base = RngStream(31)
         cell = 0
         for variant, formula in (("ds", expected_decrease_ds), ("mb", expected_decrease_mb)):
