@@ -29,21 +29,19 @@ def main() -> int:
     names = args.only or FIGURE_NAMES
     start = time.perf_counter()
     for name in names:
-        cmd = [
-            "figure", name,
-            "--nsims", str(args.nsims),
-            "--seed", str(args.seed),
-            "--out", args.out,
-        ]
         if name == "parallel-sweep":
-            # Emit both sweep variants at their reference dimensions.
+            # Emit both sweep variants at their reference dimensions.  The
+            # sweep is exact, so it takes no replicate count or seed.
             for variant in ("ds", "mb"):
                 sub_out = os.path.join(args.out, f"parallel-sweep-{variant}")
-                code = cli_main(cmd[:-1] + [sub_out, "--variant", variant])
+                code = cli_main(["figure", name, "--out", sub_out, "--variant", variant])
                 if code != 0:
                     return code
         else:
-            code = cli_main(cmd)
+            code = cli_main(
+                ["figure", name, "--nsims", str(args.nsims), "--seed", str(args.seed),
+                 "--out", args.out]
+            )
             if code != 0:
                 return code
     print(f"done in {time.perf_counter() - start:.1f}s -> {args.out}")

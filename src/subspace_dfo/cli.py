@@ -127,6 +127,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         variant = args.variant or "ds"
         d = args.d if args.d is not None else (64 if variant == "ds" else 128)
         cores = args.cores_model or ((2, 4, 8) if variant == "ds" else (1, 2, 4, 8))
+        ignored = [flag for flag in ("nsims", "seed") if getattr(args, flag) is not None]
+        if ignored:
+            flags = " and ".join(f"--{flag}" for flag in ignored)
+            print(f"note: parallel-sweep is exact, so {flags} change nothing", file=sys.stderr)
         rows, summaries = run_parallel_sweep(variant, d, cores)
         manifest_extra = {
             "argmax": {str(s.cores): s.argmax_p for s in summaries},

@@ -161,8 +161,10 @@ class ExperimentSpec:
             top = max(self.d_values)
             if any(p < 1 or p > top for p in self.p_rule):
                 raise ValueError(f"p values must lie in [1, max(d)], got {self.p_rule}")
-        if self.n_sims < 1:
-            raise ValueError("n_sims must be positive")
+        if self.n_sims < 2:
+            raise ValueError(
+                f"n_sims must be at least 2 for a standard error, got {self.n_sims}"
+            )
         if self.outputs not in ("decrease", "per-evaluation", "both"):
             raise ValueError(f"unknown outputs selector {self.outputs!r}")
         unknown = set(self.include) - {"formula", "monte-carlo", "asymptotic"}

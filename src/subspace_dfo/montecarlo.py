@@ -18,12 +18,18 @@ alike.  Two sampling modes exist:
   exists to validate the reduction.
 
 Replicates are generated in fixed-size blocks, each from its own child
-stream, and reduced in block order, so results are bit-identical whether the
-blocks run serially or are dispatched to workers and combined in order.
+stream, and each block writes its own slice of the result, so the values are
+bit-identical however the blocks are scheduled.  A cell whose blocks each
+draw at least 2^16 values runs them on a thread pool with one worker per
+usable CPU (numpy releases the interpreter lock while it draws and reduces);
+smaller cells, which threads would only slow, run serially.  Within a block
+the normals are drawn in row chunks of at most 2^18 values (2 MB), in
+stream order, so a block's memory stays bounded whatever p and d are.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +50,10 @@ SAMPLER = (
 # stacked basis array stays within a fixed memory budget.
 _BLOCK = 4096
 _FULL_BASIS_BUDGET = 2_000_000
+# Most values drawn at once within a block: 2 MB of float64.
+_CHUNK = 2**18
+# Fewest values one block must draw before blocks go to worker threads.
+_PARALLEL_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
@@ -92,16 +102,23 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
 def _polling_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
     """Largest |z_i| over i <= p, over ||z||, for each p in ps on the same draws.
 
-    Draws the first max(ps) coordinates of z, then the squared norm of the
-    rest as one chi-square with d - max(ps) degrees of freedom: twice a
-    Gamma((d - max(ps))/2) draw, which numpy returns as exactly 0 for shape 0.
+    Draws the first max(ps) coordinates of z, in row chunks of at most
+    ``_CHUNK`` values, then the squared norm of the rest as one chi-square
+    with d - max(ps) degrees of freedom: twice a Gamma((d - max(ps))/2) draw,
+    which numpy returns as exactly 0 for shape 0.
     """
     top = max(ps)
-    head = gen.standard_normal((m, top))
-    tail = 2.0 * gen.standard_gamma((d - top) / 2.0, m)
-    # einsum sums the row products without an (m, top) temporary.
-    norm = np.sqrt(np.einsum("ij,ij->i", head, head) + tail)
-    return [_max_abs(head[:, :p]) / norm for p in ps]
+    head_sq = np.empty(m)
+    peaks = np.empty((len(ps), m))
+    rows = max(1, _CHUNK // top)
+    for lo in range(0, m, rows):
+        head = gen.standard_normal((min(rows, m - lo), top))
+        # einsum sums the row products without an (m, top) temporary.
+        head_sq[lo : lo + rows] = np.einsum("ij,ij->i", head, head)
+        for peak, p in zip(peaks, ps):
+            peak[lo : lo + rows] = _max_abs(head[:, :p])
+    norm = np.sqrt(head_sq + 2.0 * gen.standard_gamma((d - top) / 2.0, m))
+    return [peak / norm for peak in peaks]
 
 
 def _model_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
@@ -131,15 +148,27 @@ def _full_basis_scores(
     The basis is the Q factor of a Gaussian d-by-p draw A.  Q is never
     formed: the R factor of [A, g] holds Q^T g in the top p entries of its
     last column.  QR fixes each basis vector's sign by convention, which
-    neither score can see (both read |Q^T g| only).
+    neither score can see (both read |Q^T g| only).  g is drawn for the whole
+    block first, then A and the QR run in replicate chunks of at most
+    ``_CHUNK`` values.
     """
     g = gen.standard_normal((m, d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    ag = np.concatenate((gen.standard_normal((m, d, p)), g[:, :, None]), axis=2)
-    # Raw QR factors a copy of [A, g] and returns it transposed, R_k[i, j] at
-    # [k, j, i] for i <= j, without the triangular copy that mode "r" makes.
-    proj = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
+    proj = np.empty((m, p))
+    rows = max(1, _CHUNK // (d * (p + 1)))
+    for lo in range(0, m, rows):
+        a = gen.standard_normal((min(rows, m - lo), d, p))
+        ag = np.concatenate((a, g[lo : lo + rows, :, None]), axis=2)
+        # Raw QR factors a copy of [A, g] and returns it transposed, R_k[i, j]
+        # at [k, j, i] for i <= j, without the triangular copy of mode "r".
+        proj[lo : lo + rows] = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
     return _max_abs(proj) if variant == "ds" else np.linalg.norm(proj, axis=1)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _replicates(
@@ -147,19 +176,25 @@ def _replicates(
 ) -> np.ndarray:
     """Replicate values, one row per cut point in ps, scored on common draws.
 
-    Blocks of replicates each come from their own child stream and fill the
-    rows in block order.  Full-basis mode scores a single cut point, in
-    blocks shrunk so the stacked basis draws stay within a fixed budget.
+    Blocks of replicates each come from their own child stream and fill
+    their own columns, on worker threads when a block draws enough values
+    to repay them.  Full-basis mode scores a single cut point, in blocks
+    shrunk so the stacked basis draws stay within a fixed budget.
     """
     for p in ps:
         _check_cell(variant, p, d, n_sims)
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    block = _BLOCK
     if reduction == "full-basis":
         block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * ps[0])))
+        draws = block * d * (ps[0] + 1)
+    else:
+        block = _BLOCK
+        draws = block * (max(ps) + 1 if variant == "ds" else len(ps) + 1)
     out = np.empty((len(ps), n_sims))
-    for j, start in enumerate(range(0, n_sims, block)):
+
+    def fill(j: int) -> None:
+        start = j * block
         m = min(block, n_sims - start)
         gen = split_stream(rng, j).generator()
         if reduction == "full-basis":
@@ -167,6 +202,19 @@ def _replicates(
         else:
             scores = _polling_scores if variant == "ds" else _model_scores
             out[:, start : start + m] = scores(gen, m, ps, d)
+
+    blocks = -(-n_sims // block)
+    workers = min(blocks, _usable_cpus())
+    if workers > 1 and draws >= _PARALLEL_DRAWS:
+        # Imported here: concurrent.futures pulls in logging, which would
+        # lengthen every import of the package.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(fill, range(blocks)))
+    else:
+        for j in range(blocks):
+            fill(j)
     return out
 
 
@@ -183,10 +231,9 @@ def replicate_decreases(
 
 
 def _summarize(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
     if values.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / np.sqrt(values.size))
+        raise ValueError(f"a standard error needs at least 2 replicates, got n = {values.size}")
+    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size))
 
 
 def estimate(

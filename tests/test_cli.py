@@ -116,6 +116,22 @@ def test_figure_parallel_sweep_reports_argmax(tmp_path):
     assert "n_sims" not in manifest["spec"] and "seed" not in manifest["spec"]
 
 
+def test_figure_parallel_sweep_notes_ignored_flags(tmp_path, capsys):
+    # The sweep is exact: --nsims and --seed are accepted, named on stderr
+    # as ignored, and leave the CSV as it is without them.
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert main(["figure", "parallel-sweep", "--out", str(plain)]) == 0
+    assert "note" not in capsys.readouterr().err
+    code = main(
+        ["figure", "parallel-sweep", "--nsims", "5", "--seed", "3", "--out", str(flagged)]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--nsims and --seed change nothing" in err
+    csv = "parallel-sweep.csv"
+    assert (flagged / csv).read_bytes() == (plain / csv).read_bytes()
+
+
 def test_figure_outdir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("SUBSPACE_DFO_OUTDIR", str(tmp_path))
     code = main(["figure", "mb-vary-p", "--nsims", "100"])
@@ -179,6 +195,19 @@ def test_manifests_record_sampler(tmp_path):
             "reduced: ds p normals + chi-square tail, mb chi-square head + tail; "
             "full-basis: R of QR([A, g])"
         )
+
+
+def test_mc_refuses_single_replicate(capsys):
+    code = main(["mc", "--variant", "ds", "--d", "8", "--p", "1", "--nsims", "1"])
+    assert code == 2
+    assert "at least 2 replicates, got n = 1" in capsys.readouterr().err
+
+
+def test_figure_refuses_single_replicate(tmp_path, capsys):
+    code = main(["figure", "ds-vary-d", "--d", "8", "--nsims", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "n_sims must be at least 2 for a standard error, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "ds-vary-d.csv").exists()
 
 
 def test_verify_rejects_single_replicate(capsys):

@@ -1,6 +1,8 @@
 """Estimator tests: determinism, unbiasedness against closed forms, pairing."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from subspace_dfo import (
     replicate_decreases,
     split_stream,
 )
-from subspace_dfo.montecarlo import _replicates
+from subspace_dfo import montecarlo
+from subspace_dfo.montecarlo import _BLOCK, _replicates
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -91,19 +94,22 @@ class TestEstimate:
         # its own child stream) and concatenating them in block order
         # reproduces the serial replicate array bit for bit.
         # Each block draws its p head coordinates, then one chi-square tail
-        # with d - p degrees of freedom per replicate.
-        p, d, n = 2, 6, 10_000
+        # with d - p degrees of freedom per replicate.  At p = 700 the package
+        # draws each head in several row chunks; the one-shot head here is
+        # the oracle.
+        n = 10_000
         rng = RngStream(21)
-        serial = replicate_decreases("ds", p, d, n, rng)
-        blocks = []
-        for j, start in enumerate(range(0, n, 4096)):
-            m = min(4096, n - start)
-            gen = split_stream(rng, j).generator()
-            head = gen.standard_normal((m, p))
-            tail = 2.0 * gen.standard_gamma((d - p) / 2.0, m)
-            norm = np.sqrt(np.einsum("ij,ij->i", head, head) + tail)
-            blocks.append(np.max(np.abs(head), axis=1) / norm)
-        assert np.array_equal(serial, np.concatenate(blocks))
+        for p, d in ((2, 6), (700, 1024)):
+            serial = replicate_decreases("ds", p, d, n, rng)
+            blocks = []
+            for j, start in enumerate(range(0, n, 4096)):
+                m = min(4096, n - start)
+                gen = split_stream(rng, j).generator()
+                head = gen.standard_normal((m, p))
+                tail = 2.0 * gen.standard_gamma((d - p) / 2.0, m)
+                norm = np.sqrt(np.einsum("ij,ij->i", head, head) + tail)
+                blocks.append(np.max(np.abs(head), axis=1) / norm)
+            assert np.array_equal(serial, np.concatenate(blocks)), (p, d)
 
     def test_model_block_parallel_reduction_equivalence(self):
         # The model score reads two squared norms: each block draws one
@@ -301,3 +307,94 @@ class TestFullBasisOracle:
         new = replicate_decreases(variant, p, d, 2000, rng, "full-basis")
         old = _q_forming_values(variant, p, d, 2000, rng)
         assert np.max(np.abs(new - old)) <= 1e-10
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_chunked_qr_is_one_qr_per_block_bitwise(self, variant):
+        # The package factors each block's [A, g] in replicate chunks; one
+        # unchunked raw QR per block must give the same floats.
+        p, d, n = 32, 64, 2000
+        rng = RngStream(18)
+        block = 2_000_000 // (d * p)
+        expected = []
+        for j, start in enumerate(range(0, n, block)):
+            m = min(block, n - start)
+            gen = split_stream(rng, j).generator()
+            g = gen.standard_normal((m, d))
+            g /= np.linalg.norm(g, axis=1, keepdims=True)
+            ag = np.concatenate((gen.standard_normal((m, d, p)), g[:, :, None]), axis=2)
+            proj = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
+            if variant == "ds":
+                expected.append(np.maximum(proj.max(axis=1), -proj.min(axis=1)))
+            else:
+                expected.append(np.linalg.norm(proj, axis=1))
+        new = replicate_decreases(variant, p, d, n, rng, "full-basis")
+        assert np.array_equal(new, np.concatenate(expected))
+
+
+class TestWorkerThreads:
+    """Blocks on worker threads give the serial values bit for bit."""
+
+    N = 3 * _BLOCK + 100
+
+    CELLS = [
+        ("ds", (700,), 1024, "reduced"),
+        ("ds", (5, 700), 1024, "reduced"),
+        ("mb", (3, 40), 1000, "reduced"),
+        ("ds", (32,), 64, "full-basis"),
+    ]
+
+    @staticmethod
+    def _run_with_cpus(monkeypatch, cpus, cell, n):
+        variant, ps, d, reduction = cell
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        return _replicates(variant, ps, d, n, RngStream(23), reduction)
+
+    @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]}")
+    def test_any_worker_count_matches_serial(self, monkeypatch, cell):
+        serial = self._run_with_cpus(monkeypatch, 1, cell, self.N)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (2, 8):
+                threaded = self._run_with_cpus(monkeypatch, cpus, cell, self.N)
+                assert np.array_equal(threaded, serial), cpus
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "cell,on_workers",
+        [(CELLS[0], True), (CELLS[3], True), (CELLS[2], False), (("ds", (2,), 6, "reduced"), False)],
+    )
+    def test_only_large_blocks_go_to_workers(self, monkeypatch, cell, on_workers):
+        # A block that draws fewer than 2^16 values stays on the calling thread.
+        seen = []
+        name = {"ds": "_polling_scores", "mb": "_model_scores"}[cell[0]]
+        if cell[3] == "full-basis":
+            name = "_full_basis_scores"
+        scores = getattr(montecarlo, name)
+
+        def spy(*args):
+            seen.append(threading.current_thread() is threading.main_thread())
+            return scores(*args)
+
+        monkeypatch.setattr(montecarlo, name, spy)
+        self._run_with_cpus(monkeypatch, 2, cell, self.N)
+        assert seen
+        assert not any(seen) if on_workers else all(seen)
+
+    def test_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
+        scores = montecarlo._polling_scores
+
+        def last_block_fails(gen, m, ps, d):
+            if m < _BLOCK:
+                raise RuntimeError("block failed")
+            return scores(gen, m, ps, d)
+
+        monkeypatch.setattr(montecarlo, "_polling_scores", last_block_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            self._run_with_cpus(monkeypatch, 2, self.CELLS[0], self.N)
+        assert threading.active_count() == before
+
+    def test_usable_cpus_is_positive(self):
+        assert montecarlo._usable_cpus() >= 1
