@@ -30,12 +30,11 @@ from .rng import (
     sample_unit_vector,
     split_stream,
 )
-from .specfun import GammaRatio, gamma_half_ratio, kershaw_bounds, log_gamma, sin_power_integral
+from .specfun import GammaRatio, gamma_half_ratio, log_gamma
 from .formulas import (
     VARIANTS,
     FormulaResult,
     asymptotic_decrease,
-    evaluation_cost,
     expected_decrease_ds,
     expected_decrease_mb,
     parallel_per_work,
@@ -94,13 +93,10 @@ __all__ = [
     "split_stream",
     "GammaRatio",
     "gamma_half_ratio",
-    "kershaw_bounds",
     "log_gamma",
-    "sin_power_integral",
     "VARIANTS",
     "FormulaResult",
     "asymptotic_decrease",
-    "evaluation_cost",
     "expected_decrease_ds",
     "expected_decrease_mb",
     "parallel_per_work",

@@ -40,14 +40,7 @@ from .experiments import (
     write_manifest,
     write_rows,
 )
-from .formulas import (
-    asymptotic_decrease,
-    expected_decrease_ds,
-    expected_decrease_mb,
-    parallel_per_work,
-    per_evaluation_ds,
-    per_evaluation_mb,
-)
+from .formulas import VARIANTS, Variant, asymptotic_decrease, parallel_per_work
 from .montecarlo import SAMPLER, estimate, estimate_per_evaluation
 from .optimizer import ITERATION_KINDS, DriverConfig
 from .rng import RngStream
@@ -72,8 +65,8 @@ def _emit_rows(rows: list[ResultRow], fmt: str, out: str | None) -> None:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     variant, p, d = args.variant, args.p, args.d
-    per_iter = expected_decrease_ds(p, d) if variant == "ds" else expected_decrease_mb(p, d)
-    per_eval = per_evaluation_ds(p, d) if variant == "ds" else per_evaluation_mb(p, d)
+    per_iter = Variant.named(variant).exact(p, d)
+    per_eval = parallel_per_work(p, d, 1, variant)
     rows = [
         ResultRow(variant, d, p, "exact", "per-iteration", per_iter.value),
         ResultRow(variant, d, p, "exact", "per-evaluation", per_eval.value),
@@ -124,9 +117,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name
     if name == "parallel-sweep":
-        variant = args.variant or "ds"
-        d = args.d if args.d is not None else (64 if variant == "ds" else 128)
-        cores = args.cores_model or ((2, 4, 8) if variant == "ds" else (1, 2, 4, 8))
+        variant = args.variant or VARIANTS[0]
+        record = Variant.named(variant)
+        d = args.d if args.d is not None else record.sweep_d
+        cores = args.cores_model or record.sweep_cores
         ignored = [flag for flag in ("nsims", "seed") if getattr(args, flag) is not None]
         if ignored:
             flags = " and ".join(f"--{flag}" for flag in ignored)
@@ -223,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, need_pd: bool = True) -> None:
         if need_pd:
-            p.add_argument("--variant", choices=("ds", "mb"), required=True)
+            p.add_argument("--variant", choices=VARIANTS, required=True)
             p.add_argument("--d", type=int, required=True)
             p.add_argument("--p", type=int, required=True)
         p.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
@@ -245,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="emit a named reproduction grid as CSV")
     p_fig.add_argument("name", choices=FIGURE_NAMES)
-    p_fig.add_argument("--variant", choices=("ds", "mb"), default=None)
+    p_fig.add_argument("--variant", choices=VARIANTS, default=None)
     p_fig.add_argument("--d", type=int, default=None)
     p_fig.add_argument("--nsims", type=int, default=None)
     p_fig.add_argument("--seed", type=int, default=None)

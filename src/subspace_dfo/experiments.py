@@ -21,8 +21,8 @@ from . import __version__
 from .errors import InvalidDimensionError
 from .formulas import (
     VARIANTS,
+    Variant,
     asymptotic_decrease,
-    evaluation_cost,
     expected_decrease_ds,
     expected_decrease_mb,
     parallel_per_work,
@@ -149,8 +149,7 @@ class ExperimentSpec:
     include: tuple[str, ...] = ("formula", "monte-carlo", "asymptotic")
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        Variant.named(self.variant)
         if not self.d_values or any(d < 1 for d in self.d_values):
             raise ValueError(f"d_values must be positive, got {self.d_values}")
         if isinstance(self.p_rule, str):
@@ -221,14 +220,6 @@ def _metrics_for(outputs: str) -> tuple[str, ...]:
     return (METRIC_ITERATION, METRIC_EVALUATION)
 
 
-def _exact_result(variant: str, p: int, d: int):
-    return expected_decrease_ds(p, d) if variant == "ds" else expected_decrease_mb(p, d)
-
-
-def _exact_per_eval(variant: str, p: int, d: int):
-    return per_evaluation_ds(p, d) if variant == "ds" else per_evaluation_mb(p, d)
-
-
 def _grid_rows(spec: ExperimentSpec, exact_p_max: float) -> list[ResultRow]:
     """Shared emitter for the vary-d and vary-p grids.
 
@@ -236,51 +227,35 @@ def _grid_rows(spec: ExperimentSpec, exact_p_max: float) -> list[ResultRow]:
     keyed by cell identity under RngStream(spec.seed), so reruns with the same
     spec are bit-identical.
     """
+    record = Variant.named(spec.variant)
     base = RngStream(spec.seed)
     metrics = _metrics_for(spec.outputs)
     rows: list[ResultRow] = []
     for d in spec.d_values:
         for p in p_values_for(d, spec.p_rule):
+            # Per-evaluation rows divide by the evaluations of one iteration.
+            scales = [1.0 if m == METRIC_ITERATION else record.rounds(p, 1) for m in metrics]
             if "monte-carlo" in spec.include:
                 est = estimate(
                     spec.variant, p, d, spec.n_sims, cell_stream(base, spec.variant, p, d)
                 )
-                cost = evaluation_cost(spec.variant, p)
-                for metric in metrics:
-                    scale = 1.0 if metric == METRIC_ITERATION else cost
-                    rows.append(
-                        ResultRow(
-                            spec.variant,
-                            d,
-                            p,
-                            METHOD_MC,
-                            metric,
-                            est.mean / scale,
-                            est.std_error / scale,
-                            est.n_sims,
-                            est.seed,
-                        )
+                rows += [
+                    ResultRow(
+                        spec.variant, d, p, METHOD_MC, metric, est.mean / scale,
+                        est.std_error / scale, est.n_sims, est.seed,
                     )
+                    for metric, scale in zip(metrics, scales)
+                ]
+            values = {}
             if "formula" in spec.include and p <= exact_p_max:
-                for metric in metrics:
-                    res = (
-                        _exact_result(spec.variant, p, d)
-                        if metric == METRIC_ITERATION
-                        else _exact_per_eval(spec.variant, p, d)
-                    )
-                    rows.append(
-                        ResultRow(spec.variant, d, p, METHOD_EXACT, metric, res.value)
-                    )
+                values[METHOD_EXACT] = record.exact(p, d).value
             if "asymptotic" in spec.include and p in (1, 2):
-                asym = asymptotic_decrease(p, d, spec.variant)
-                cost = evaluation_cost(spec.variant, p)
-                for metric in metrics:
-                    scale = 1.0 if metric == METRIC_ITERATION else cost
-                    rows.append(
-                        ResultRow(
-                            spec.variant, d, p, METHOD_ASYMPTOTIC, metric, asym.value / scale
-                        )
-                    )
+                values[METHOD_ASYMPTOTIC] = asymptotic_decrease(p, d, spec.variant).value
+            rows += [
+                ResultRow(spec.variant, d, p, method, metric, value / scale)
+                for method, value in values.items()
+                for metric, scale in zip(metrics, scales)
+            ]
     return rows
 
 
@@ -340,13 +315,6 @@ class SweepSummary:
     tied_p: tuple[int, ...]
 
 
-def _sweep_grid(variant: str, d: int, cores: int, p_multiples: int) -> tuple[int, ...]:
-    # Polling batches come in opposite pairs, so its natural grid steps by
-    # c/2; the model grid steps by c.
-    step = max(cores // 2, 1) if variant == "ds" else cores
-    return tuple(range(step, min(p_multiples * step, d) + 1, step))
-
-
 def run_parallel_sweep(
     variant: str,
     d: int,
@@ -359,13 +327,13 @@ def run_parallel_sweep(
     Each summary reports the grid argmax (first index on ties within 1e-12)
     and every tied grid point.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    record = Variant.named(variant)
     rows: list[ResultRow] = []
     summaries: list[SweepSummary] = []
     for cores in cores_list:
         metric = f"per-work({cores})"
-        grid = _sweep_grid(variant, d, cores, p_multiples)
+        step = record.sweep_step(cores)
+        grid = tuple(range(step, min(p_multiples * step, d) + 1, step))
         if not grid:
             raise ValueError(
                 f"{variant} sweep at c={cores} cores has an empty p grid at d={d}; "
@@ -625,7 +593,7 @@ def gate_asymptotics(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> G
     for variant in VARIANTS:
         for p in (1, 2):
             for d in (100, 128, 256, 512, 1024, 4096):
-                exact = _exact_result(variant, p, d).value
+                exact = Variant.named(variant).exact(p, d).value
                 asym = asymptotic_decrease(p, d, variant).value
                 worst = max(worst, abs(asym - exact) / exact)
     return GateResult(
@@ -663,21 +631,24 @@ def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) 
     documented two-way tie for the model at c = 2."""
     ok = True
     notes = []
-    _, ds_summaries = run_parallel_sweep("ds", 64, (2, 4, 8))
-    for s in ds_summaries:
-        ok = ok and s.argmax_p == s.cores // 2
-        notes.append(f"ds c={s.cores} argmax p={s.argmax_p}")
-    _, mb_summaries = run_parallel_sweep("mb", 128, (1, 2, 4, 8))
-    for s in mb_summaries:
-        ok = ok and s.argmax_p == s.cores
-        notes.append(f"mb c={s.cores} argmax p={s.argmax_p}")
-        if s.cores == 2:
-            tie_gap = abs(
-                parallel_per_work(2, 128, 2, "mb").value
-                - parallel_per_work(4, 128, 2, "mb").value
-            )
-            ok = ok and 4 in s.tied_p and tie_gap <= 1e-12
-            notes.append(f"tie gap = {_fmt(tie_gap)}")
+    ties = []
+    for variant in VARIANTS:
+        record = Variant.named(variant)
+        _, summaries = run_parallel_sweep(variant, record.sweep_d, record.sweep_cores)
+        for s in summaries:
+            ok = ok and s.argmax_p == record.sweep_step(s.cores)
+            notes.append(f"{variant} c={s.cores} argmax p={s.argmax_p}")
+            if len(s.tied_p) > 1:
+                tie_gap = abs(
+                    parallel_per_work(s.tied_p[0], record.sweep_d, s.cores, variant).value
+                    - parallel_per_work(s.tied_p[1], record.sweep_d, s.cores, variant).value
+                )
+                ok = ok and tie_gap <= 1e-12
+                ties.append((variant, s.cores, s.tied_p))
+                notes.append(f"tie gap = {_fmt(tie_gap)}")
+    # The one documented tie: the model's p = 2 and p = 4 at c = 2, both
+    # sqrt(pi)/4 times the dimension factor.
+    ok = ok and ties == [("mb", 2, (2, 4))]
     return GateResult(9, "parallel-sweeps", ok, "; ".join(notes))
 
 

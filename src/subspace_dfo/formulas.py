@@ -4,35 +4,37 @@ The quantities here answer: applying one iteration of coordinate polling
 ("ds") or of a linear-model step ("mb") inside a uniformly random
 p-dimensional subspace of R^d, to a linear objective whose unit gradient is
 uniformly random, with unit step size, what objective decrease do we get on
-average?  Both variants separate into a p-dependent factor times the common
-dimension factor Gamma(d/2)/Gamma(d/2+1/2):
+average?  Every such decrease separates as dim(d) * pf(p), the dimension
+factor dim(d) = Gamma(d/2)/Gamma(d/2+1/2) = ``gamma_half_ratio(d)`` common to
+both variants times a p-factor pf(p) that tells them apart:
 
-* the polling variant reduces to the mean largest absolute coordinate among
-  the first p coordinates of a random point on the sphere S^{d-1}.  Writing
-  that point as z/||z|| for a standard Gaussian z, whose norm is independent
-  of its direction, the p-factor is E[max_{i<=p} |z_i|]/sqrt(2), a
+* polling reduces to the mean largest absolute coordinate among the first p
+  coordinates of a random point on the sphere S^{d-1}.  Writing that point as
+  z/||z|| for a standard Gaussian z, whose norm is independent of its
+  direction, pf(p) = ``polling_factor(p)`` = E[max_{i<=p} |z_i|]/sqrt(2), a
   one-dimensional integral over the distribution of the maximum evaluated
   here by quadrature for every p (closed forms exist for p = 1 and p = 2);
-* the model variant reduces to the mean Euclidean norm of the first p
-  coordinates, which collapses to a pure ratio of gamma functions.
+* the model step reduces to the mean Euclidean norm of the first p
+  coordinates, which collapses to pf(p) = 1/``gamma_half_ratio(p)``.
 
-Per-evaluation variants divide by the number of new objective evaluations an
-iteration consumes, and the parallel variant divides by the number of batched
-evaluation rounds on a given number of cores.
+One frozen ``Variant`` record per variant, looked up by name with
+``Variant.named``, holds every difference between the two.  Per-evaluation
+values divide by the new objective evaluations an iteration consumes, which
+is its number of evaluation rounds on one core; the parallel value divides by
+its rounds on a given number of cores.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InvalidDimensionError, UnsupportedSubspaceDimensionError
 from .specfun import SQRT_PI, gamma_half_ratio
-
-VARIANTS = ("ds", "mb")
 
 METHOD_CLOSED = "closed-form"
 METHOD_QUADRATURE = "quadrature"
@@ -60,11 +62,6 @@ def _check_pd(p: int, d: int) -> None:
         raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
 
 
-def _check_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
 @dataclass(frozen=True)
 class FormulaResult:
     """Expected decrease per iteration (or per evaluation) for one (p, d) cell."""
@@ -83,21 +80,6 @@ class FormulaResult:
             raise ValueError(f"expected decrease must lie in (0, 1], got {self.value!r}")
         if self.estimated_abs_error < 0.0:
             raise ValueError("error estimate must be nonnegative")
-
-
-def evaluation_cost(variant: str, p: int) -> float:
-    """New objective evaluations one iteration consumes.
-
-    Complete polling: 2p.  Model step: p + 1, except p = 1 where the trial
-    point reuses the poll point half the time, for 3/2 on average (the same
-    3/2 applies to opportunistic polling).
-    """
-    _check_variant(variant)
-    if p < 1:
-        raise InvalidDimensionError(f"subspace dimension must be positive, got {p}")
-    if variant == "ds":
-        return 2.0 * p
-    return 1.5 if p == 1 else p + 1.0
 
 
 def _one_minus_cdf_max(x: float, p: int) -> float:
@@ -175,6 +157,68 @@ def _divided(result: FormulaResult, by: float) -> FormulaResult:
     )
 
 
+@dataclass(frozen=True)
+class Variant:
+    """Everything that tells polling ("ds") from the model step ("mb").
+
+    ``exact`` is the per-iteration decrease dim(d) * pf(p).  One iteration
+    evaluates ``points`` new points per subspace direction (an opposite pair
+    when polling, one forward difference for the model step) and ``trial``
+    trial points.  Its decrease is the ``norm`` of the unit gradient projected
+    on the subspace: the max-norm when polling, the 2-norm for the model step.
+    ``sweep_d`` and ``sweep_cores`` are the defaults of its parallel sweep.
+    """
+
+    name: str
+    exact: Callable[[int, int], FormulaResult]
+    points: int
+    trial: int
+    norm: float
+    sweep_d: int
+    sweep_cores: tuple[int, ...]
+
+    @classmethod
+    def named(cls, name: str) -> Variant:
+        """The record of the variant called ``name``."""
+        if name not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {name!r}")
+        return _RECORDS[name]
+
+    def rounds(self, p: int, cores: int) -> float:
+        """Evaluation rounds one iteration needs on ``cores`` parallel cores.
+
+        The points * p direction points take ceil(points * p / cores) rounds,
+        and the trial point one more.  At p = 1 the trial point coincides
+        with the already-evaluated poll point half the time, so it costs 1/2
+        on average no matter how many cores are available.  On one core the
+        rounds are the new objective evaluations of the iteration.
+        """
+        if p < 1:
+            raise InvalidDimensionError(f"subspace dimension must be positive, got {p}")
+        if cores < 1:
+            raise DomainError(f"core count must be positive, got {cores}")
+        trial = self.trial / 2.0 if p == 1 else self.trial
+        return float(-((-self.points * p) // cores)) + trial
+
+    def per_work(self, p: int, d: int, cores: int) -> FormulaResult:
+        """Expected decrease per evaluation round on ``cores`` cores."""
+        return _divided(self.exact(p, d), self.rounds(p, cores))
+
+    def sweep_step(self, cores: int) -> int:
+        """Spacing of the sweep's p grid: the directions one round covers."""
+        return max(cores // self.points, 1)
+
+
+_POLLING = Variant(
+    "ds", expected_decrease_ds, points=2, trial=0, norm=math.inf, sweep_d=64, sweep_cores=(2, 4, 8)
+)
+_MODEL = Variant(
+    "mb", expected_decrease_mb, points=1, trial=1, norm=2.0, sweep_d=128, sweep_cores=(1, 2, 4, 8)
+)
+VARIANTS = (_POLLING.name, _MODEL.name)
+_RECORDS = dict(zip(VARIANTS, (_POLLING, _MODEL)))
+
+
 def per_evaluation_ds(p: int, d: int, opportunistic: bool = False) -> FormulaResult:
     """Expected decrease per new objective evaluation for coordinate polling.
 
@@ -188,7 +232,7 @@ def per_evaluation_ds(p: int, d: int, opportunistic: bool = False) -> FormulaRes
     if opportunistic:
         value = (2.0 / (3.0 * SQRT_PI)) * gamma_half_ratio(d).value
         return FormulaResult(value, METHOD_CLOSED, p, d, _CLOSED_FORM_ERROR)
-    return _divided(expected_decrease_ds(p, d), evaluation_cost("ds", p))
+    return _POLLING.per_work(p, d, 1)
 
 
 def per_evaluation_mb(p: int, d: int) -> FormulaResult:
@@ -198,8 +242,7 @@ def per_evaluation_mb(p: int, d: int) -> FormulaResult:
     the trial point), except at p = 1 where the trial point coincides with the
     already-evaluated poll point half the time, for an average cost of 3/2.
     """
-    _check_pd(p, d)
-    return _divided(expected_decrease_mb(p, d), evaluation_cost("mb", p))
+    return _MODEL.per_work(p, d, 1)
 
 
 def parallel_rounds(p: int, cores: int, variant: str) -> float:
@@ -207,26 +250,15 @@ def parallel_rounds(p: int, cores: int, variant: str) -> float:
 
     Complete polling batches its 2p points into ceil(2p/c) rounds.  The model
     step needs ceil(p/c) rounds for the forward differences plus one for the
-    trial point, except at p = 1 where the trial point coincides with the
-    already-evaluated poll point half the time, so the expected round count is
-    3/2 no matter how many cores are available.
+    trial point, or 3/2 in all at p = 1 (see ``Variant.rounds``).  At c = 1
+    this is the number of new objective evaluations one iteration consumes.
     """
-    _check_variant(variant)
-    if cores < 1:
-        raise DomainError(f"core count must be positive, got {cores}")
-    if variant == "ds":
-        return float(-((-2 * p) // cores))
-    if p == 1:
-        return 1.5
-    return float(-((-p) // cores) + 1)
+    return Variant.named(variant).rounds(p, cores)
 
 
 def parallel_per_work(p: int, d: int, cores: int, variant: str) -> FormulaResult:
     """Expected decrease per batched evaluation round on ``cores`` parallel cores."""
-    _check_variant(variant)
-    _check_pd(p, d)
-    per_iter = expected_decrease_ds(p, d) if variant == "ds" else expected_decrease_mb(p, d)
-    return _divided(per_iter, parallel_rounds(p, cores, variant))
+    return Variant.named(variant).per_work(p, d, cores)
 
 
 def asymptotic_decrease(p: int, d: int, variant: str) -> FormulaResult:
@@ -237,7 +269,7 @@ def asymptotic_decrease(p: int, d: int, variant: str) -> FormulaResult:
     * polling:  sqrt(2)/sqrt(pi d) at p = 1 and 2/sqrt(pi d) at p = 2;
     * model:    sqrt(2)/sqrt(pi d) at p = 1 and sqrt(pi)/sqrt(2 d) at p = 2.
     """
-    _check_variant(variant)
+    Variant.named(variant)
     _check_pd(p, d)
     if p not in (1, 2):
         raise UnsupportedSubspaceDimensionError(

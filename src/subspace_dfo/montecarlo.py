@@ -29,13 +29,15 @@ stream order, so a block's memory stays bounded whatever p and d are.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidDimensionError
-from .formulas import VARIANTS, evaluation_cost
+from .formulas import Variant, parallel_rounds
 from .rng import RngStream, split_stream
 
 REDUCTIONS = ("reduced", "full-basis")
@@ -85,9 +87,7 @@ class PairedDelta:
     delta_std_error: float
 
 
-def _check_cell(variant: str, p: int, d: int, n_sims: int) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+def _check_cell(p: int, d: int, n_sims: int) -> None:
     if p < 1 or d < 1 or p > d:
         raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
     if n_sims < 1:
@@ -141,9 +141,9 @@ def _model_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int)
 
 
 def _full_basis_scores(
-    gen: np.random.Generator, m: int, variant: str, p: int, d: int
+    norm: float, gen: np.random.Generator, m: int, ps: tuple[int], d: int
 ) -> np.ndarray:
-    """Scores of the unit gradient g projected on a Haar-random basis.
+    """The ``norm`` of the unit gradient g projected on a Haar-random basis.
 
     The basis is the Q factor of a Gaussian d-by-p draw A.  Q is never
     formed: the R factor of [A, g] holds Q^T g in the top p entries of its
@@ -152,6 +152,7 @@ def _full_basis_scores(
     block first, then A and the QR run in replicate chunks of at most
     ``_CHUNK`` values.
     """
+    (p,) = ps
     g = gen.standard_normal((m, d))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     proj = np.empty((m, p))
@@ -162,7 +163,7 @@ def _full_basis_scores(
         # Raw QR factors a copy of [A, g] and returns it transposed, R_k[i, j]
         # at [k, j, i] for i <= j, without the triangular copy of mode "r".
         proj[lo : lo + rows] = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
-    return _max_abs(proj) if variant == "ds" else np.linalg.norm(proj, axis=1)
+    return np.linalg.norm(proj, ord=norm, axis=1)
 
 
 def _usable_cpus() -> int:
@@ -181,27 +182,26 @@ def _replicates(
     to repay them.  Full-basis mode scores a single cut point, in blocks
     shrunk so the stacked basis draws stay within a fixed budget.
     """
+    norm = Variant.named(variant).norm
     for p in ps:
-        _check_cell(variant, p, d, n_sims)
+        _check_cell(p, d, n_sims)
     if reduction not in REDUCTIONS:
         raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
     if reduction == "full-basis":
         block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * ps[0])))
-        draws = block * d * (ps[0] + 1)
+        draws, scores = block * d * (ps[0] + 1), partial(_full_basis_scores, norm)
+    elif norm == math.inf:
+        # The max-norm reads each of the first max(ps) coordinates.
+        block, draws, scores = _BLOCK, _BLOCK * (max(ps) + 1), _polling_scores
     else:
-        block = _BLOCK
-        draws = block * (max(ps) + 1 if variant == "ds" else len(ps) + 1)
+        # The 2-norm reads squared norms only, one chi-square per cut point.
+        block, draws, scores = _BLOCK, _BLOCK * (len(ps) + 1), _model_scores
     out = np.empty((len(ps), n_sims))
 
     def fill(j: int) -> None:
         start = j * block
         m = min(block, n_sims - start)
-        gen = split_stream(rng, j).generator()
-        if reduction == "full-basis":
-            out[:, start : start + m] = _full_basis_scores(gen, m, variant, ps[0], d)
-        else:
-            scores = _polling_scores if variant == "ds" else _model_scores
-            out[:, start : start + m] = scores(gen, m, ps, d)
+        out[:, start : start + m] = scores(split_stream(rng, j).generator(), m, ps, d)
 
     blocks = -(-n_sims // block)
     workers = min(blocks, _usable_cpus())
@@ -263,7 +263,7 @@ def estimate_per_evaluation(
     deterministic evaluation cost of one iteration.
     """
     base = estimate(variant, p, d, n_sims, rng, reduction)
-    cost = evaluation_cost(variant, p)
+    cost = parallel_rounds(p, 1, variant)
     return replace(base, mean=base.mean / cost, std_error=base.std_error / cost)
 
 
@@ -278,7 +278,7 @@ def paired_compare(
     error of (per-eval value at p1) - (per-eval value at p2).
     """
     v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
-    diffs = v1 / evaluation_cost(variant, p1) - v2 / evaluation_cost(variant, p2)
+    diffs = v1 / parallel_rounds(p1, 1, variant) - v2 / parallel_rounds(p2, 1, variant)
     return PairedDelta(*_summarize(diffs))
 
 
@@ -301,6 +301,6 @@ def paired_ratio_gap(
     """
     v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
     if per_evaluation:
-        v1 = v1 / evaluation_cost(variant, p1)
-        v2 = v2 / evaluation_cost(variant, p2)
+        v1 = v1 / parallel_rounds(p1, 1, variant)
+        v2 = v2 / parallel_rounds(p2, 1, variant)
     return PairedDelta(*_summarize(v2 - target_ratio * v1))

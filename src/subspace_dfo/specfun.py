@@ -75,33 +75,3 @@ def gamma_half_ratio(d: int) -> GammaRatio:
         value = math.exp(log_gamma(d / 2.0) - log_gamma(d / 2.0 + 0.5))
     return GammaRatio(d=d, value=value)
 
-
-def sin_power_integral(m: int) -> float:
-    """Integral of sin(t)^m for t from 0 to pi/2.
-
-    Uses the identity with gamma functions:
-    (sqrt(pi)/2) * Gamma(m/2 + 1/2) / Gamma(m/2 + 1).
-    """
-    if m < 0:
-        raise DomainError(f"exponent must be nonnegative, got {m}")
-    return (SQRT_PI / 2.0) * math.exp(log_gamma(m / 2.0 + 0.5) - log_gamma(m / 2.0 + 1.0))
-
-
-def kershaw_bounds(x: float, s: float) -> tuple[float, float]:
-    """Two-sided bracket for Gamma(x+1) / Gamma(x+s) with x > 0 and 0 < s < 1.
-
-    Returns ``(lower, upper)`` with
-
-        lower = (x + s/2) ** (1 - s)
-        upper = (x - 1/2 + sqrt(s + 1/4)) ** (1 - s)
-
-    and lower < Gamma(x+1)/Gamma(x+s) < upper.  These refine the classical
-    power bounds enough to settle monotonicity of the per-evaluation decrease.
-    """
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"kershaw_bounds requires x > 0, got {x}")
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"kershaw_bounds requires 0 < s < 1, got {s}")
-    lower = (x + s / 2.0) ** (1.0 - s)
-    upper = (x - 0.5 + math.sqrt(s + 0.25)) ** (1.0 - s)
-    return lower, upper

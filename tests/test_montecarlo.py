@@ -14,12 +14,12 @@ from subspace_dfo import (
     RngStream,
     estimate,
     estimate_per_evaluation,
-    evaluation_cost,
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
     paired_compare,
     paired_ratio_gap,
+    parallel_rounds,
     replicate_decreases,
     split_stream,
 )
@@ -31,14 +31,15 @@ SQRT_PI = math.sqrt(math.pi)
 
 class TestCostModel:
     def test_values(self):
-        assert evaluation_cost("ds", 1) == 2.0
-        assert evaluation_cost("ds", 7) == 14.0
-        assert evaluation_cost("mb", 1) == 1.5
-        assert evaluation_cost("mb", 3) == 4.0
+        # On one core the rounds of an iteration are its new evaluations.
+        assert parallel_rounds(1, 1, "ds") == 2.0
+        assert parallel_rounds(7, 1, "ds") == 14.0
+        assert parallel_rounds(1, 1, "mb") == 1.5
+        assert parallel_rounds(3, 1, "mb") == 4.0
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
-            evaluation_cost("xx", 1)
+            parallel_rounds(1, 1, "xx")
 
 
 class TestReplicates:
@@ -267,7 +268,7 @@ class TestChiSquareTailOracle:
         base = RngStream(5)
         new = paired_compare(variant, p1, p2, d, self.N, split_stream(base, 2))
         v1, v2 = _d_normal_values(variant, (p1, p2), d, self.N, split_stream(base, 3))
-        diffs = v1 / evaluation_cost(variant, p1) - v2 / evaluation_cost(variant, p2)
+        diffs = v1 / parallel_rounds(p1, 1, variant) - v2 / parallel_rounds(p2, 1, variant)
         m_old, se_old = _mean_se(diffs)
         gap = abs(new.delta_mean - m_old)
         assert gap <= 3.0 * math.hypot(new.delta_std_error, se_old)

@@ -2,19 +2,14 @@
 
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from subspace_dfo import (
     DomainError,
     GammaRatio,
     InvalidDimensionError,
     gamma_half_ratio,
-    kershaw_bounds,
     log_gamma,
-    sin_power_integral,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -111,63 +106,3 @@ class TestGammaHalfRatio:
         with pytest.raises(ValueError):
             GammaRatio(d=4, value=2.0)
 
-
-class TestSinPowerIntegral:
-    def test_small_cases(self):
-        assert sin_power_integral(0) == pytest.approx(math.pi / 2.0, rel=1e-14)
-        assert sin_power_integral(1) == pytest.approx(1.0, rel=1e-14)
-        assert sin_power_integral(2) == pytest.approx(math.pi / 4.0, rel=1e-14)
-
-    def test_quadrature_oracle(self):
-        # Dense trapezoid over [0, pi/2] as an independent check.
-        t = np.linspace(0.0, math.pi / 2.0, 200_001)
-        for m in (2, 3, 7, 10):
-            brute = float(np.trapezoid(np.sin(t) ** m, t))
-            assert sin_power_integral(m) == pytest.approx(brute, abs=1e-9)
-
-    @given(st.integers(min_value=1, max_value=100_000))
-    @settings(max_examples=80, deadline=None)
-    def test_wallis_pairing(self, m):
-        product = sin_power_integral(m) * sin_power_integral(m - 1)
-        assert product == pytest.approx(math.pi / (2.0 * m), rel=1e-12)
-
-    def test_negative_exponent(self):
-        with pytest.raises(DomainError):
-            sin_power_integral(-1)
-
-
-class TestKershawBounds:
-    @staticmethod
-    def gamma_quotient(x, s):
-        return math.exp(log_gamma(x + 1.0) - log_gamma(x + s))
-
-    def test_reference_points(self):
-        lower, upper = kershaw_bounds(1.0, 0.5)
-        assert lower == pytest.approx(math.sqrt(1.25), rel=1e-14)
-        q = self.gamma_quotient(1.0, 0.5)
-        assert q == pytest.approx(2.0 / SQRT_PI, rel=1e-13)
-        assert lower < q < upper
-
-        q = self.gamma_quotient(10.0, 0.5)
-        lower, upper = kershaw_bounds(10.0, 0.5)
-        assert lower < q < upper
-
-        q = self.gamma_quotient(0.5, 0.5)
-        assert q == pytest.approx(SQRT_PI / 2.0, rel=1e-13)
-        lower, upper = kershaw_bounds(0.5, 0.5)
-        assert lower < q < upper
-
-    @given(
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=0.01, max_value=0.99),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_bracket_always_holds(self, x, s):
-        lower, upper = kershaw_bounds(x, s)
-        q = self.gamma_quotient(x, s)
-        assert lower < q < upper
-
-    @pytest.mark.parametrize("x,s", [(0.0, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5)])
-    def test_domain(self, x, s):
-        with pytest.raises(DomainError):
-            kershaw_bounds(x, s)
