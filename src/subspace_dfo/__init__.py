@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     InvalidDimensionError,
     NonFiniteObjectiveError,
-    UnsupportedSubspaceDimensionError,
 )
 from .rng import (
     RngStream,
@@ -71,8 +70,6 @@ from .experiments import (
     SweepSummary,
     default_figure_spec,
     make_objective,
-    run_figure_vary_d,
-    run_figure_vary_p,
     run_named_figure,
     run_optimizer_experiment,
     run_parallel_sweep,
@@ -84,7 +81,6 @@ __all__ = [
     "DomainError",
     "InvalidDimensionError",
     "NonFiniteObjectiveError",
-    "UnsupportedSubspaceDimensionError",
     "RngStream",
     "SubspaceBasis",
     "UnitVector",
@@ -127,8 +123,6 @@ __all__ = [
     "SweepSummary",
     "default_figure_spec",
     "make_objective",
-    "run_figure_vary_d",
-    "run_figure_vary_p",
     "run_named_figure",
     "run_optimizer_experiment",
     "run_parallel_sweep",

@@ -71,9 +71,8 @@ def _cmd_formula(args: argparse.Namespace) -> int:
         ResultRow(variant, d, p, "exact", "per-iteration", per_iter.value),
         ResultRow(variant, d, p, "exact", "per-evaluation", per_eval.value),
     ]
-    if p in (1, 2):
-        asym = asymptotic_decrease(p, d, variant)
-        rows.append(ResultRow(variant, d, p, "asymptotic", "per-iteration", asym.value))
+    asym = asymptotic_decrease(p, d, variant)
+    rows.append(ResultRow(variant, d, p, "asymptotic", "per-iteration", asym.value))
     if args.cores_model is not None:
         c = args.cores_model
         work = parallel_per_work(p, d, c, variant)

@@ -9,12 +9,5 @@ class DomainError(ValueError):
     """A scalar argument lies outside a function's domain."""
 
 
-class UnsupportedSubspaceDimensionError(ValueError):
-    """A formula exists only for some subspace dimensions and was asked for another.
-
-    The large-d asymptotic forms cover p in {1, 2} only.
-    """
-
-
 class NonFiniteObjectiveError(RuntimeError):
     """An objective evaluation returned NaN or an infinity."""

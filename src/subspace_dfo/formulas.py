@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, InvalidDimensionError, UnsupportedSubspaceDimensionError
+from .errors import DomainError, InvalidDimensionError
 from .specfun import SQRT_PI, gamma_half_ratio
 
 METHOD_CLOSED = "closed-form"
@@ -161,16 +161,18 @@ def _divided(result: FormulaResult, by: float) -> FormulaResult:
 class Variant:
     """Everything that tells polling ("ds") from the model step ("mb").
 
-    ``exact`` is the per-iteration decrease dim(d) * pf(p).  One iteration
-    evaluates ``points`` new points per subspace direction (an opposite pair
-    when polling, one forward difference for the model step) and ``trial``
-    trial points.  Its decrease is the ``norm`` of the unit gradient projected
-    on the subspace: the max-norm when polling, the 2-norm for the model step.
+    ``exact`` is the per-iteration decrease dim(d) * pf(p) and ``p_factor``
+    its pf(p).  One iteration evaluates ``points`` new points per subspace
+    direction (an opposite pair when polling, one forward difference for the
+    model step) and ``trial`` trial points.  Its decrease is the ``norm`` of
+    the unit gradient projected on the subspace: the max-norm when polling,
+    the 2-norm for the model step.
     ``sweep_d`` and ``sweep_cores`` are the defaults of its parallel sweep.
     """
 
     name: str
     exact: Callable[[int, int], FormulaResult]
+    p_factor: Callable[[int], float]
     points: int
     trial: int
     norm: float
@@ -209,11 +211,17 @@ class Variant:
         return max(cores // self.points, 1)
 
 
+def _model_factor(p: int) -> float:
+    return 1.0 / gamma_half_ratio(p).value
+
+
 _POLLING = Variant(
-    "ds", expected_decrease_ds, points=2, trial=0, norm=math.inf, sweep_d=64, sweep_cores=(2, 4, 8)
+    "ds", expected_decrease_ds, polling_factor,
+    points=2, trial=0, norm=math.inf, sweep_d=64, sweep_cores=(2, 4, 8),
 )
 _MODEL = Variant(
-    "mb", expected_decrease_mb, points=1, trial=1, norm=2.0, sweep_d=128, sweep_cores=(1, 2, 4, 8)
+    "mb", expected_decrease_mb, _model_factor,
+    points=1, trial=1, norm=2.0, sweep_d=128, sweep_cores=(1, 2, 4, 8),
 )
 VARIANTS = (_POLLING.name, _MODEL.name)
 _RECORDS = dict(zip(VARIANTS, (_POLLING, _MODEL)))
@@ -264,21 +272,11 @@ def parallel_per_work(p: int, d: int, cores: int, variant: str) -> FormulaResult
 def asymptotic_decrease(p: int, d: int, variant: str) -> FormulaResult:
     """Large-d limit of the per-iteration decrease, evaluated at d.
 
-    Available for p in {1, 2}:
-
-    * polling:  sqrt(2)/sqrt(pi d) at p = 1 and 2/sqrt(pi d) at p = 2;
-    * model:    sqrt(2)/sqrt(pi d) at p = 1 and sqrt(pi)/sqrt(2 d) at p = 2.
+    The dimension factor tends to sqrt(2/d), so the limit is sqrt(2/d) * pf(p)
+    at every p.  It lies below the exact value by a relative gap of about
+    1/(4d), whatever p is: 0.25% at d = 100.
     """
-    Variant.named(variant)
+    record = Variant.named(variant)
     _check_pd(p, d)
-    if p not in (1, 2):
-        raise UnsupportedSubspaceDimensionError(
-            f"asymptotic forms exist only for p in (1, 2), got p={p}"
-        )
-    if p == 1:
-        value = math.sqrt(2.0) / (SQRT_PI * math.sqrt(d))
-    elif variant == "ds":
-        value = 2.0 / (SQRT_PI * math.sqrt(d))
-    else:
-        value = SQRT_PI / (math.sqrt(2.0) * math.sqrt(d))
+    value = math.sqrt(2.0 / d) * record.p_factor(p)
     return FormulaResult(value, METHOD_ASYMPTOTIC, p, d, _CLOSED_FORM_ERROR)

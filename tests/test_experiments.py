@@ -15,8 +15,6 @@ from subspace_dfo import (
     expected_decrease_mb,
     gamma_half_ratio,
     make_objective,
-    run_figure_vary_d,
-    run_figure_vary_p,
     run_optimizer_experiment,
     run_parallel_sweep,
     run_verify,
@@ -26,6 +24,7 @@ from subspace_dfo.experiments import (
     default_figure_spec,
     p_values_for,
     rows_to_csv,
+    run_named_figure,
     trace_to_csv,
     verify_results_to_csv,
 )
@@ -79,17 +78,20 @@ class TestSpec:
 
 class TestGridRows:
     def test_vary_d_row_population(self):
-        rows = run_figure_vary_d(small_vary_d_spec("ds"))
+        rows = run_named_figure(small_vary_d_spec("ds"))
         mc = [r for r in rows if r.method == "mc"]
         exact = [r for r in rows if r.method == "exact"]
         asym = [r for r in rows if r.method == "asymptotic"]
-        # Standard rule gives 4 cells per d; exact and asymptotic cover p in {1, 2}.
-        assert len(mc) == 8 and len(exact) == 4 and len(asym) == 4
+        # Standard rule gives 4 cells per d; each gets an exact and an asymptotic row.
+        assert len(mc) == 8 and len(exact) == 8 and len(asym) == 8
+        assert {(r.d, r.p) for r in exact} == {(r.d, r.p) for r in asym} == {
+            (8, 1), (8, 2), (8, 4), (8, 8), (16, 1), (16, 2), (16, 8), (16, 16)
+        }
         assert all(r.std_error is not None and r.n_sims == 2000 for r in mc)
         assert all(r.std_error is None and r.n_sims is None for r in exact)
 
     def test_exact_row_values(self):
-        rows = run_figure_vary_d(small_vary_d_spec("ds"))
+        rows = run_named_figure(small_vary_d_spec("ds"))
         lookup = {(r.d, r.p): r.value for r in rows if r.method == "exact"}
         assert lookup[(8, 1)] == pytest.approx(
             gamma_half_ratio(8).value / SQRT_PI, rel=1e-14
@@ -98,7 +100,7 @@ class TestGridRows:
 
     def test_mc_matches_exact_within_three_se(self):
         for variant in ("ds", "mb"):
-            rows = run_figure_vary_d(small_vary_d_spec(variant, n_sims=10_000))
+            rows = run_named_figure(small_vary_d_spec(variant, n_sims=10_000))
             exact = {
                 (r.d, r.p): r.value for r in rows if r.method == "exact"
             }
@@ -108,9 +110,9 @@ class TestGridRows:
 
     def test_per_evaluation_outputs(self):
         spec = small_vary_d_spec("mb", outputs="per-evaluation")
-        rows = run_figure_vary_d(spec)
+        rows = run_named_figure(spec)
         assert all(r.metric == "per-evaluation" for r in rows)
-        both = run_figure_vary_d(small_vary_d_spec("mb", outputs="both"))
+        both = run_named_figure(small_vary_d_spec("mb", outputs="both"))
         metrics = {r.metric for r in both}
         assert metrics == {"per-iteration", "per-evaluation"}
 
@@ -124,7 +126,7 @@ class TestGridRows:
             seed=1,
             include=("formula", "monte-carlo"),
         )
-        rows = run_figure_vary_p(spec)
+        rows = run_named_figure(spec)
         exact = {r.p: r.value for r in rows if r.method == "exact"}
         mc = {r.p: r for r in rows if r.method == "mc"}
         assert set(exact) == set(mc) == {1, 2, 3, 10, 64}
@@ -141,7 +143,7 @@ class TestGridRows:
             seed=0,
             include=("monte-carlo",),
         )
-        rows = run_figure_vary_p(spec)
+        rows = run_named_figure(spec)
         top = [r for r in rows if r.p == 200]
         assert len(top) == 1 and top[0].value == 1.0 and top[0].std_error == 0.0
 
@@ -157,7 +159,7 @@ class TestGridRows:
             seed=0,
             include=("monte-carlo",),
         )
-        rows = run_figure_vary_p(spec)
+        rows = run_named_figure(spec)
         by_p = {r.p: r for r in rows}
         m1, m2 = by_p[1], by_p[2]
         gap = abs(m2.value - math.sqrt(2.0) * m1.value)
@@ -174,7 +176,7 @@ class TestGridRows:
             seed=0,
             include=("monte-carlo",),
         )
-        rows = run_figure_vary_d(spec)
+        rows = run_named_figure(spec)
         top = next(r for r in rows if r.p == 1024)
         assert 0.0 < top.value <= 1.0
         assert top.std_error > 0.0
@@ -198,19 +200,19 @@ class TestCsvSerialization:
         assert lines[1] == "ds,8,1,exact,per-iteration,0.25,,,"
 
     def test_seventeen_digit_round_trip(self):
-        rows = run_figure_vary_d(small_vary_d_spec("ds"))
+        rows = run_named_figure(small_vary_d_spec("ds"))
         text = rows_to_csv(rows)
         for line, row in zip(text.splitlines()[1:], rows):
             assert float(line.split(",")[5]) == row.value
 
     def test_byte_identical_rerun(self):
-        a = rows_to_csv(run_figure_vary_d(small_vary_d_spec("mb")))
-        b = rows_to_csv(run_figure_vary_d(small_vary_d_spec("mb")))
+        a = rows_to_csv(run_named_figure(small_vary_d_spec("mb")))
+        b = rows_to_csv(run_named_figure(small_vary_d_spec("mb")))
         assert a == b
 
     def test_seed_changes_mc_rows_only(self):
-        a = run_figure_vary_d(small_vary_d_spec("mb"))
-        b = run_figure_vary_d(small_vary_d_spec("mb", seed=1))
+        a = run_named_figure(small_vary_d_spec("mb"))
+        b = run_named_figure(small_vary_d_spec("mb", seed=1))
         for ra, rb in zip(a, b):
             if ra.method == "mc" and ra.std_error != 0.0:
                 assert ra.value != rb.value

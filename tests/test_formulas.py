@@ -16,7 +16,6 @@ from subspace_dfo import (
     FormulaResult,
     InvalidDimensionError,
     RngStream,
-    UnsupportedSubspaceDimensionError,
     asymptotic_decrease,
     expected_decrease_ds,
     expected_decrease_mb,
@@ -435,15 +434,21 @@ class TestAsymptotics:
     def test_one_percent_agreement_for_large_d(self):
         for variant in ("ds", "mb"):
             exact_fn = expected_decrease_ds if variant == "ds" else expected_decrease_mb
-            for p in (1, 2):
-                for d in (100, 256, 1024):
+            for d in (100, 256, 1024):
+                for p in (1, 2, 3, 10, d // 2, d):
                     exact = exact_fn(p, d).value
                     asym = asymptotic_decrease(p, d, variant).value
                     assert abs(asym - exact) / exact < 0.01
 
-    def test_unsupported_level(self):
-        with pytest.raises(UnsupportedSubspaceDimensionError):
-            asymptotic_decrease(3, 100, "ds")
+    def test_level_three(self):
+        # sqrt(2/d) times the p-factor: the p = 3 closed form for polling,
+        # 1/gamma_half_ratio(3) = 2/sqrt(pi) for the model step.
+        assert asymptotic_decrease(3, 100, "ds").value == pytest.approx(
+            DS3_CONST * SQRT2 / 10.0, rel=1e-14
+        )
+        assert asymptotic_decrease(3, 100, "mb").value == pytest.approx(
+            2.0 * SQRT2 / (SQRT_PI * 10.0), rel=1e-14
+        )
 
 
 class TestStructuralInvariants:
