@@ -145,6 +145,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             seed=args.seed,
             d_values=(args.d,) if args.d is not None else None,
         )
+        if args.variant not in (None, spec.variant):
+            raise ValueError(
+                f"--variant {args.variant} disagrees with figure {name}, "
+                f"whose variant is {spec.variant}"
+            )
         rows = run_named_figure(spec)
         manifest_extra = {}
         spec_payload = asdict(spec)

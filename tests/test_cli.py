@@ -246,6 +246,15 @@ def test_figure_zero_dimension_is_refused(tmp_path, capsys):
     assert not (tmp_path / "ds-vary-d.csv").exists()
 
 
+def test_figure_variant_disagreeing_with_grid_is_refused(tmp_path, capsys):
+    args = ["figure", "ds-vary-d", "--d", "8", "--nsims", "100", "--out", str(tmp_path)]
+    assert main(args + ["--variant", "mb"]) == 2
+    assert "--variant mb disagrees with figure ds-vary-d" in capsys.readouterr().err
+    assert not (tmp_path / "ds-vary-d.csv").exists()
+    assert main(args + ["--variant", "ds"]) == 0
+    assert (tmp_path / "ds-vary-d.csv").exists()
+
+
 def test_parallel_sweep_zero_dimension_is_refused(tmp_path, capsys):
     code = main(["figure", "parallel-sweep", "--d", "0", "--out", str(tmp_path)])
     assert code == 2
