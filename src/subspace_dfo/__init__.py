@@ -45,14 +45,11 @@ from .formulas import (
 from .optimizer import (
     DriverConfig,
     DriverTrace,
-    IterationOutcome,
     ObjectiveHandle,
-    SubspaceRestriction,
     TraceRecord,
     ds_iteration,
     mb_iteration,
     run_driver,
-    simplex_gradient,
 )
 from .montecarlo import (
     DecreaseEstimate,
@@ -102,14 +99,11 @@ __all__ = [
     "polling_factor",
     "DriverConfig",
     "DriverTrace",
-    "IterationOutcome",
     "ObjectiveHandle",
-    "SubspaceRestriction",
     "TraceRecord",
     "ds_iteration",
     "mb_iteration",
     "run_driver",
-    "simplex_gradient",
     "DecreaseEstimate",
     "PairedDelta",
     "estimate",

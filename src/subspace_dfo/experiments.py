@@ -35,7 +35,6 @@ from .optimizer import (
     DriverConfig,
     DriverTrace,
     ObjectiveHandle,
-    SubspaceRestriction,
     mb_iteration,
     run_driver,
 )
@@ -672,10 +671,9 @@ def gate_optimizer_behavior(
     reuse_rng = split_stream(base, 4)
     for k in range(n_sims):
         basis = sample_stiefel(d1, 1, split_stream(reuse_rng, k))
-        restriction = SubspaceRestriction(np.zeros(d1), basis, objective1, origin_value=0.0)
-        outcome = mb_iteration(restriction, 1.0)
-        counts[k] = outcome.new_evaluations
-        ok = ok and outcome.new_evaluations in (1, 2)
+        _, _, evaluations = mb_iteration(objective1, np.zeros(d1), 0.0, basis, 1.0)
+        counts[k] = evaluations
+        ok = ok and evaluations in (1, 2)
     mean_cost = float(np.mean(counts))
     se_cost = float(np.std(counts, ddof=1) / math.sqrt(n_sims))
     ok = ok and abs(mean_cost - 1.5) <= 3.0 * se_cost

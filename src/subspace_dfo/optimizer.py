@@ -1,13 +1,15 @@
 """Random-subspace derivative-free optimizer.
 
-Each outer iteration draws a fresh uniformly random orthonormal basis for a
-p-dimensional subspace, restricts the objective to that subspace around the
-incumbent, and runs one inner iteration there: either coordinate polling
-(complete or opportunistic) or a forward-difference linear-model step.  The
-incumbent value is carried between iterations and never re-evaluated, so the
-per-iteration evaluation cost is exactly 2p for complete polling and p + 1
-for the model step (p = 1 model steps reuse their poll point when the model
-already points at it).
+Each outer iteration draws a fresh uniformly random orthonormal basis
+b_1, ..., b_p of a p-dimensional subspace and runs one inner iteration around
+the incumbent x: either coordinate polling (complete or opportunistic) or a
+forward-difference linear-model step.  The iteration builds its points as the
+rows of one matrix, x + delta b_1, x - delta b_1, x + delta b_2, ... when
+polling and x + delta b_i for the model step, and evaluates them in order.
+The incumbent value is carried between iterations and never re-evaluated, so
+the per-iteration evaluation cost is exactly 2p for complete polling and
+p + 1 for the model step (p = 1 model steps reuse their poll point when the
+model already points at it).
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ _GRADIENT_FLOOR = 1e-14
 class ObjectiveHandle:
     """Black-box objective with an evaluation counter.
 
-    The counter increments exactly once per evaluation and is lock-protected
-    so poll points may be evaluated from worker threads.  Non-finite objective
-    values abort the run immediately: silently propagating NaN would corrupt
-    every later comparison.
+    The counter increments exactly once per evaluation.  The driver evaluates
+    points one at a time; the lock keeps the count exact for a caller that
+    shares one handle between threads.  Non-finite objective values abort the
+    run immediately: silently propagating NaN would corrupt every later
+    comparison.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dimension: int, name: str = ""):
@@ -65,63 +68,6 @@ class ObjectiveHandle:
         with self._lock:
             self._count += 1
         return value
-
-
-@dataclass
-class SubspaceRestriction:
-    """The objective restricted to base_point + span(basis columns).
-
-    Callable on p-vectors: ``restriction(z)`` evaluates the underlying
-    objective at ``base_point + columns @ z`` and counts as one evaluation.
-    ``origin_value`` carries the already-known incumbent value so iterations
-    never re-evaluate it.
-    """
-
-    base_point: np.ndarray
-    basis: SubspaceBasis
-    underlying: ObjectiveHandle
-    origin_value: float | None = None
-
-    def __post_init__(self) -> None:
-        self.base_point = np.asarray(self.base_point, dtype=float)
-        if self.base_point.shape != (self.basis.d,):
-            raise InvalidDimensionError(
-                f"base point has shape {self.base_point.shape}, basis lives in R^{self.basis.d}"
-            )
-        if self.underlying.dimension != self.basis.d:
-            raise InvalidDimensionError(
-                f"objective dimension {self.underlying.dimension} != basis dimension {self.basis.d}"
-            )
-
-    @property
-    def p(self) -> int:
-        return self.basis.p
-
-    def __call__(self, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.p,):
-            raise InvalidDimensionError(f"expected a {self.p}-vector, got shape {z.shape}")
-        return self.underlying(self.base_point + self.basis.columns @ z)
-
-    def value_at_origin(self) -> float:
-        if self.origin_value is None:
-            self.origin_value = self.underlying(self.base_point)
-        return self.origin_value
-
-
-@dataclass(frozen=True)
-class IterationOutcome:
-    """Result of one inner iteration in the subspace."""
-
-    step_in_subspace: np.ndarray
-    new_evaluations: int
-    achieved_decrease: float
-
-    def __post_init__(self) -> None:
-        if self.achieved_decrease < 0.0:
-            raise ValueError("iterations compare against the incumbent; decrease is >= 0")
-        if self.new_evaluations < 0:
-            raise ValueError("evaluation count cannot be negative")
 
 
 @dataclass
@@ -186,110 +132,77 @@ class DriverTrace:
         return self.records[-1]
 
 
-def simplex_gradient(
-    restriction: SubspaceRestriction,
-    z: np.ndarray,
-    delta: float,
-    value_at_z: float | None = None,
-) -> np.ndarray:
-    """Forward-difference gradient of the restricted objective at z.
-
-    The sample set is z plus delta times each coordinate direction, so the
-    i-th component is (f(z + delta e_i) - f(z)) / delta.  Consumes exactly p
-    evaluations, plus one for f(z) when ``value_at_z`` is not supplied.  On a
-    linear objective this reproduces the restricted gradient exactly for any
-    delta.
-    """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    z = np.asarray(z, dtype=float)
-    if value_at_z is None:
-        value_at_z = restriction(z)
-    grad = np.empty(restriction.p)
-    for i in range(restriction.p):
-        zi = z.copy()
-        zi[i] += delta
-        grad[i] = (restriction(zi) - value_at_z) / delta
-    return grad
-
-
 def ds_iteration(
-    restriction: SubspaceRestriction, delta: float, mode: str = "complete"
-) -> IterationOutcome:
-    """One polling iteration over the 2p signed coordinate directions.
+    objective: ObjectiveHandle,
+    x: np.ndarray,
+    fx: float,
+    basis: SubspaceBasis,
+    delta: float,
+    mode: str = "complete",
+) -> tuple[np.ndarray, float, int]:
+    """One polling iteration over the 2p signed basis directions around x.
 
-    Complete mode evaluates every poll point and takes the best, keeping the
-    incumbent on ties (ties resolve to the lowest index, positive sign first).
-    Opportunistic mode evaluates opposite pairs in index order, positive
-    direction first, and returns at the first strict improvement.
+    The poll points are the rows x + delta b_1, x - delta b_1, x + delta b_2,
+    ... of one matrix, evaluated in that order.  Complete mode evaluates every
+    row and moves to the best, keeping the incumbent on ties (ties resolve to
+    the lowest index, positive sign first).  Opportunistic mode stops at the
+    first strict improvement.  Returns the point moved to, its value and the
+    new evaluations; ``fx`` is the known value at x and is not re-evaluated.
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
     if mode not in ("complete", "opportunistic"):
         raise ValueError(f"mode must be 'complete' or 'opportunistic', got {mode!r}")
-    p = restriction.p
-    f0 = restriction.value_at_origin()
-    best_value = f0
-    best_step: np.ndarray | None = None
-    evaluations = 0
-    for i in range(p):
-        improved = False
-        for sign in (1.0, -1.0):
-            step = np.zeros(p)
-            step[i] = sign * delta
-            value = restriction(step)
-            evaluations += 1
-            if value < best_value:
-                best_value = value
-                best_step = step
-                improved = True
-                if mode == "opportunistic":
-                    break
-        if mode == "opportunistic" and improved:
-            break
-    if best_step is None:
-        best_step = np.zeros(p)
-    return IterationOutcome(
-        step_in_subspace=best_step,
-        new_evaluations=evaluations,
-        achieved_decrease=max(0.0, f0 - best_value),
-    )
+    # Built row by row C-contiguous: the objective then reads each point as
+    # one contiguous vector, as it would a freshly computed x + delta b_i.
+    steps = delta * basis.columns.T
+    points = np.empty((2 * basis.p, basis.d))
+    np.add(x, steps, out=points[0::2])
+    np.subtract(x, steps, out=points[1::2])
+    best, best_value, evaluations = x, fx, 0
+    for point in points:
+        value = objective(point)
+        evaluations += 1
+        if value < best_value:
+            best, best_value = point, value
+            if mode == "opportunistic":
+                break
+    return best, best_value, evaluations
 
 
-def mb_iteration(restriction: SubspaceRestriction, delta: float) -> IterationOutcome:
+def mb_iteration(
+    objective: ObjectiveHandle, x: np.ndarray, fx: float, basis: SubspaceBasis, delta: float
+) -> tuple[np.ndarray, float, int]:
     """One linear-model iteration: forward differences, then a trust-region step.
 
-    Builds the forward-difference gradient from the p poll points, steps delta
+    Evaluates the rows x + delta b_i of one matrix, forms the forward-difference
+    gradient (f(x + delta b_i) - fx) / delta in the subspace, steps delta
     against its normalized direction, and keeps the better of incumbent and
     trial.  When p = 1 and the model points back along the already-evaluated
     poll point, that value is reused instead of a new evaluation.  A
     numerically zero gradient keeps the incumbent (the step direction would be
-    undefined).
+    undefined).  Returns the point moved to, its value and the new evaluations.
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
-    p = restriction.p
-    f0 = restriction.value_at_origin()
-    poll_values = np.empty(p)
-    for i in range(p):
-        step = np.zeros(p)
-        step[i] = delta
-        poll_values[i] = restriction(step)
-    evaluations = p
-    grad = (poll_values - f0) / delta
+    points = np.empty((basis.p, basis.d))
+    np.add(x, delta * basis.columns.T, out=points)
+    poll_values = np.array([objective(point) for point in points])
+    evaluations = basis.p
+    grad = (poll_values - fx) / delta
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < _GRADIENT_FLOOR:
-        return IterationOutcome(np.zeros(p), evaluations, 0.0)
-    trial_step = -(delta / grad_norm) * grad
-    if p == 1 and grad[0] < 0.0:
-        # Model points along +e_1, whose poll value is already known.
+        return x, fx, evaluations
+    trial = x + basis.columns @ (-(delta / grad_norm) * grad)
+    if basis.p == 1 and grad[0] < 0.0:
+        # Model points along +b_1, whose poll value is already known.
         trial_value = float(poll_values[0])
     else:
-        trial_value = restriction(trial_step)
+        trial_value = objective(trial)
         evaluations += 1
-    if trial_value < f0:
-        return IterationOutcome(trial_step, evaluations, f0 - trial_value)
-    return IterationOutcome(np.zeros(p), evaluations, 0.0)
+    if trial_value < fx:
+        return trial, trial_value, evaluations
+    return x, fx, evaluations
 
 
 def run_driver(
@@ -320,23 +233,18 @@ def run_driver(
         TraceRecord(0, objective.eval_count, fx, delta, x.copy())
     )
 
+    mode = config.iteration_kind.removeprefix("ds-")
     k = 0
     while objective.eval_count < config.max_evaluations and delta >= config.min_step:
         basis = sample_stiefel(d, config.p, split_stream(rng, k))
-        restriction = SubspaceRestriction(x, basis, objective, origin_value=fx)
-        if config.iteration_kind == "ds-complete":
-            outcome = ds_iteration(restriction, delta, mode="complete")
-        elif config.iteration_kind == "ds-opportunistic":
-            outcome = ds_iteration(restriction, delta, mode="opportunistic")
+        if config.iteration_kind == "mb":
+            x_new, f_new, _ = mb_iteration(objective, x, fx, basis, delta)
         else:
-            outcome = mb_iteration(restriction, delta)
-        x = x + basis.columns @ outcome.step_in_subspace
-        fx = fx - outcome.achieved_decrease
+            x_new, f_new, _ = ds_iteration(objective, x, fx, basis, delta, mode)
         step_used = delta
-        if outcome.achieved_decrease > 0.0:
-            delta *= config.expand_factor
-        else:
-            delta *= config.contract_factor
+        delta *= config.expand_factor if f_new < fx else config.contract_factor
+        # The incumbent value less the decrease, as earlier traces carried it.
+        x, fx = x_new, fx - (fx - f_new)
         k += 1
         trace.records.append(
             TraceRecord(k, objective.eval_count, fx, step_used, x.copy())

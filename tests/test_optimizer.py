@@ -15,13 +15,11 @@ from subspace_dfo import (
     ObjectiveHandle,
     RngStream,
     SubspaceBasis,
-    SubspaceRestriction,
     ds_iteration,
     mb_iteration,
     run_driver,
     sample_stiefel,
     sample_unit_vector,
-    simplex_gradient,
     split_stream,
 )
 
@@ -30,12 +28,70 @@ def linear_objective(g: np.ndarray) -> ObjectiveHandle:
     return ObjectiveHandle(lambda x: float(g @ x), g.size, name="linear")
 
 
-def make_restriction(g: np.ndarray, p: int, seed: int) -> tuple[SubspaceRestriction, np.ndarray]:
-    d = g.size
-    basis = sample_stiefel(d, p, RngStream(seed))
-    objective = linear_objective(g)
-    restriction = SubspaceRestriction(np.zeros(d), basis, objective, origin_value=0.0)
-    return restriction, basis.columns
+def make_basis(d: int, p: int, seed: int) -> SubspaceBasis:
+    return sample_stiefel(d, p, RngStream(seed))
+
+
+def recording_objective(fn, d: int) -> tuple[ObjectiveHandle, list[np.ndarray]]:
+    """A handle around ``fn`` that keeps a copy of every point it evaluates."""
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return fn(x)
+
+    return ObjectiveHandle(record, d), seen
+
+
+# The per-point iterations that evaluated one restricted p-vector at a time,
+# kept as the oracle for the poll-matrix iterations: every point, value and
+# evaluation count must agree bit for bit.
+def _oracle_restriction(objective, x, basis):
+    return lambda z: objective(x + basis.columns @ z)
+
+
+def oracle_ds_iteration(objective, x, fx, basis, delta, mode):
+    restriction = _oracle_restriction(objective, x, basis)
+    p = basis.p
+    best_value, best_step, evaluations = fx, np.zeros(p), 0
+    for i in range(p):
+        improved = False
+        for sign in (1.0, -1.0):
+            step = np.zeros(p)
+            step[i] = sign * delta
+            value = restriction(step)
+            evaluations += 1
+            if value < best_value:
+                best_value, best_step, improved = value, step, True
+                if mode == "opportunistic":
+                    break
+        if mode == "opportunistic" and improved:
+            break
+    return x + basis.columns @ best_step, best_value, evaluations
+
+
+def oracle_mb_iteration(objective, x, fx, basis, delta):
+    restriction = _oracle_restriction(objective, x, basis)
+    p = basis.p
+    poll_values = np.empty(p)
+    for i in range(p):
+        step = np.zeros(p)
+        step[i] = delta
+        poll_values[i] = restriction(step)
+    evaluations = p
+    grad = (poll_values - fx) / delta
+    grad_norm = float(np.linalg.norm(grad))
+    if grad_norm < 1e-14:
+        return x + basis.columns @ np.zeros(p), fx, evaluations
+    trial_step = -(delta / grad_norm) * grad
+    if p == 1 and grad[0] < 0.0:
+        trial_value = float(poll_values[0])
+    else:
+        trial_value = restriction(trial_step)
+        evaluations += 1
+    if trial_value < fx:
+        return x + basis.columns @ trial_step, trial_value, evaluations
+    return x + basis.columns @ np.zeros(p), fx, evaluations
 
 
 class TestObjectiveHandle:
@@ -57,64 +113,105 @@ class TestObjectiveHandle:
         assert obj.eval_count == 0
 
 
-class TestSubspaceRestriction:
-    def test_origin_matches_underlying(self):
+class TestPollPoints:
+    def test_incumbent_is_not_reevaluated(self):
+        # The known incumbent value is carried in: polling evaluates exactly
+        # its 2p poll points and the model step its p poll points and trial.
         g = sample_unit_vector(6, RngStream(3)).coords
-        objective = linear_objective(g)
-        basis = sample_stiefel(6, 2, RngStream(4))
+        basis = make_basis(6, 2, 4)
         x = np.linspace(-1.0, 1.0, 6)
-        restriction = SubspaceRestriction(x, basis, objective)
-        assert restriction.value_at_origin() == objective(x)
-        # The cached value is reused afterwards.
-        count = objective.eval_count
-        restriction.value_at_origin()
-        assert objective.eval_count == count
+        for kind in ("ds", "mb"):
+            objective, seen = recording_objective(lambda y: float(g @ y), 6)
+            if kind == "ds":
+                _, _, evaluations = ds_iteration(objective, x, float(g @ x), basis, 0.5)
+            else:
+                _, _, evaluations = mb_iteration(objective, x, float(g @ x), basis, 0.5)
+            assert evaluations == objective.eval_count == {"ds": 4, "mb": 3}[kind]
+            assert not any(np.array_equal(y, x) for y in seen)
 
-    def test_callable_maps_through_basis(self):
-        g = sample_unit_vector(5, RngStream(8)).coords
-        objective = linear_objective(g)
-        basis = sample_stiefel(5, 3, RngStream(9))
-        restriction = SubspaceRestriction(np.zeros(5), basis, objective)
-        z = np.array([0.3, -0.2, 1.1])
-        assert restriction(z) == pytest.approx(float(g @ (basis.columns @ z)), abs=1e-14)
+    def test_rows_are_signed_basis_steps(self):
+        # Polling evaluates x + delta b_1, x - delta b_1, x + delta b_2, ...;
+        # the model step x + delta b_i, then its trial point.
+        d, p, delta = 5, 3, 0.7
+        basis = make_basis(d, p, 9)
+        x = np.linspace(0.5, 2.5, d)
+        objective, seen = recording_objective(lambda y: float(y @ y), d)
+        ds_iteration(objective, x, float(x @ x), basis, delta)
+        expected = [x + sign * (delta * basis.columns[:, i]) for i in range(p) for sign in (1, -1)]
+        assert np.array_equal(np.array(seen), np.array(expected))
+        assert all(y.flags.c_contiguous for y in seen)
+        objective, seen = recording_objective(lambda y: float(y @ y), d)
+        mb_iteration(objective, x, float(x @ x), basis, delta)
+        expected = [x + delta * basis.columns[:, i] for i in range(p)]
+        assert np.array_equal(np.array(seen[:p]), np.array(expected))
+        assert len(seen) == p + 1
 
 
 class TestSimplexGradient:
+    """The forward-difference (simplex) gradient inside the model step."""
+
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=40, deadline=None)
     def test_exact_on_linear_objectives(self, seed):
         # On a linear objective the forward differences recover the projected
-        # gradient exactly, for any step size.
+        # gradient exactly, for any step size, so the model step moves delta
+        # against the projected gradient.
         d, p = 9, 4
         g = sample_unit_vector(d, RngStream(seed)).coords
-        restriction, columns = make_restriction(g, p, seed + 1)
+        basis = make_basis(d, p, seed + 1)
+        projected = basis.columns.T @ g
         for delta in (1e-3, 1.0, 17.0):
-            grad = simplex_gradient(restriction, np.zeros(p), delta, value_at_z=0.0)
-            assert np.max(np.abs(grad - columns.T @ g)) <= 1e-12
+            point, _, _ = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
+            direction = basis.columns.T @ point / delta
+            assert np.max(np.abs(direction + projected / np.linalg.norm(projected))) <= 1e-12
 
     def test_constant_objective_gives_zero(self):
-        obj = ObjectiveHandle(lambda x: 4.5, 4)
-        basis = sample_stiefel(4, 2, RngStream(0))
-        restriction = SubspaceRestriction(np.zeros(4), basis, obj)
-        grad = simplex_gradient(restriction, np.zeros(2), 0.5)
-        assert np.all(grad == 0.0)
+        obj, seen = recording_objective(lambda x: 4.5, 4)
+        basis = make_basis(4, 2, 0)
+        x = np.zeros(4)
+        point, value, evaluations = mb_iteration(obj, x, 4.5, basis, 0.5)
+        # A zero gradient evaluates no trial point and keeps the incumbent.
+        assert point is x and value == 4.5
+        assert evaluations == len(seen) == 2
 
     def test_forward_difference_bias_on_quadratic(self):
         # f(x) = |x|^2 at the origin with the identity basis: each component is
-        # delta itself.
-        obj = ObjectiveHandle(lambda x: float(x @ x), 2)
-        restriction = SubspaceRestriction(np.zeros(2), SubspaceBasis(np.eye(2)), obj)
-        grad = simplex_gradient(restriction, np.zeros(2), 0.1)
-        assert grad == pytest.approx([0.1, 0.1], abs=1e-14)
+        # delta itself, so the trial point lies along -(1, 1).
+        obj, seen = recording_objective(lambda x: float(x @ x), 2)
+        mb_iteration(obj, np.zeros(2), 0.0, SubspaceBasis(np.eye(2)), 0.1)
+        assert seen[-1] == pytest.approx(-0.1 * np.array([1.0, 1.0]) / math.sqrt(2.0), abs=1e-15)
 
     def test_evaluation_cost(self):
         g = sample_unit_vector(7, RngStream(5)).coords
-        restriction, _ = make_restriction(g, 3, 6)
-        obj = restriction.underlying
-        simplex_gradient(restriction, np.zeros(3), 1.0, value_at_z=0.0)
-        assert obj.eval_count == 3
-        simplex_gradient(restriction, np.zeros(3), 1.0)
-        assert obj.eval_count == 7
+        obj = linear_objective(g)
+        mb_iteration(obj, np.zeros(7), 0.0, make_basis(7, 3, 6), 1.0)
+        assert obj.eval_count == 4
+
+
+class TestOracle:
+    @pytest.mark.parametrize("d, p", [(12, 1), (100, 2), (1000, 10)])
+    @pytest.mark.parametrize("shape", ["linear", "quadratic"])
+    def test_poll_matrix_matches_per_point_iterations(self, d, p, shape):
+        gen = np.random.default_rng(d + p)
+        g = gen.standard_normal(d)
+        fn = (lambda x: float(g @ x)) if shape == "linear" else (lambda x: 0.5 * float(x @ x))
+        for trial in range(6):
+            x = gen.standard_normal(d)
+            fx = fn(x)
+            basis = make_basis(d, p, 100 * d + trial)
+            delta = (1.0, 0.25, 3.0)[trial % 3]
+            for kind in ("complete", "opportunistic", "mb"):
+                new_obj, old_obj = ObjectiveHandle(fn, d), ObjectiveHandle(fn, d)
+                if kind == "mb":
+                    new = mb_iteration(new_obj, x, fx, basis, delta)
+                    old = oracle_mb_iteration(old_obj, x, fx, basis, delta)
+                else:
+                    new = ds_iteration(new_obj, x, fx, basis, delta, kind)
+                    old = oracle_ds_iteration(old_obj, x, fx, basis, delta, kind)
+                assert np.array_equal(new[0], old[0])
+                assert new[0].tobytes() == old[0].tobytes()
+                assert new[1:] == old[1:]
+                assert new_obj.eval_count == old_obj.eval_count == new[2]
 
 
 class TestDsIteration:
@@ -122,47 +219,47 @@ class TestDsIteration:
         d = 5
         g = np.zeros(d)
         g[0] = 1.0
-        objective = linear_objective(g)
-        restriction = SubspaceRestriction(
-            np.zeros(d), SubspaceBasis(np.eye(d)), objective, origin_value=0.0
+        point, value, evaluations = ds_iteration(
+            linear_objective(g), np.zeros(d), 0.0, SubspaceBasis(np.eye(d)), 1.0, mode="complete"
         )
-        outcome = ds_iteration(restriction, 1.0, mode="complete")
-        assert outcome.achieved_decrease == pytest.approx(1.0, abs=1e-15)
-        assert outcome.step_in_subspace[0] == -1.0
-        assert outcome.new_evaluations == 2 * d
+        assert -value == pytest.approx(1.0, abs=1e-15)
+        assert point[0] == -1.0
+        assert evaluations == 2 * d
 
     @given(st.integers(min_value=0, max_value=300))
     @settings(max_examples=40, deadline=None)
     def test_complete_decrease_is_projected_max(self, seed):
         d, p = 11, 4
         g = sample_unit_vector(d, RngStream(seed)).coords
-        restriction, columns = make_restriction(g, p, seed + 1000)
+        basis = make_basis(d, p, seed + 1000)
         delta = 0.75
-        outcome = ds_iteration(restriction, delta, mode="complete")
-        assert outcome.new_evaluations == 2 * p
-        expected = delta * np.max(np.abs(columns.T @ g))
-        assert outcome.achieved_decrease == pytest.approx(expected, abs=1e-12)
+        _, value, evaluations = ds_iteration(
+            linear_objective(g), np.zeros(d), 0.0, basis, delta, mode="complete"
+        )
+        assert evaluations == 2 * p
+        expected = delta * np.max(np.abs(basis.columns.T @ g))
+        assert -value == pytest.approx(expected, abs=1e-12)
 
     def test_opportunistic_costs_one_or_two(self):
         costs = []
         for seed in range(300):
             g = sample_unit_vector(8, RngStream(seed)).coords
-            restriction, _ = make_restriction(g, 3, seed + 5000)
-            outcome = ds_iteration(restriction, 1.0, mode="opportunistic")
-            assert outcome.achieved_decrease > 0.0
-            costs.append(outcome.new_evaluations)
+            basis = make_basis(8, 3, seed + 5000)
+            _, value, evaluations = ds_iteration(
+                linear_objective(g), np.zeros(8), 0.0, basis, 1.0, mode="opportunistic"
+            )
+            assert value < 0.0
+            costs.append(evaluations)
         assert set(costs) <= {1, 2}
         # Half the polls succeed on the first try.
         assert abs(np.mean(costs) - 1.5) < 0.1
 
     def test_no_improvement_keeps_incumbent(self):
         obj = ObjectiveHandle(lambda x: float(x @ x), 3)
-        restriction = SubspaceRestriction(
-            np.zeros(3), SubspaceBasis(np.eye(3)), obj, origin_value=0.0
-        )
-        outcome = ds_iteration(restriction, 1.0, mode="complete")
-        assert outcome.achieved_decrease == 0.0
-        assert np.all(outcome.step_in_subspace == 0.0)
+        x = np.zeros(3)
+        point, value, _ = ds_iteration(obj, x, 0.0, SubspaceBasis(np.eye(3)), 1.0, mode="complete")
+        assert value == 0.0
+        assert point is x
 
 
 class TestMbIteration:
@@ -171,19 +268,18 @@ class TestMbIteration:
     def test_decrease_is_projected_norm(self, seed):
         d, p = 11, 4
         g = sample_unit_vector(d, RngStream(seed)).coords
-        restriction, columns = make_restriction(g, p, seed + 2000)
+        basis = make_basis(d, p, seed + 2000)
         delta = 1.25
-        outcome = mb_iteration(restriction, delta)
-        assert outcome.new_evaluations == p + 1
-        expected = delta * float(np.linalg.norm(columns.T @ g))
-        assert outcome.achieved_decrease == pytest.approx(expected, abs=1e-12)
+        _, value, evaluations = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
+        assert evaluations == p + 1
+        expected = delta * float(np.linalg.norm(basis.columns.T @ g))
+        assert -value == pytest.approx(expected, abs=1e-12)
 
     def test_full_dimension_recovers_unit_decrease(self):
         d = 7
         g = sample_unit_vector(d, RngStream(21)).coords
-        restriction, _ = make_restriction(g, d, 22)
-        outcome = mb_iteration(restriction, 1.0)
-        assert outcome.achieved_decrease == pytest.approx(1.0, abs=1e-12)
+        _, value, _ = mb_iteration(linear_objective(g), np.zeros(d), 0.0, make_basis(d, d, 22), 1.0)
+        assert -value == pytest.approx(1.0, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=30, deadline=None)
@@ -192,22 +288,19 @@ class TestMbIteration:
         # basis, and step the model iteration never decreases less.
         d, p = 10, 3
         g = sample_unit_vector(d, RngStream(seed)).coords
+        basis = make_basis(d, p, seed + 4000)
         for delta in (0.5, 2.0):
-            poll, _ = make_restriction(g, p, seed + 4000)
-            model, _ = make_restriction(g, p, seed + 4000)
-            ds_out = ds_iteration(poll, delta, mode="complete")
-            mb_out = mb_iteration(model, delta)
-            assert mb_out.achieved_decrease >= ds_out.achieved_decrease - 1e-13
+            _, ds_value, _ = ds_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
+            _, mb_value, _ = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
+            assert -mb_value >= -ds_value - 1e-13
 
     def test_constant_objective_zero_gradient_branch(self):
         obj = ObjectiveHandle(lambda x: 2.0, 4)
-        restriction = SubspaceRestriction(
-            np.zeros(4), SubspaceBasis(np.eye(4)), obj, origin_value=2.0
-        )
-        outcome = mb_iteration(restriction, 1.0)
-        assert outcome.achieved_decrease == 0.0
-        assert outcome.new_evaluations == 4
-        assert np.all(outcome.step_in_subspace == 0.0)
+        x = np.zeros(4)
+        point, value, evaluations = mb_iteration(obj, x, 2.0, SubspaceBasis(np.eye(4)), 1.0)
+        assert value == 2.0
+        assert evaluations == 4
+        assert point is x
 
     def test_p1_reuses_poll_point(self):
         # When the restricted slope is negative the model steps onto the poll
@@ -216,13 +309,13 @@ class TestMbIteration:
         g = sample_unit_vector(d, RngStream(33)).coords
         counts = set()
         for seed in range(60):
-            restriction, columns = make_restriction(g, 1, seed + 3000)
-            slope = float(columns[:, 0] @ g)
-            outcome = mb_iteration(restriction, 1.0)
+            basis = make_basis(d, 1, seed + 3000)
+            slope = float(basis.columns[:, 0] @ g)
+            _, value, evaluations = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, 1.0)
             expected_cost = 1 if slope < 0 else 2
-            assert outcome.new_evaluations == expected_cost
-            counts.add(outcome.new_evaluations)
-            assert outcome.achieved_decrease == pytest.approx(abs(slope), abs=1e-13)
+            assert evaluations == expected_cost
+            counts.add(evaluations)
+            assert -value == pytest.approx(abs(slope), abs=1e-13)
         assert counts == {1, 2}
 
 
