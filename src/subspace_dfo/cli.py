@@ -259,7 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--d", type=int, required=True)
     p_opt.add_argument("--p", type=int, required=True)
     p_opt.add_argument("--iteration", choices=ITERATION_KINDS, default="ds-complete")
-    p_opt.add_argument("--budget", type=int, required=True)
+    p_opt.add_argument("--budget", type=int, required=True,
+                       help="hard cap on evaluations: an iteration starts only if its "
+                            "largest cost (2p polling, p+1 model step) fits in what is "
+                            "left; the initial point is always evaluated")
     p_opt.add_argument("--delta0", type=float, default=1.0)
     p_opt.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_opt.add_argument("--out", type=str, default=None)

@@ -643,10 +643,9 @@ def gate_optimizer_behavior(
     g = sample_unit_vector(d, split_stream(base, 0)).coords
     worst_gap = 0.0
     ok = True
-    for kind, norm_ord, cost, stream_idx in (
-        ("ds-complete", np.inf, 2 * p, 1),
-        ("mb", 2, p + 1, 2),
-    ):
+    for kind, stream_idx in (("ds-complete", 1), ("mb", 2)):
+        variant = Variant.named(kind.partition("-")[0])
+        norm_ord, cost = variant.norm, variant.rounds(p, 1)
         objective = ObjectiveHandle(lambda x, g=g: float(g @ x), d, name="linear")
         config = DriverConfig(p=p, max_evaluations=420, iteration_kind=kind)
         driver_rng = split_stream(base, stream_idx)

@@ -10,6 +10,12 @@ The incumbent value is carried between iterations and never re-evaluated, so
 the per-iteration evaluation cost is exactly 2p for complete polling and
 p + 1 for the model step (p = 1 model steps reuse their poll point when the
 model already points at it).
+
+The evaluation budget is a hard cap.  An iteration starts only if its largest
+possible cost, points * p + trial from the ``formulas.Variant`` record (2p
+when polling, p + 1 for the model step), fits in what is left of the budget,
+so no iteration is ever cut short.  The initial point is always evaluated
+once, even with a zero budget.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, NonFiniteObjectiveError
+from .formulas import Variant
 from .rng import RngStream, SubspaceBasis, sample_stiefel, split_stream
 
 ITERATION_KINDS = ("ds-complete", "ds-opportunistic", "mb")
@@ -76,8 +83,12 @@ class DriverConfig:
 
     The step size contracts on iterations with zero decrease and expands on
     strict decrease; the default expand factor of 1 leaves successful steps
-    unchanged.  The run stops when the evaluation budget is exhausted or the
-    step size falls below ``min_step``, whichever happens first.
+    unchanged.  ``max_evaluations`` is a hard cap: an iteration starts only if
+    its largest possible cost (2p evaluations when polling, p + 1 for the
+    model step) fits in what is left of it, and the initial point is
+    evaluated once even when it is 0.  The run stops when the next iteration
+    would not fit or the step size falls below ``min_step``, whichever
+    happens first.
     """
 
     p: int
@@ -193,11 +204,11 @@ def mb_iteration(
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < _GRADIENT_FLOOR:
         return x, fx, evaluations
-    trial = x + basis.columns @ (-(delta / grad_norm) * grad)
     if basis.p == 1 and grad[0] < 0.0:
-        # Model points along +b_1, whose poll value is already known.
-        trial_value = float(poll_values[0])
+        # Model points along +b_1: the trial point is the evaluated poll point.
+        trial, trial_value = points[0], float(poll_values[0])
     else:
+        trial = x + basis.columns @ (-(delta / grad_norm) * grad)
         trial_value = objective(trial)
         evaluations += 1
     if trial_value < fx:
@@ -215,9 +226,11 @@ def run_driver(
 
     Iteration k (counting from 0) draws its basis from ``split_stream(rng, k)``,
     so a caller holding the same stream can reproduce every basis after the
-    fact.  The initial point is always evaluated once before the loop; the
-    trace starts with that record and gains one record per iteration, with
-    best values nonincreasing by construction.
+    fact.  The initial point is always evaluated once before the loop, and an
+    iteration starts only if its largest possible cost fits in what is left of
+    ``config.max_evaluations``.  The trace starts with the initial record and
+    gains one record per iteration, with best values nonincreasing by
+    construction and each equal to the objective's value at its iterate.
     """
     x = np.asarray(x0, dtype=float)
     d = objective.dimension
@@ -233,18 +246,22 @@ def run_driver(
         TraceRecord(0, objective.eval_count, fx, delta, x.copy())
     )
 
-    mode = config.iteration_kind.removeprefix("ds-")
+    name, _, mode = config.iteration_kind.partition("-")
+    variant = Variant.named(name)
+    largest_cost = variant.points * config.p + variant.trial
     k = 0
-    while objective.eval_count < config.max_evaluations and delta >= config.min_step:
+    while (
+        objective.eval_count + largest_cost <= config.max_evaluations
+        and delta >= config.min_step
+    ):
         basis = sample_stiefel(d, config.p, split_stream(rng, k))
-        if config.iteration_kind == "mb":
+        if name == "mb":
             x_new, f_new, _ = mb_iteration(objective, x, fx, basis, delta)
         else:
             x_new, f_new, _ = ds_iteration(objective, x, fx, basis, delta, mode)
         step_used = delta
         delta *= config.expand_factor if f_new < fx else config.contract_factor
-        # The incumbent value less the decrease, as earlier traces carried it.
-        x, fx = x_new, fx - (fx - f_new)
+        x, fx = x_new, f_new
         k += 1
         trace.records.append(
             TraceRecord(k, objective.eval_count, fx, step_used, x.copy())

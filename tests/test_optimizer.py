@@ -1,6 +1,7 @@
 """Optimizer tests: evaluation accounting, exact decreases on linear objectives,
 driver behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from subspace_dfo import (
     ds_iteration,
     mb_iteration,
     run_driver,
+    run_optimizer_experiment,
     sample_stiefel,
     sample_unit_vector,
     split_stream,
@@ -85,6 +87,8 @@ def oracle_mb_iteration(objective, x, fx, basis, delta):
         return x + basis.columns @ np.zeros(p), fx, evaluations
     trial_step = -(delta / grad_norm) * grad
     if p == 1 and grad[0] < 0.0:
+        # The reused poll point is the trial point, exactly delta e_1.
+        trial_step = np.array([delta])
         trial_value = float(poll_values[0])
     else:
         trial_value = restriction(trial_step)
@@ -311,9 +315,14 @@ class TestMbIteration:
         for seed in range(60):
             basis = make_basis(d, 1, seed + 3000)
             slope = float(basis.columns[:, 0] @ g)
-            _, value, evaluations = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, 1.0)
+            point, value, evaluations = mb_iteration(
+                linear_objective(g), np.zeros(d), 0.0, basis, 1.0
+            )
             expected_cost = 1 if slope < 0 else 2
             assert evaluations == expected_cost
+            if slope < 0:
+                # The iterate is the poll point whose value is reused.
+                assert np.array_equal(point, basis.columns[:, 0])
             counts.add(evaluations)
             assert -value == pytest.approx(abs(slope), abs=1e-13)
         assert counts == {1, 2}
@@ -330,6 +339,52 @@ class TestDriver:
         )
         assert len(trace.records) == 1
         assert trace.records[0].eval_count == 1
+
+    @pytest.mark.parametrize("kind", ["ds-complete", "ds-opportunistic", "mb"])
+    def test_budget_too_small_for_one_iteration(self, kind):
+        # An iteration at p = 5 may cost 10 or 6 evaluations, more than the
+        # budget of 2 allows, so only the initial point is evaluated.
+        g = sample_unit_vector(8, RngStream(0)).coords
+        config = DriverConfig(p=5, max_evaluations=2, iteration_kind=kind)
+        trace = run_driver(linear_objective(g), np.zeros(8), config, RngStream(1))
+        assert len(trace.records) == 1
+        assert trace.final.eval_count == 1
+
+    @pytest.mark.parametrize("kind", ["ds-complete", "ds-opportunistic", "mb"])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    def test_budget_is_a_hard_cap(self, kind, p):
+        largest_cost = 2 * p if kind.startswith("ds") else p + 1
+        config0 = DriverConfig(p=p, max_evaluations=0, iteration_kind=kind, min_step=0.05)
+        for budget in range(4 * p + 4):
+            config = dataclasses.replace(config0, max_evaluations=budget)
+            objective = ObjectiveHandle(lambda x: 0.5 * float(x @ x), 8)
+            trace = run_driver(objective, np.ones(8), config, RngStream(budget))
+            final = trace.final
+            assert final.eval_count == objective.eval_count <= max(budget, 1)
+            # A run stops early only at the step floor: the step after the
+            # last iteration is below it.
+            records = trace.records
+            next_step = config.initial_step
+            if len(records) > 1:
+                improved = records[-1].best_value < records[-2].best_value
+                next_step = final.step_size * (
+                    config.expand_factor if improved else config.contract_factor
+                )
+            if next_step >= config.min_step:
+                assert budget - final.eval_count < largest_cost
+
+    @pytest.mark.parametrize(
+        "name, d, p, kind, seed",
+        [
+            ("sphere-quadratic", 12, 1, "mb", 4058335883),
+            ("linear-random-g", 300, 5, "ds-complete", 2195314465),
+        ],
+    )
+    def test_best_value_is_the_value_at_the_iterate(self, name, d, p, kind, seed):
+        config = DriverConfig(p=p, max_evaluations=300, iteration_kind=kind)
+        trace, objective = run_optimizer_experiment(name, d, config, seed=seed)
+        for record in trace.records:
+            assert record.best_value == objective(record.iterate)
 
     def test_linear_objective_strictly_decreases(self):
         g = sample_unit_vector(30, RngStream(2)).coords
