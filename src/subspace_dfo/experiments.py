@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -717,9 +718,14 @@ def run_verify(
     """Run every gate; returns the results and a CLI exit code (0 iff all pass).
 
     With ``out_dir`` set, writes ``verify_gates.csv`` (deterministic bytes for
-    a given seed) and a JSON manifest alongside.
+    a given seed) and a JSON manifest alongside, which also holds the seconds
+    each gate took.
     """
-    results = [gate(n_sims=n_sims, seed=seed) for gate in ALL_GATES]
+    results, seconds = [], []
+    for gate in ALL_GATES:
+        start = perf_counter()
+        results.append(gate(n_sims=n_sims, seed=seed))
+        seconds.append(perf_counter() - start)
     exit_code = 0 if all(r.passed for r in results) else 1
     if out_dir is not None:
         out = Path(out_dir)
@@ -736,6 +742,7 @@ def run_verify(
                 "passed": exit_code == 0,
                 "sampler": SAMPLER,
                 "gates": {r.name: r.passed for r in results},
+                "gate_seconds": {r.name: s for r, s in zip(results, seconds)},
                 "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             },
         )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -317,3 +318,15 @@ class TestVerifyRunner:
         assert text.splitlines()[0] == "criterion,name,passed,detail"
         manifest = json.loads((tmp_path / "a" / "verify_manifest.json").read_text())
         assert manifest["seed"] == 0 and manifest["n_sims"] == 400
+
+    def test_manifest_records_gate_seconds(self, tmp_path):
+        start = time.perf_counter()
+        results, _ = run_verify(seed=0, n_sims=400, out_dir=tmp_path)
+        wall = time.perf_counter() - start
+        manifest = json.loads((tmp_path / "verify_manifest.json").read_text())
+        seconds = manifest["gate_seconds"]
+        assert sorted(seconds) == sorted(r.name for r in results)
+        assert all(s > 0.0 for s in seconds.values())
+        assert sum(seconds.values()) <= wall
+        # Timings stay out of the byte-stable CSV.
+        assert (tmp_path / "verify_gates.csv").read_text() == verify_results_to_csv(results)
