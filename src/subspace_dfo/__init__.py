@@ -8,7 +8,10 @@ The package bundles three layers:
 * closed-form, one-dimensional quadrature, and asymptotic evaluation of the
   expected per-iteration and per-evaluation objective decrease as a function
   of the subspace dimension p and the ambient dimension d, exact for every p
-  (:mod:`subspace_dfo.formulas`, :mod:`subspace_dfo.specfun`);
+  and returned as plain floats; ``Variant.named("ds")`` and
+  ``Variant.named("mb")`` give each variant's ``exact``, ``per_work`` and
+  ``asymptotic`` values (:mod:`subspace_dfo.formulas`,
+  :mod:`subspace_dfo.specfun`);
 * seeded Monte Carlo estimation of the same quantities, the independent
   check of every formula
   (:mod:`subspace_dfo.montecarlo`, :mod:`subspace_dfo.experiments`).
@@ -24,22 +27,17 @@ from .errors import (
 from .rng import (
     RngStream,
     SubspaceBasis,
-    UnitVector,
     sample_stiefel,
     sample_unit_vector,
     split_stream,
 )
-from .specfun import GammaRatio, gamma_half_ratio, log_gamma
+from .specfun import gamma_half_ratio, log_gamma
 from .formulas import (
     VARIANTS,
-    FormulaResult,
-    asymptotic_decrease,
+    Variant,
     expected_decrease_ds,
     expected_decrease_mb,
-    parallel_per_work,
-    parallel_rounds,
-    per_evaluation_ds,
-    per_evaluation_mb,
+    per_evaluation_opportunistic,
     polling_factor,
 )
 from .optimizer import (
@@ -80,22 +78,16 @@ __all__ = [
     "NonFiniteObjectiveError",
     "RngStream",
     "SubspaceBasis",
-    "UnitVector",
     "sample_stiefel",
     "sample_unit_vector",
     "split_stream",
-    "GammaRatio",
     "gamma_half_ratio",
     "log_gamma",
     "VARIANTS",
-    "FormulaResult",
-    "asymptotic_decrease",
+    "Variant",
     "expected_decrease_ds",
     "expected_decrease_mb",
-    "parallel_per_work",
-    "parallel_rounds",
-    "per_evaluation_ds",
-    "per_evaluation_mb",
+    "per_evaluation_opportunistic",
     "polling_factor",
     "DriverConfig",
     "DriverTrace",

@@ -40,7 +40,7 @@ from .experiments import (
     write_manifest,
     write_rows,
 )
-from .formulas import VARIANTS, Variant, asymptotic_decrease, parallel_per_work
+from .formulas import VARIANTS, Variant
 from .montecarlo import SAMPLER, estimate, estimate_per_evaluation
 from .optimizer import ITERATION_KINDS, DriverConfig
 from .rng import RngStream
@@ -65,18 +65,15 @@ def _emit_rows(rows: list[ResultRow], fmt: str, out: str | None) -> None:
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     variant, p, d = args.variant, args.p, args.d
-    per_iter = Variant.named(variant).exact(p, d)
-    per_eval = parallel_per_work(p, d, 1, variant)
+    record = Variant.named(variant)
     rows = [
-        ResultRow(variant, d, p, "exact", "per-iteration", per_iter.value),
-        ResultRow(variant, d, p, "exact", "per-evaluation", per_eval.value),
+        ResultRow(variant, d, p, "exact", "per-iteration", record.exact(p, d)),
+        ResultRow(variant, d, p, "exact", "per-evaluation", record.per_work(p, d, 1)),
+        ResultRow(variant, d, p, "asymptotic", "per-iteration", record.asymptotic(p, d)),
     ]
-    asym = asymptotic_decrease(p, d, variant)
-    rows.append(ResultRow(variant, d, p, "asymptotic", "per-iteration", asym.value))
     if args.cores_model is not None:
         c = args.cores_model
-        work = parallel_per_work(p, d, c, variant)
-        rows.append(ResultRow(variant, d, p, "exact", f"per-work({c})", work.value))
+        rows.append(ResultRow(variant, d, p, "exact", f"per-work({c})", record.per_work(p, d, c)))
     if args.format in ("csv", "json"):
         _emit_rows(rows, args.format, args.out)
     else:
@@ -219,13 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, need_pd: bool = True) -> None:
-        if need_pd:
-            p.add_argument("--variant", choices=VARIANTS, required=True)
-            p.add_argument("--d", type=int, required=True)
-            p.add_argument("--p", type=int, required=True)
-        p.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--variant", choices=VARIANTS, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
@@ -237,6 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="run the Monte Carlo estimator")
     add_common(p_mc)
+    p_mc.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
+    p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_mc.add_argument("--mode", choices=("reduced", "full-basis"), default="reduced")
     p_mc.add_argument("--per-evaluation", action="store_true")
     p_mc.set_defaults(fn=_cmd_mc)
@@ -282,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

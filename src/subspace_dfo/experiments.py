@@ -12,6 +12,7 @@ import dataclasses
 import datetime
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -23,12 +24,8 @@ from .errors import InvalidDimensionError
 from .formulas import (
     VARIANTS,
     Variant,
-    asymptotic_decrease,
     expected_decrease_ds,
     expected_decrease_mb,
-    parallel_per_work,
-    per_evaluation_ds,
-    per_evaluation_mb,
     polling_factor,
 )
 from .montecarlo import SAMPLER, estimate, paired_compare, paired_ratio_gap
@@ -129,6 +126,17 @@ def write_manifest(path: str | Path, payload: dict) -> None:
     )
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _int_tuple(key: str, values: object) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, or a ValueError that names ``key``."""
+    if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
+        raise ValueError(f"{key} must be a list of integers, got {values!r}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass
 class ExperimentSpec:
     """Declarative description of a reproduction grid.
@@ -150,28 +158,39 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         Variant.named(self.variant)
+        self.d_values = _int_tuple("d_values", self.d_values)
         if not self.d_values or any(d < 1 for d in self.d_values):
             raise ValueError(f"d_values must be positive, got {self.d_values}")
         if isinstance(self.p_rule, str):
             if self.p_rule != "standard":
                 raise ValueError(f"unknown p rule {self.p_rule!r}")
         else:
-            self.p_rule = tuple(int(p) for p in self.p_rule)
+            self.p_rule = _int_tuple("p_rule", self.p_rule)
             top = max(self.d_values)
             if any(p < 1 or p > top for p in self.p_rule):
                 raise ValueError(f"p values must lie in [1, max(d)], got {self.p_rule}")
+        for key in ("n_sims", "seed"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.n_sims < 2:
             raise ValueError(
                 f"n_sims must be at least 2 for a standard error, got {self.n_sims}"
             )
         if self.outputs not in ("decrease", "per-evaluation", "both"):
             raise ValueError(f"unknown outputs selector {self.outputs!r}")
+        if not isinstance(self.include, (list, tuple)) or not all(
+            isinstance(flag, str) for flag in self.include
+        ):
+            raise ValueError(f"include must be a list of method names, got {self.include!r}")
+        self.include = tuple(self.include)
         unknown = set(self.include) - {"formula", "monte-carlo", "asymptotic"}
         if unknown:
             raise ValueError(f"unknown include flags {sorted(unknown)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"spec must be an object of named fields, got {data!r}")
         fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - set(fields))
         if unknown:
@@ -183,12 +202,6 @@ class ExperimentSpec:
         ]
         if missing:
             raise ValueError(f"spec is missing required keys {missing}")
-        data = dict(data)
-        for key in ("d_values", "include"):
-            if key in data and not isinstance(data[key], str):
-                data[key] = tuple(data[key])
-        if "p_rule" in data and not isinstance(data["p_rule"], str):
-            data["p_rule"] = tuple(data["p_rule"])
         return cls(**data)
 
     def merged(self, **overrides) -> "ExperimentSpec":
@@ -248,9 +261,9 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
                 ]
             values = {}
             if "formula" in spec.include:
-                values[METHOD_EXACT] = record.exact(p, d).value
+                values[METHOD_EXACT] = record.exact(p, d)
             if "asymptotic" in spec.include:
-                values[METHOD_ASYMPTOTIC] = asymptotic_decrease(p, d, spec.variant).value
+                values[METHOD_ASYMPTOTIC] = record.asymptotic(p, d)
             rows += [
                 ResultRow(spec.variant, d, p, method, metric, value / scale)
                 for method, value in values.items()
@@ -321,7 +334,7 @@ def run_parallel_sweep(
                 f"{variant} sweep at c={cores} cores has an empty p grid at d={d}; "
                 "use a larger d or fewer cores"
             )
-        values = [parallel_per_work(p, d, cores, variant).value for p in grid]
+        values = [record.per_work(p, d, cores) for p in grid]
         rows += [ResultRow(variant, d, p, METHOD_EXACT, metric, v) for p, v in zip(grid, values)]
         top = max(values)
         tied = tuple(p for p, v in zip(grid, values) if v >= top - max(1e-12, 1e-12 * abs(top)))
@@ -340,7 +353,7 @@ def make_objective(name: str, d: int, rng: RngStream) -> tuple[ObjectiveHandle, 
     if d < 1:
         raise InvalidDimensionError(f"dimension must be positive, got {d}")
     if name == "linear-random-g":
-        g = sample_unit_vector(d, rng).coords
+        g = sample_unit_vector(d, rng)
 
         def linear(x: np.ndarray) -> float:
             return float(g @ x)
@@ -417,7 +430,7 @@ def gate_ds_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -
     for d in D_GRID:
         for p in (1, 2):
             est = estimate("ds", p, d, n_sims, cell_stream(base, "ds", p, d))
-            exact = expected_decrease_ds(p, d).value
+            exact = expected_decrease_ds(p, d)
             z = abs(est.mean - exact) / est.std_error
             if z > worst:
                 worst, worst_cell = z, (p, d)
@@ -439,7 +452,7 @@ def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -
     for d in D_GRID:
         for p in p_values_for(d, "standard"):
             est = estimate("mb", p, d, n_sims, cell_stream(base, "mb", p, d))
-            exact = expected_decrease_mb(p, d).value
+            exact = expected_decrease_mb(p, d)
             if p == d:
                 ok = ok and exact == 1.0 and est.mean == 1.0 and est.std_error == 0.0
                 continue
@@ -465,10 +478,10 @@ def gate_quadrature_constants(
     worst3 = 0.0
     worst4 = 0.0
     for d in (3, 8, 64, 512, 4096):
-        ratio = expected_decrease_ds(3, d).value / gamma_half_ratio(d).value
+        ratio = expected_decrease_ds(3, d) / gamma_half_ratio(d)
         worst3 = max(worst3, abs(ratio - DS_RATIO_P3))
     for d in (4, 8, 64, 512, 4096):
-        ratio = expected_decrease_ds(4, d).value / gamma_half_ratio(d).value
+        ratio = expected_decrease_ds(4, d) / gamma_half_ratio(d)
         worst4 = max(worst4, abs(ratio - DS_RATIO_P4))
     ok = ok and worst3 <= 1e-3 and worst4 <= 1e-3
     return GateResult(
@@ -484,13 +497,14 @@ def gate_ratio_identities(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
     """The four p = 1 to p = 2 ratios, by formula and by paired MC at d = 1000."""
     base = _gate_stream(seed, 4)
     sqrt2 = math.sqrt(2.0)
+    ds, mb = Variant.named("ds"), Variant.named("mb")
     worst_formula = 0.0
     for d in (8, 64, 1000, 1024):
         checks = (
-            expected_decrease_ds(2, d).value / expected_decrease_ds(1, d).value - sqrt2,
-            expected_decrease_mb(2, d).value / expected_decrease_mb(1, d).value - math.pi / 2,
-            per_evaluation_ds(2, d).value / per_evaluation_ds(1, d).value - sqrt2 / 2,
-            per_evaluation_mb(2, d).value / per_evaluation_mb(1, d).value - math.pi / 4,
+            expected_decrease_ds(2, d) / expected_decrease_ds(1, d) - sqrt2,
+            expected_decrease_mb(2, d) / expected_decrease_mb(1, d) - math.pi / 2,
+            ds.per_work(2, d, 1) / ds.per_work(1, d, 1) - sqrt2 / 2,
+            mb.per_work(2, d, 1) / mb.per_work(1, d, 1) - math.pi / 4,
         )
         worst_formula = max(worst_formula, max(abs(c) for c in checks))
     ok = worst_formula <= 1e-10
@@ -522,14 +536,15 @@ def gate_per_evaluation_monotonicity(
 ) -> GateResult:
     """Per-evaluation decrease strictly falls as p grows, by formula and paired MC."""
     base = _gate_stream(seed, 5)
+    ds, mb = Variant.named("ds"), Variant.named("mb")
     ok = True
     for d in (64, 1024):
         top = min(d - 1, 64)
-        ds_seq = [per_evaluation_ds(p, d).value for p in range(1, top + 1)]
+        ds_seq = [ds.per_work(p, d, 1) for p in range(1, top + 1)]
         ok = ok and all(a > b for a, b in zip(ds_seq, ds_seq[1:]))
-        mb_seq = [per_evaluation_mb(p, d).value for p in range(2, top + 1)]
+        mb_seq = [mb.per_work(p, d, 1) for p in range(2, top + 1)]
         ok = ok and all(a > b for a, b in zip(mb_seq, mb_seq[1:]))
-        ok = ok and per_evaluation_mb(1, d).value > per_evaluation_mb(2, d).value
+        ok = ok and mb.per_work(1, d, 1) > mb.per_work(2, d, 1)
     min_z = math.inf
     cell = 0
     for variant in VARIANTS:
@@ -557,9 +572,7 @@ def gate_separability(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> 
         low = max(p1, p2)
         d1, d2 = int(gen.integers(low, 2049)), int(gen.integers(low, 2049))
         for fn in (expected_decrease_ds, expected_decrease_mb):
-            cross = (fn(p1, d1).value * fn(p2, d2).value) / (
-                fn(p1, d2).value * fn(p2, d1).value
-            )
+            cross = (fn(p1, d1) * fn(p2, d2)) / (fn(p1, d2) * fn(p2, d1))
             worst = max(worst, abs(cross - 1.0))
     return GateResult(
         6,
@@ -573,10 +586,10 @@ def gate_asymptotics(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> G
     """Large-d forms within 1% of the exact values for d >= 100, p from 1 to d."""
     worst = 0.0
     for variant in VARIANTS:
+        record = Variant.named(variant)
         for d in (100, 128, 256, 512, 1024, 4096):
             for p in (1, 2, 3, 10, d // 2, d):
-                exact = Variant.named(variant).exact(p, d).value
-                asym = asymptotic_decrease(p, d, variant).value
+                exact, asym = record.exact(p, d), record.asymptotic(p, d)
                 worst = max(worst, abs(asym - exact) / exact)
     return GateResult(
         7,
@@ -622,8 +635,8 @@ def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) 
             notes.append(f"{variant} c={s.cores} argmax p={s.argmax_p}")
             if len(s.tied_p) > 1:
                 tie_gap = abs(
-                    parallel_per_work(s.tied_p[0], record.sweep_d, s.cores, variant).value
-                    - parallel_per_work(s.tied_p[1], record.sweep_d, s.cores, variant).value
+                    record.per_work(s.tied_p[0], record.sweep_d, s.cores)
+                    - record.per_work(s.tied_p[1], record.sweep_d, s.cores)
                 )
                 ok = ok and tie_gap <= 1e-12
                 ties.append((variant, s.cores, s.tied_p))
@@ -641,7 +654,7 @@ def gate_optimizer_behavior(
     evaluation accounting matches the cost model."""
     base = _gate_stream(seed, 10)
     d, p = 50, 3
-    g = sample_unit_vector(d, split_stream(base, 0)).coords
+    g = sample_unit_vector(d, split_stream(base, 0))
     worst_gap = 0.0
     ok = True
     for kind, stream_idx in (("ds-complete", 1), ("mb", 2)):
@@ -665,7 +678,7 @@ def gate_optimizer_behavior(
     # Average evaluations of the p = 1 model iteration: the trial point reuses
     # the poll point whenever the model already points at it.
     d1 = 20
-    g1 = sample_unit_vector(d1, split_stream(base, 3)).coords
+    g1 = sample_unit_vector(d1, split_stream(base, 3))
     objective1 = ObjectiveHandle(lambda x: float(g1 @ x), d1, name="linear")
     counts = np.empty(n_sims)
     reuse_rng = split_stream(base, 4)

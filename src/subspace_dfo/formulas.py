@@ -18,10 +18,13 @@ both variants times a p-factor pf(p) that tells them apart:
   coordinates, which collapses to pf(p) = 1/``gamma_half_ratio(p)``.
 
 One frozen ``Variant`` record per variant, looked up by name with
-``Variant.named``, holds every difference between the two.  Per-evaluation
-values divide by the new objective evaluations an iteration consumes, which
-is its number of evaluation rounds on one core; the parallel value divides by
-its rounds on a given number of cores.
+``Variant.named``, holds every difference between the two and is the one way
+to ask for a variant's numbers: ``exact(p, d)`` per iteration,
+``per_work(p, d, cores)`` per evaluation round on ``cores`` cores (at one
+core, per new objective evaluation) and ``asymptotic(p, d)`` for the large-d
+limit.  Every value is a plain float; each exact and asymptotic decrease is
+checked to lie in (0, 1].  Opportunistic polling, whose per-evaluation value
+no record holds, has ``per_evaluation_opportunistic``.
 """
 
 from __future__ import annotations
@@ -35,17 +38,6 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, InvalidDimensionError
 from .specfun import SQRT_PI, gamma_half_ratio
-
-METHOD_CLOSED = "closed-form"
-METHOD_QUADRATURE = "quadrature"
-METHOD_ASYMPTOTIC = "asymptotic"
-_METHODS = (METHOD_CLOSED, METHOD_QUADRATURE, METHOD_ASYMPTOTIC)
-
-# Error attributed to closed forms evaluated through log-gamma differences.
-_CLOSED_FORM_ERROR = 1e-12
-# Relative error bound of polling_factor; against adaptive quadrature and the
-# p <= 4 closed forms it is within 5e-16 for p from 1 to 1e100.
-_QUADRATURE_ERROR = 1e-14
 
 # Composite Gauss-Legendre rule for polling_factor: 20 nodes per panel.  One
 # rule with hundreds of nodes is no substitute, because numpy's nodes lose
@@ -62,24 +54,11 @@ def _check_pd(p: int, d: int) -> None:
         raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    """Expected decrease per iteration (or per evaluation) for one (p, d) cell."""
-
-    value: float
-    method: str
-    p: int
-    d: int
-    estimated_abs_error: float
-
-    def __post_init__(self) -> None:
-        _check_pd(self.p, self.d)
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if not (0.0 < self.value <= 1.0):
-            raise ValueError(f"expected decrease must lie in (0, 1], got {self.value!r}")
-        if self.estimated_abs_error < 0.0:
-            raise ValueError("error estimate must be nonnegative")
+def _checked(value: float) -> float:
+    """``value`` itself, after checking that it is a decrease in (0, 1]."""
+    if not (0.0 < value <= 1.0):
+        raise ValueError(f"expected decrease must lie in (0, 1], got {value!r}")
+    return value
 
 
 def _one_minus_cdf_max(x: float, p: int) -> float:
@@ -114,7 +93,7 @@ def polling_factor(p: int) -> float:
     return math.fsum(panels) / math.sqrt(2.0)
 
 
-def expected_decrease_ds(p: int, d: int) -> FormulaResult:
+def expected_decrease_ds(p: int, d: int) -> float:
     """Expected per-iteration decrease of complete coordinate polling.
 
     Closed forms cover p = 1 and p = 2; every larger p multiplies the
@@ -123,20 +102,17 @@ def expected_decrease_ds(p: int, d: int) -> FormulaResult:
     """
     _check_pd(p, d)
     if p == 1 and d == 1:
-        return FormulaResult(1.0, METHOD_CLOSED, p, d, 0.0)
-    ratio = gamma_half_ratio(d).value
-    if p == 1:
-        return FormulaResult(ratio / SQRT_PI, METHOD_CLOSED, p, d, _CLOSED_FORM_ERROR)
-    if p == 2:
-        return FormulaResult(
-            math.sqrt(2.0) * ratio / SQRT_PI, METHOD_CLOSED, p, d, _CLOSED_FORM_ERROR
-        )
-    value = ratio * polling_factor(p)
-    err = (_CLOSED_FORM_ERROR + _QUADRATURE_ERROR) * value
-    return FormulaResult(value, METHOD_QUADRATURE, p, d, err)
+        value = 1.0
+    elif p == 1:
+        value = gamma_half_ratio(d) / SQRT_PI
+    elif p == 2:
+        value = math.sqrt(2.0) * gamma_half_ratio(d) / SQRT_PI
+    else:
+        value = gamma_half_ratio(d) * polling_factor(p)
+    return _checked(value)
 
 
-def expected_decrease_mb(p: int, d: int) -> FormulaResult:
+def expected_decrease_mb(p: int, d: int) -> float:
     """Expected per-iteration decrease of the linear-model step.
 
     Closed form Gamma(d/2) Gamma(p/2+1/2) / (Gamma(d/2+1/2) Gamma(p/2)),
@@ -145,16 +121,20 @@ def expected_decrease_mb(p: int, d: int) -> FormulaResult:
     The full-dimensional case is exactly 1.
     """
     _check_pd(p, d)
-    if p == d:
-        return FormulaResult(1.0, METHOD_CLOSED, p, d, 0.0)
-    value = gamma_half_ratio(d).value / gamma_half_ratio(p).value
-    return FormulaResult(value, METHOD_CLOSED, p, d, _CLOSED_FORM_ERROR)
+    value = 1.0 if p == d else gamma_half_ratio(d) / gamma_half_ratio(p)
+    return _checked(value)
 
 
-def _divided(result: FormulaResult, by: float) -> FormulaResult:
-    return FormulaResult(
-        result.value / by, result.method, result.p, result.d, result.estimated_abs_error / by
-    )
+def per_evaluation_opportunistic(p: int, d: int) -> float:
+    """Expected decrease per new objective evaluation of opportunistic polling.
+
+    Opportunistic polling accepts the first improving point of each opposite
+    pair; on a linear objective the first pair already improves, costing 3/2
+    evaluations on average for the decrease of the p = 1 case, so the value
+    is independent of p.
+    """
+    _check_pd(p, d)
+    return _checked((2.0 / (3.0 * SQRT_PI)) * gamma_half_ratio(d))
 
 
 @dataclass(frozen=True)
@@ -171,7 +151,7 @@ class Variant:
     """
 
     name: str
-    exact: Callable[[int, int], FormulaResult]
+    exact: Callable[[int, int], float]
     p_factor: Callable[[int], float]
     points: int
     trial: int
@@ -202,9 +182,20 @@ class Variant:
         trial = self.trial / 2.0 if p == 1 else self.trial
         return float(-((-self.points * p) // cores)) + trial
 
-    def per_work(self, p: int, d: int, cores: int) -> FormulaResult:
-        """Expected decrease per evaluation round on ``cores`` cores."""
-        return _divided(self.exact(p, d), self.rounds(p, cores))
+    def per_work(self, p: int, d: int, cores: int) -> float:
+        """Expected decrease per evaluation round on ``cores`` cores; at one
+        core, per new objective evaluation."""
+        return self.exact(p, d) / self.rounds(p, cores)
+
+    def asymptotic(self, p: int, d: int) -> float:
+        """Large-d limit of the per-iteration decrease, evaluated at d.
+
+        The dimension factor tends to sqrt(2/d), so the limit is
+        sqrt(2/d) * pf(p) at every p.  It lies below the exact value by a
+        relative gap of about 1/(4d), whatever p is: 0.25% at d = 100.
+        """
+        _check_pd(p, d)
+        return _checked(math.sqrt(2.0 / d) * self.p_factor(p))
 
     def sweep_step(self, cores: int) -> int:
         """Spacing of the sweep's p grid: the directions one round covers."""
@@ -212,7 +203,7 @@ class Variant:
 
 
 def _model_factor(p: int) -> float:
-    return 1.0 / gamma_half_ratio(p).value
+    return 1.0 / gamma_half_ratio(p)
 
 
 _POLLING = Variant(
@@ -225,58 +216,3 @@ _MODEL = Variant(
 )
 VARIANTS = (_POLLING.name, _MODEL.name)
 _RECORDS = dict(zip(VARIANTS, (_POLLING, _MODEL)))
-
-
-def per_evaluation_ds(p: int, d: int, opportunistic: bool = False) -> FormulaResult:
-    """Expected decrease per new objective evaluation for coordinate polling.
-
-    Complete polling evaluates 2p points per iteration.  Opportunistic polling
-    accepts the first improving point of each opposite pair; on a linear
-    objective the first pair already improves, costing 3/2 evaluations on
-    average for the decrease of the p = 1 case, so the value is independent
-    of p.
-    """
-    _check_pd(p, d)
-    if opportunistic:
-        value = (2.0 / (3.0 * SQRT_PI)) * gamma_half_ratio(d).value
-        return FormulaResult(value, METHOD_CLOSED, p, d, _CLOSED_FORM_ERROR)
-    return _POLLING.per_work(p, d, 1)
-
-
-def per_evaluation_mb(p: int, d: int) -> FormulaResult:
-    """Expected decrease per new objective evaluation for the linear-model step.
-
-    The step costs p + 1 evaluations (p for the forward differences, one for
-    the trial point), except at p = 1 where the trial point coincides with the
-    already-evaluated poll point half the time, for an average cost of 3/2.
-    """
-    return _MODEL.per_work(p, d, 1)
-
-
-def parallel_rounds(p: int, cores: int, variant: str) -> float:
-    """Evaluation rounds one iteration needs on ``cores`` parallel cores.
-
-    Complete polling batches its 2p points into ceil(2p/c) rounds.  The model
-    step needs ceil(p/c) rounds for the forward differences plus one for the
-    trial point, or 3/2 in all at p = 1 (see ``Variant.rounds``).  At c = 1
-    this is the number of new objective evaluations one iteration consumes.
-    """
-    return Variant.named(variant).rounds(p, cores)
-
-
-def parallel_per_work(p: int, d: int, cores: int, variant: str) -> FormulaResult:
-    """Expected decrease per batched evaluation round on ``cores`` parallel cores."""
-    return Variant.named(variant).per_work(p, d, cores)
-
-
-def asymptotic_decrease(p: int, d: int, variant: str) -> FormulaResult:
-    """Large-d limit of the per-iteration decrease, evaluated at d.
-
-    The dimension factor tends to sqrt(2/d), so the limit is sqrt(2/d) * pf(p)
-    at every p.  It lies below the exact value by a relative gap of about
-    1/(4d), whatever p is: 0.25% at d = 100.
-    """
-    record = Variant.named(variant)
-    _check_pd(p, d)
-    value = math.sqrt(2.0 / d) * record.p_factor(p)
-    return FormulaResult(value, METHOD_ASYMPTOTIC, p, d, _CLOSED_FORM_ERROR)

@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .errors import InvalidDimensionError
-from .formulas import Variant, parallel_rounds
+from .formulas import Variant
 from .rng import RngStream, split_stream
 
 REDUCTIONS = ("reduced", "full-basis")
@@ -263,7 +263,7 @@ def estimate_per_evaluation(
     deterministic evaluation cost of one iteration.
     """
     base = estimate(variant, p, d, n_sims, rng, reduction)
-    cost = parallel_rounds(p, 1, variant)
+    cost = Variant.named(variant).rounds(p, 1)
     return replace(base, mean=base.mean / cost, std_error=base.std_error / cost)
 
 
@@ -278,7 +278,8 @@ def paired_compare(
     error of (per-eval value at p1) - (per-eval value at p2).
     """
     v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
-    diffs = v1 / parallel_rounds(p1, 1, variant) - v2 / parallel_rounds(p2, 1, variant)
+    record = Variant.named(variant)
+    diffs = v1 / record.rounds(p1, 1) - v2 / record.rounds(p2, 1)
     return PairedDelta(*_summarize(diffs))
 
 
@@ -301,6 +302,7 @@ def paired_ratio_gap(
     """
     v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
     if per_evaluation:
-        v1 = v1 / parallel_rounds(p1, 1, variant)
-        v2 = v2 / parallel_rounds(p2, 1, variant)
+        record = Variant.named(variant)
+        v1 = v1 / record.rounds(p1, 1)
+        v2 = v2 / record.rounds(p2, 1)
     return PairedDelta(*_summarize(v2 - target_ratio * v1))

@@ -59,27 +59,6 @@ def split_stream(rng: RngStream, k: int) -> RngStream:
 
 
 @dataclass(frozen=True)
-class UnitVector:
-    """A point on the unit sphere in R^d."""
-
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.size < 1:
-            raise InvalidDimensionError("unit vector needs at least one coordinate")
-        norm = float(np.linalg.norm(coords))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"coordinates are not unit norm: |v| = {norm!r}")
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def d(self) -> int:
-        return self.coords.size
-
-
-@dataclass(frozen=True)
 class SubspaceBasis:
     """A d-by-p matrix with orthonormal columns spanning a p-dimensional subspace."""
 
@@ -107,10 +86,11 @@ class SubspaceBasis:
         return self.columns.shape[1]
 
 
-def sample_unit_vector(d: int, rng: RngStream) -> UnitVector:
+def sample_unit_vector(d: int, rng: RngStream) -> np.ndarray:
     """Draw a uniformly distributed point on the unit sphere in R^d.
 
-    A standard Gaussian vector is normalized, which is rotation invariant.
+    A standard Gaussian vector is normalized, which is rotation invariant;
+    the result is that unit-norm array of d coordinates.
     """
     if d < 1:
         raise InvalidDimensionError(f"dimension must be positive, got {d}")
@@ -119,7 +99,7 @@ def sample_unit_vector(d: int, rng: RngStream) -> UnitVector:
         z = gen.standard_normal(d)
         norm = float(np.linalg.norm(z))
         if norm >= _NORM_FLOOR:
-            return UnitVector(z / norm)
+            return z / norm
 
 
 def sample_stiefel(d: int, p: int, rng: RngStream) -> SubspaceBasis:

@@ -9,8 +9,6 @@ finite up to astronomically large dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import DomainError, InvalidDimensionError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -29,38 +27,20 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    """The dimension factor Gamma(d/2) / Gamma(d/2 + 1/2), roughly sqrt(2/d)."""
-
-    d: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise InvalidDimensionError(f"dimension must be positive, got {self.d}")
-        # Rounding-level slack: at astronomical d the ratio rounds onto sqrt(2/d).
-        lower = math.sqrt(2.0) / math.sqrt(self.d) * (1.0 - 1e-15)
-        upper = math.sqrt(2.0) * math.sqrt(self.d + 2.0) / self.d * (1.0 + 1e-15)
-        if not (0.0 < self.value and lower <= self.value <= upper):
-            raise ValueError(
-                f"ratio {self.value!r} violates the bracket ({lower!r}, {upper!r}) for d={self.d}"
-            )
-
-
 # Above this dimension the log-gamma difference cancels too many digits to
 # keep the two-sided bracket, so the ratio switches to its asymptotic series.
 _RATIO_SERIES_THRESHOLD = 10**6
 
 
-def gamma_half_ratio(d: int) -> GammaRatio:
+def gamma_half_ratio(d: int) -> float:
     """Gamma(d/2) / Gamma(d/2 + 1/2) via a log-gamma difference.
 
     The value decays like sqrt(2/d) and stays finite for any representable d.
     For very large d the direct difference of log-gamma values loses the
     leading digits to cancellation, so the log-ratio is evaluated by its
     expansion 1/(4d) - 1/(24 d^3) + O(d^-5) instead (truncation below 1e-30
-    at the switch point).  A d beyond the float range is refused.
+    at the switch point).  A d beyond the float range is refused, and every
+    value is checked against the bracket sqrt(2/d) <= ratio <= sqrt(2(d+2))/d.
     """
     if d < 1:
         raise InvalidDimensionError(f"dimension must be positive, got {d}")
@@ -73,5 +53,10 @@ def gamma_half_ratio(d: int) -> GammaRatio:
         value = math.sqrt(2.0) / math.sqrt(x) * math.exp(0.25 / x - 1.0 / (24.0 * x * x * x))
     else:
         value = math.exp(log_gamma(d / 2.0) - log_gamma(d / 2.0 + 0.5))
-    return GammaRatio(d=d, value=value)
+    # Rounding-level slack: at astronomical d the ratio rounds onto sqrt(2/d).
+    lower = math.sqrt(2.0) / math.sqrt(x) * (1.0 - 1e-15)
+    upper = math.sqrt(2.0) * math.sqrt(x + 2.0) / x * (1.0 + 1e-15)
+    if not (0.0 < value and lower <= value <= upper):
+        raise ValueError(f"ratio {value!r} violates the bracket ({lower!r}, {upper!r}) for d={d}")
+    return value
 

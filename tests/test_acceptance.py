@@ -13,14 +13,12 @@ import numpy as np
 
 from subspace_dfo import (
     RngStream,
-    asymptotic_decrease,
+    Variant,
     estimate,
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
     paired_compare,
-    per_evaluation_ds,
-    per_evaluation_mb,
     polling_factor,
     split_stream,
 )
@@ -63,7 +61,7 @@ def test_criterion_2_mb_closed_form_cross_check():
     elapsed = time.perf_counter() - start
     # The p = d cells must be exact on both sides, not merely within noise.
     exactness = all(
-        expected_decrease_mb(d, d).value == 1.0
+        expected_decrease_mb(d, d) == 1.0
         and estimate("mb", d, d, NSIMS, cell_stream(split_stream(RngStream(SEED), 2), "mb", d, d)).mean == 1.0
         for d in D_GRID
     )
@@ -93,14 +91,15 @@ def test_criterion_4_ratio_identities():
 
 def test_criterion_5_per_evaluation_monotonicity():
     gate = gate_per_evaluation_monotonicity(n_sims=NSIMS, seed=SEED)
+    DS, MB = Variant.named("ds"), Variant.named("mb")
     chains_ok = True
     for d in (64, 1024):
         top = min(d - 1, 64)
-        ds_seq = [per_evaluation_ds(p, d).value for p in range(1, top + 1)]
+        ds_seq = [DS.per_work(p, d, 1) for p in range(1, top + 1)]
         chains_ok &= all(a > b for a, b in zip(ds_seq, ds_seq[1:]))
-        mb_seq = [per_evaluation_mb(p, d).value for p in range(2, top + 1)]
+        mb_seq = [MB.per_work(p, d, 1) for p in range(2, top + 1)]
         chains_ok &= all(a > b for a, b in zip(mb_seq, mb_seq[1:]))
-        chains_ok &= per_evaluation_mb(1, d).value > per_evaluation_mb(2, d).value
+        chains_ok &= MB.per_work(1, d, 1) > MB.per_work(2, d, 1)
     drops_ok = True
     base = split_stream(RngStream(SEED), 50)
     for i, variant in enumerate(("ds", "mb")):
@@ -122,8 +121,8 @@ def test_criterion_7_asymptotics():
         exact_fn = expected_decrease_ds if variant == "ds" else expected_decrease_mb
         for p in (1, 2):
             for d in (100, 512, 1024):
-                exact = exact_fn(p, d).value
-                asym = asymptotic_decrease(p, d, variant).value
+                exact = exact_fn(p, d)
+                asym = Variant.named(variant).asymptotic(p, d)
                 spot_ok &= abs(asym - exact) / exact < 0.01
     _report(7, gate.passed and spot_ok, gate.detail)
 
@@ -170,7 +169,7 @@ def test_linear_iteration_identities_large_sample():
 
     d = 20
     base = split_stream(RngStream(SEED), 99)
-    g = sample_unit_vector(d, split_stream(base, 0)).coords
+    g = sample_unit_vector(d, split_stream(base, 0))
     objective = ObjectiveHandle(lambda x: float(g @ x), d)
     counts = np.empty(NSIMS)
     worst = 0.0
@@ -188,3 +187,10 @@ def test_linear_iteration_identities_large_sample():
         f"supplement: max |decrease - projected norm| = {worst:.2e}; "
         f"mean p=1 model evaluations = {mean:.4f} +- {se:.4f}",
     )
+
+
+def test_package_exports_resolve():
+    import subspace_dfo
+
+    missing = [name for name in subspace_dfo.__all__ if not hasattr(subspace_dfo, name)]
+    assert missing == [] and len(set(subspace_dfo.__all__)) == len(subspace_dfo.__all__)

@@ -217,12 +217,26 @@ def test_verify_rejects_single_replicate(capsys):
     assert "at least 2 replicates" in capsys.readouterr().err
 
 
+SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
+
+
 @pytest.mark.parametrize(
     "config,message",
     [
         ({"name": "ds-vary-d", "variant": "ds", "d_values": [8], "nsim": 5},
          "unknown spec keys ['nsim']"),
         ({"name": "ds-vary-d", "d_values": [8]}, "missing required keys ['variant']"),
+        ([1, 2], "spec must be an object of named fields, got [1, 2]"),
+        ({**SPEC, "d_values": "8"}, "d_values must be a list of integers, got '8'"),
+        ({**SPEC, "d_values": [8.5]}, "d_values must be a list of integers, got [8.5]"),
+        ({**SPEC, "d_values": [True]}, "d_values must be a list of integers, got [True]"),
+        ({**SPEC, "p_rule": [1.5]}, "p_rule must be a list of integers, got [1.5]"),
+        ({**SPEC, "p_rule": [True]}, "p_rule must be a list of integers, got [True]"),
+        ({**SPEC, "n_sims": "100"}, "n_sims must be an integer, got '100'"),
+        ({**SPEC, "n_sims": True}, "n_sims must be an integer, got True"),
+        ({**SPEC, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({**SPEC, "include": "formula"},
+         "include must be a list of method names, got 'formula'"),
     ],
 )
 def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):
@@ -231,6 +245,7 @@ def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):
     code = main(["figure", "ds-vary-d", "--config", str(cfg_path), "--out", str(tmp_path)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "ds-vary-d.csv").exists()
 
 
 def test_parallel_sweep_names_core_count_with_empty_grid(tmp_path, capsys):
@@ -278,3 +293,33 @@ def test_parallel_sweep_bad_core_count_names_flag(tmp_path, capsys, cores):
         main(["figure", "parallel-sweep", "--cores-model", cores, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "argument --cores-model: expected core counts >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args,parent",
+    [
+        (["formula", "--variant", "ds", "--d", "10", "--p", "2", "--format", "csv"], "missing"),
+        (["mc", "--variant", "ds", "--d", "10", "--p", "2", "--nsims", "10", "--format", "csv"],
+         "missing"),
+        (["optimize", "--function", "sphere-quadratic", "--d", "4", "--p", "2", "--budget", "9"],
+         "missing"),
+        (["figure", "parallel-sweep"], "file"),
+        (["verify", "--nsims", "2"], "file"),
+    ],
+    ids=["formula", "mc", "optimize", "figure", "verify"],
+)
+def test_unwritable_out_is_reported(tmp_path, capsys, args, parent):
+    # Below a missing directory or below a regular file nothing can be written.
+    (tmp_path / "file").write_text("")
+    out = tmp_path / parent / "out.csv"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and str(out) in err
+
+
+@pytest.mark.parametrize("flag", ["--nsims", "--seed"])
+def test_formula_takes_no_sampling_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["formula", "--variant", "ds", "--d", "10", "--p", "2", flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err

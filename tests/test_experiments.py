@@ -95,9 +95,9 @@ class TestGridRows:
         rows = run_named_figure(small_vary_d_spec("ds"))
         lookup = {(r.d, r.p): r.value for r in rows if r.method == "exact"}
         assert lookup[(8, 1)] == pytest.approx(
-            gamma_half_ratio(8).value / SQRT_PI, rel=1e-14
+            gamma_half_ratio(8) / SQRT_PI, rel=1e-14
         )
-        assert lookup[(8, 2)] == pytest.approx(expected_decrease_ds(2, 8).value, rel=1e-14)
+        assert lookup[(8, 2)] == pytest.approx(expected_decrease_ds(2, 8), rel=1e-14)
 
     def test_mc_matches_exact_within_three_se(self):
         for variant in ("ds", "mb"):
@@ -252,7 +252,7 @@ class TestParallelSweep:
         assert all(r.method == "exact" and r.std_error is None for r in rows)
         by_key = {(r.metric, r.p): r.value for r in rows}
         for p in (100, 1000):
-            assert by_key[("per-work(200)", p)] == expected_decrease_ds(p, 1000).value / (p // 100)
+            assert by_key[("per-work(200)", p)] == expected_decrease_ds(p, 1000) / (p // 100)
 
     def test_deterministic(self):
         a = run_parallel_sweep("ds", 32, (4,))

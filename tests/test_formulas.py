@@ -1,5 +1,6 @@
 """Formula tests: frozen oracle values, closed-form identities, monotonicity."""
 
+import dataclasses
 import functools
 import math
 from typing import NamedTuple
@@ -13,22 +14,20 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from subspace_dfo import (
-    FormulaResult,
     InvalidDimensionError,
     RngStream,
-    asymptotic_decrease,
+    Variant,
     expected_decrease_ds,
     expected_decrease_mb,
+    formulas,
     gamma_half_ratio,
-    parallel_per_work,
-    parallel_rounds,
-    per_evaluation_ds,
-    per_evaluation_mb,
+    per_evaluation_opportunistic,
     polling_factor,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
+DS, MB = Variant.named("ds"), Variant.named("mb")
 
 # Frozen high-precision references for the nested integral, derived with an
 # independent arbitrary-precision nested quadrature.
@@ -240,16 +239,15 @@ class TestPollingFactor:
 
 class TestPollingDecrease:
     def test_degenerate_problem(self):
-        res = expected_decrease_ds(1, 1)
-        assert res.value == 1.0
+        assert expected_decrease_ds(1, 1) == 1.0
 
     def test_p1_closed_form(self):
         for d in (2, 8, 100):
-            expected = gamma_half_ratio(d).value / SQRT_PI
-            assert expected_decrease_ds(1, d).value == pytest.approx(expected, rel=1e-14)
+            expected = gamma_half_ratio(d) / SQRT_PI
+            assert expected_decrease_ds(1, d) == pytest.approx(expected, rel=1e-14)
 
     def test_p2_example(self):
-        assert expected_decrease_ds(2, 4).value == pytest.approx(
+        assert expected_decrease_ds(2, 4) == pytest.approx(
             4.0 * SQRT2 / (3.0 * math.pi), rel=1e-12
         )
 
@@ -260,16 +258,16 @@ class TestPollingDecrease:
             1.0
             * (2.0 / SQRT_PI) ** 2
             * math.gamma(1.5)
-            * gamma_half_ratio(2).value
+            * gamma_half_ratio(2)
             * nested_sine_integral(2).value
         )
-        assert expected_decrease_ds(2, 2).value == pytest.approx(general, rel=1e-13)
+        assert expected_decrease_ds(2, 2) == pytest.approx(general, rel=1e-13)
 
     def test_general_prefactor_reproduces_closed_forms(self):
         # Evaluating the full product at p = 1 and p = 2 cross-checks the
         # prefactor grouping against the dedicated closed forms.
         for d in (3, 10, 1000):
-            ratio = gamma_half_ratio(d).value
+            ratio = gamma_half_ratio(d)
             for p, integral in ((1, 1.0), (2, 1.0 / SQRT2)):
                 raw = (
                     (p / 2.0)
@@ -278,30 +276,23 @@ class TestPollingDecrease:
                     * ratio
                     * integral
                 )
-                fn = expected_decrease_ds(p, d).value
+                fn = expected_decrease_ds(p, d)
                 assert fn == pytest.approx(raw, rel=1e-13)
 
     def test_constant_ratios_p3_p4(self):
         for d in (3, 10, 100, 1000):
-            ratio = expected_decrease_ds(3, d).value / gamma_half_ratio(d).value
+            ratio = expected_decrease_ds(3, d) / gamma_half_ratio(d)
             assert ratio == pytest.approx(DS3_CONST, rel=1e-11)
             assert abs(ratio - 0.938) <= 1e-3
         for d in (4, 10, 100, 1000):
-            ratio = expected_decrease_ds(4, d).value / gamma_half_ratio(d).value
+            ratio = expected_decrease_ds(4, d) / gamma_half_ratio(d)
             assert ratio == pytest.approx(DS4_CONST, rel=1e-11)
             assert abs(ratio - 1.036) <= 1e-3
 
-    def test_methods(self):
-        assert expected_decrease_ds(1, 5).method == "closed-form"
-        assert expected_decrease_ds(2, 5).method == "closed-form"
-        assert expected_decrease_ds(3, 5).method == "quadrature"
-
     def test_any_p_and_dimension_errors(self):
-        ratio = gamma_half_ratio(1000).value
+        ratio = gamma_half_ratio(1000)
         for p in (9, 100, 1000):
-            res = expected_decrease_ds(p, 1000)
-            assert res.method == "quadrature"
-            assert res.value == ratio * polling_factor(p)
+            assert expected_decrease_ds(p, 1000) == ratio * polling_factor(p)
         with pytest.raises(InvalidDimensionError):
             expected_decrease_ds(5, 4)
 
@@ -309,125 +300,125 @@ class TestPollingDecrease:
 class TestModelDecrease:
     def test_full_dimension_is_exactly_one(self):
         for d in (1, 2, 7, 64, 1024, 2048):
-            assert expected_decrease_mb(d, d).value == 1.0
+            assert expected_decrease_mb(d, d) == 1.0
 
     def test_rational_example(self):
-        assert expected_decrease_mb(2, 4).value == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert expected_decrease_mb(2, 4) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_circle_example(self):
         # One-dimensional poll on the circle: mean |cos| over the angle is 2/pi.
         theta = np.linspace(0.0, 2.0 * math.pi, 2_000_001)
         oracle = float(np.trapezoid(np.abs(np.cos(theta)), theta)) / (2.0 * math.pi)
-        assert expected_decrease_mb(1, 2).value == pytest.approx(oracle, abs=1e-9)
-        assert expected_decrease_mb(1, 2).value == pytest.approx(2.0 / math.pi, rel=1e-13)
+        assert expected_decrease_mb(1, 2) == pytest.approx(oracle, abs=1e-9)
+        assert expected_decrease_mb(1, 2) == pytest.approx(2.0 / math.pi, rel=1e-13)
 
     def test_increasing_in_p(self):
         d = 64
-        values = [expected_decrease_mb(p, d).value for p in range(1, d + 1)]
+        values = [expected_decrease_mb(p, d) for p in range(1, d + 1)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_matches_polling_at_p1_and_dominates(self):
         for d in (2, 3, 8, 100):
-            assert expected_decrease_mb(1, d).value == pytest.approx(
-                expected_decrease_ds(1, d).value, rel=1e-14
+            assert expected_decrease_mb(1, d) == pytest.approx(
+                expected_decrease_ds(1, d), rel=1e-14
             )
             for p in range(2, d + 1):
-                assert expected_decrease_mb(p, d).value > expected_decrease_ds(p, d).value
+                assert expected_decrease_mb(p, d) > expected_decrease_ds(p, d)
 
 
 class TestPerEvaluation:
     @given(st.integers(min_value=3, max_value=4000))
     @settings(max_examples=60, deadline=None)
     def test_ratio_identities(self, d):
-        assert per_evaluation_ds(2, d).value / per_evaluation_ds(1, d).value == pytest.approx(
+        assert DS.per_work(2, d, 1) / DS.per_work(1, d, 1) == pytest.approx(
             SQRT2 / 2.0, rel=1e-12
         )
-        assert per_evaluation_mb(2, d).value / per_evaluation_mb(1, d).value == pytest.approx(
+        assert MB.per_work(2, d, 1) / MB.per_work(1, d, 1) == pytest.approx(
             math.pi / 4.0, rel=1e-12
         )
-        assert expected_decrease_mb(2, d).value / expected_decrease_mb(3, d).value == (
+        assert expected_decrease_mb(2, d) / expected_decrease_mb(3, d) == (
             pytest.approx(math.pi / 4.0, rel=1e-12)
         )
 
     def test_complete_definition(self):
-        assert per_evaluation_ds(1, 8).value == pytest.approx(
-            expected_decrease_ds(1, 8).value / 2.0, rel=1e-14
+        assert DS.per_work(1, 8, 1) == pytest.approx(
+            expected_decrease_ds(1, 8) / 2.0, rel=1e-14
         )
 
     def test_opportunistic_beats_complete_p1(self):
         for d in (2, 100, 1024):
-            opp = per_evaluation_ds(1, d, opportunistic=True).value
+            opp = per_evaluation_opportunistic(1, d)
             assert opp == pytest.approx(
-                (2.0 / (3.0 * SQRT_PI)) * gamma_half_ratio(d).value, rel=1e-13
+                (2.0 / (3.0 * SQRT_PI)) * gamma_half_ratio(d), rel=1e-13
             )
-            assert opp > per_evaluation_ds(1, d).value
+            assert opp > DS.per_work(1, d, 1)
             if d >= 5:
                 # Independent of p by construction.
-                assert per_evaluation_ds(5, d, opportunistic=True).value == (
+                assert per_evaluation_opportunistic(5, d) == (
                     pytest.approx(opp, rel=1e-13)
                 )
 
     def test_model_p1_cost(self):
-        assert per_evaluation_mb(1, 1).value == pytest.approx(2.0 / 3.0, rel=1e-14)
-        assert per_evaluation_mb(3, 8).value == pytest.approx(
-            expected_decrease_mb(3, 8).value / 4.0, rel=1e-14
+        assert MB.per_work(1, 1, 1) == pytest.approx(2.0 / 3.0, rel=1e-14)
+        assert MB.per_work(3, 8, 1) == pytest.approx(
+            expected_decrease_mb(3, 8) / 4.0, rel=1e-14
         )
 
     def test_strict_monotonicity(self):
         for d in (16, 200):
-            ds_seq = [per_evaluation_ds(p, d).value for p in range(1, d)]
+            ds_seq = [DS.per_work(p, d, 1) for p in range(1, d)]
             assert all(a > b for a, b in zip(ds_seq, ds_seq[1:]))
-            mb_seq = [per_evaluation_mb(p, d).value for p in range(1, d)]
+            mb_seq = [MB.per_work(p, d, 1) for p in range(1, d)]
             assert all(a > b for a, b in zip(mb_seq, mb_seq[1:]))
 
 
 class TestParallelPerWork:
     def test_single_core_matches_per_evaluation(self):
         for p, d in ((1, 4), (3, 10), (8, 64)):
-            assert parallel_per_work(p, d, 1, "ds").value == pytest.approx(
-                per_evaluation_ds(p, d).value, rel=1e-14
+            assert DS.per_work(p, d, 1) == pytest.approx(
+                DS.per_work(p, d, 1), rel=1e-14
             )
 
     def test_model_tie_at_two_cores(self):
         for d in (4, 16, 128):
-            v2 = parallel_per_work(2, d, 2, "mb").value
-            v4 = parallel_per_work(4, d, 2, "mb").value
+            v2 = MB.per_work(2, d, 2)
+            v4 = MB.per_work(4, d, 2)
             assert abs(v2 - v4) <= 1e-12
             assert v2 == pytest.approx(
-                (SQRT_PI / 4.0) * gamma_half_ratio(d).value, rel=1e-13
+                (SQRT_PI / 4.0) * gamma_half_ratio(d), rel=1e-13
             )
 
     def test_round_counts(self):
-        assert parallel_rounds(4, 4, "ds") == 2
-        assert parallel_rounds(4, 8, "ds") == 1
-        assert parallel_rounds(5, 4, "ds") == 3
-        assert parallel_rounds(4, 4, "mb") == 2
-        assert parallel_rounds(9, 4, "mb") == 4
-        assert parallel_rounds(1, 1, "mb") == 1.5
-        assert parallel_rounds(1, 8, "mb") == 1.5
+        assert DS.rounds(4, 4) == 2
+        assert DS.rounds(4, 8) == 1
+        assert DS.rounds(5, 4) == 3
+        assert MB.rounds(4, 4) == 2
+        assert MB.rounds(9, 4) == 4
+        assert MB.rounds(1, 1) == 1.5
+        assert MB.rounds(1, 8) == 1.5
 
     def test_invalid_cores(self):
         with pytest.raises(Exception):
-            parallel_per_work(2, 4, 0, "ds")
+            DS.per_work(2, 4, 0)
 
 
 class TestAsymptotics:
     def test_reference_point(self):
-        value = asymptotic_decrease(1, 10**4, "ds").value
+        value = DS.asymptotic(1, 10**4)
         assert value == pytest.approx(SQRT2 / (SQRT_PI * 100.0), rel=1e-14)
         assert value == pytest.approx(0.007979, abs=1e-6)
-        exact = expected_decrease_ds(1, 10**4).value
+        exact = expected_decrease_ds(1, 10**4)
         assert abs(value - exact) / exact < 1e-4
 
     def test_forms(self):
         d = 400
-        assert asymptotic_decrease(2, d, "ds").value == pytest.approx(
+        assert DS.asymptotic(2, d) == pytest.approx(
             2.0 / (SQRT_PI * 20.0), rel=1e-14
         )
-        assert asymptotic_decrease(1, d, "mb").value == pytest.approx(
+        assert MB.asymptotic(1, d) == pytest.approx(
             SQRT2 / (SQRT_PI * 20.0), rel=1e-14
         )
-        assert asymptotic_decrease(2, d, "mb").value == pytest.approx(
+        assert MB.asymptotic(2, d) == pytest.approx(
             SQRT_PI / (SQRT2 * 20.0), rel=1e-14
         )
 
@@ -436,17 +427,17 @@ class TestAsymptotics:
             exact_fn = expected_decrease_ds if variant == "ds" else expected_decrease_mb
             for d in (100, 256, 1024):
                 for p in (1, 2, 3, 10, d // 2, d):
-                    exact = exact_fn(p, d).value
-                    asym = asymptotic_decrease(p, d, variant).value
+                    exact = exact_fn(p, d)
+                    asym = Variant.named(variant).asymptotic(p, d)
                     assert abs(asym - exact) / exact < 0.01
 
     def test_level_three(self):
         # sqrt(2/d) times the p-factor: the p = 3 closed form for polling,
         # 1/gamma_half_ratio(3) = 2/sqrt(pi) for the model step.
-        assert asymptotic_decrease(3, 100, "ds").value == pytest.approx(
+        assert DS.asymptotic(3, 100) == pytest.approx(
             DS3_CONST * SQRT2 / 10.0, rel=1e-14
         )
-        assert asymptotic_decrease(3, 100, "mb").value == pytest.approx(
+        assert MB.asymptotic(3, 100) == pytest.approx(
             2.0 * SQRT2 / (SQRT_PI * 10.0), rel=1e-14
         )
 
@@ -463,8 +454,8 @@ class TestStructuralInvariants:
         low = max(p1, p2)
         d1, d2 = low + e1, low + e2
         for fn in (expected_decrease_ds, expected_decrease_mb):
-            cross = (fn(p1, d1).value * fn(p2, d2).value) / (
-                fn(p1, d2).value * fn(p2, d1).value
+            cross = (fn(p1, d1) * fn(p2, d2)) / (
+                fn(p1, d2) * fn(p2, d1)
             )
             assert abs(cross - 1.0) <= 1e-10
 
@@ -472,18 +463,41 @@ class TestStructuralInvariants:
     @settings(max_examples=100, deadline=None)
     def test_values_lie_in_unit_interval(self, p, extra):
         d = p + extra
-        for res in (
+        for value in (
             expected_decrease_ds(p, d),
             expected_decrease_mb(p, d),
-            per_evaluation_ds(p, d),
-            per_evaluation_mb(p, d),
+            DS.per_work(p, d, 1),
+            MB.per_work(p, d, 1),
+            DS.asymptotic(p, d),
+            MB.asymptotic(p, d),
+            per_evaluation_opportunistic(p, d),
         ):
-            assert 0.0 < res.value <= 1.0
+            assert isinstance(value, float) and 0.0 < value <= 1.0
 
-    def test_result_type_validation(self):
-        with pytest.raises(ValueError):
-            FormulaResult(1.5, "closed-form", 1, 2, 0.0)
-        with pytest.raises(ValueError):
-            FormulaResult(0.5, "guesswork", 1, 2, 0.0)
-        with pytest.raises(InvalidDimensionError):
-            FormulaResult(0.5, "closed-form", 3, 2, 0.0)
+    def test_out_of_range_values_are_refused(self, monkeypatch):
+        # A dimension factor of d instead of about sqrt(2/d) puts every exact
+        # decrease at d = 4 above 1, and a p-factor of 2 the asymptotic one.
+        monkeypatch.setattr(formulas, "gamma_half_ratio", float)
+        inflated = dataclasses.replace(DS, p_factor=lambda p: 2.0)
+        for call in (
+            lambda: expected_decrease_ds(1, 4),
+            lambda: expected_decrease_ds(2, 4),
+            lambda: expected_decrease_ds(3, 4),
+            lambda: expected_decrease_mb(1, 4),
+            lambda: per_evaluation_opportunistic(1, 4),
+            lambda: inflated.asymptotic(1, 1),
+        ):
+            with pytest.raises(ValueError, match=r"must lie in \(0, 1\], got"):
+                call()
+
+    def test_dimension_checks_guard_every_entry(self):
+        for call in (
+            lambda: expected_decrease_ds(5, 4),
+            lambda: expected_decrease_mb(0, 4),
+            lambda: per_evaluation_opportunistic(3, 2),
+            lambda: DS.per_work(5, 4, 1),
+            lambda: MB.asymptotic(5, 4),
+            lambda: DS.asymptotic(1, 0),
+        ):
+            with pytest.raises(InvalidDimensionError, match="need 1 <= p <= d"):
+                call()

@@ -18,8 +18,8 @@ from subspace_dfo import (
     expected_decrease_mb,
     gamma_half_ratio,
     paired_compare,
+    Variant,
     paired_ratio_gap,
-    parallel_rounds,
     replicate_decreases,
     split_stream,
 )
@@ -32,14 +32,14 @@ SQRT_PI = math.sqrt(math.pi)
 class TestCostModel:
     def test_values(self):
         # On one core the rounds of an iteration are its new evaluations.
-        assert parallel_rounds(1, 1, "ds") == 2.0
-        assert parallel_rounds(7, 1, "ds") == 14.0
-        assert parallel_rounds(1, 1, "mb") == 1.5
-        assert parallel_rounds(3, 1, "mb") == 4.0
+        assert Variant.named("ds").rounds(1, 1) == 2.0
+        assert Variant.named("ds").rounds(7, 1) == 14.0
+        assert Variant.named("mb").rounds(1, 1) == 1.5
+        assert Variant.named("mb").rounds(3, 1) == 4.0
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ValueError):
-            parallel_rounds(1, 1, "xx")
+            Variant.named("xx").rounds(1, 1)
 
 
 class TestReplicates:
@@ -135,7 +135,7 @@ class TestEstimate:
 
     def test_p2_closed_form_high_dimension(self):
         est = estimate("ds", 2, 100, 10_000, RngStream(0))
-        exact = (math.sqrt(2.0) / SQRT_PI) * gamma_half_ratio(100).value
+        exact = (math.sqrt(2.0) / SQRT_PI) * gamma_half_ratio(100)
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
     def test_full_dimension_model_estimate(self):
@@ -144,7 +144,7 @@ class TestEstimate:
 
     def test_full_basis_matches_closed_form(self):
         est = estimate("mb", 4, 16, 10_000, RngStream(6), "full-basis")
-        exact = expected_decrease_mb(4, 16).value
+        exact = expected_decrease_mb(4, 16)
         assert abs(est.mean - exact) <= 3.0 * est.std_error
 
     def test_consistency_with_quadrature_formulas(self):
@@ -156,7 +156,7 @@ class TestEstimate:
             for p in range(1, 9):
                 est = estimate(variant, p, 16, 10_000, split_stream(base, cell))
                 cell += 1
-                exact = formula(p, 16).value
+                exact = formula(p, 16)
                 assert abs(est.mean - exact) <= 3.0 * est.std_error, (variant, p)
 
     def test_mode_equivalence(self):
@@ -268,7 +268,8 @@ class TestChiSquareTailOracle:
         base = RngStream(5)
         new = paired_compare(variant, p1, p2, d, self.N, split_stream(base, 2))
         v1, v2 = _d_normal_values(variant, (p1, p2), d, self.N, split_stream(base, 3))
-        diffs = v1 / parallel_rounds(p1, 1, variant) - v2 / parallel_rounds(p2, 1, variant)
+        record = Variant.named(variant)
+        diffs = v1 / record.rounds(p1, 1) - v2 / record.rounds(p2, 1)
         m_old, se_old = _mean_se(diffs)
         gap = abs(new.delta_mean - m_old)
         assert gap <= 3.0 * math.hypot(new.delta_std_error, se_old)

@@ -121,7 +121,7 @@ class TestPollPoints:
     def test_incumbent_is_not_reevaluated(self):
         # The known incumbent value is carried in: polling evaluates exactly
         # its 2p poll points and the model step its p poll points and trial.
-        g = sample_unit_vector(6, RngStream(3)).coords
+        g = sample_unit_vector(6, RngStream(3))
         basis = make_basis(6, 2, 4)
         x = np.linspace(-1.0, 1.0, 6)
         for kind in ("ds", "mb"):
@@ -161,7 +161,7 @@ class TestSimplexGradient:
         # gradient exactly, for any step size, so the model step moves delta
         # against the projected gradient.
         d, p = 9, 4
-        g = sample_unit_vector(d, RngStream(seed)).coords
+        g = sample_unit_vector(d, RngStream(seed))
         basis = make_basis(d, p, seed + 1)
         projected = basis.columns.T @ g
         for delta in (1e-3, 1.0, 17.0):
@@ -186,7 +186,7 @@ class TestSimplexGradient:
         assert seen[-1] == pytest.approx(-0.1 * np.array([1.0, 1.0]) / math.sqrt(2.0), abs=1e-15)
 
     def test_evaluation_cost(self):
-        g = sample_unit_vector(7, RngStream(5)).coords
+        g = sample_unit_vector(7, RngStream(5))
         obj = linear_objective(g)
         mb_iteration(obj, np.zeros(7), 0.0, make_basis(7, 3, 6), 1.0)
         assert obj.eval_count == 4
@@ -233,7 +233,7 @@ class TestDsIteration:
     @settings(max_examples=40, deadline=None)
     def test_complete_decrease_is_projected_max(self, seed):
         d, p = 11, 4
-        g = sample_unit_vector(d, RngStream(seed)).coords
+        g = sample_unit_vector(d, RngStream(seed))
         basis = make_basis(d, p, seed + 1000)
         delta = 0.75
         _, value, evaluations = ds_iteration(
@@ -246,7 +246,7 @@ class TestDsIteration:
     def test_opportunistic_costs_one_or_two(self):
         costs = []
         for seed in range(300):
-            g = sample_unit_vector(8, RngStream(seed)).coords
+            g = sample_unit_vector(8, RngStream(seed))
             basis = make_basis(8, 3, seed + 5000)
             _, value, evaluations = ds_iteration(
                 linear_objective(g), np.zeros(8), 0.0, basis, 1.0, mode="opportunistic"
@@ -270,7 +270,7 @@ class TestMbIteration:
     @settings(max_examples=40, deadline=None)
     def test_decrease_is_projected_norm(self, seed):
         d, p = 11, 4
-        g = sample_unit_vector(d, RngStream(seed)).coords
+        g = sample_unit_vector(d, RngStream(seed))
         basis = make_basis(d, p, seed + 2000)
         delta = 1.25
         _, value, evaluations = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
@@ -280,7 +280,7 @@ class TestMbIteration:
 
     def test_full_dimension_recovers_unit_decrease(self):
         d = 7
-        g = sample_unit_vector(d, RngStream(21)).coords
+        g = sample_unit_vector(d, RngStream(21))
         _, value, _ = mb_iteration(linear_objective(g), np.zeros(d), 0.0, make_basis(d, d, 22), 1.0)
         assert -value == pytest.approx(1.0, abs=1e-12)
 
@@ -290,7 +290,7 @@ class TestMbIteration:
         # Euclidean norm dominates max coordinate, so for the same gradient,
         # basis, and step the model iteration never decreases less.
         d, p = 10, 3
-        g = sample_unit_vector(d, RngStream(seed)).coords
+        g = sample_unit_vector(d, RngStream(seed))
         basis = make_basis(d, p, seed + 4000)
         for delta in (0.5, 2.0):
             _, ds_value, _ = ds_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
@@ -309,7 +309,7 @@ class TestMbIteration:
         # When the restricted slope is negative the model steps onto the poll
         # point, which must not cost a second evaluation.
         d = 6
-        g = sample_unit_vector(d, RngStream(33)).coords
+        g = sample_unit_vector(d, RngStream(33))
         counts = set()
         for seed in range(60):
             basis = make_basis(d, 1, seed + 3000)
@@ -329,7 +329,7 @@ class TestMbIteration:
 
 class TestDriver:
     def test_zero_budget_gives_single_record(self):
-        g = sample_unit_vector(4, RngStream(0)).coords
+        g = sample_unit_vector(4, RngStream(0))
         trace = run_driver(
             linear_objective(g),
             np.zeros(4),
@@ -343,7 +343,7 @@ class TestDriver:
     def test_budget_too_small_for_one_iteration(self, kind):
         # An iteration at p = 5 may cost 10 or 6 evaluations, more than the
         # budget of 2 allows, so only the initial point is evaluated.
-        g = sample_unit_vector(8, RngStream(0)).coords
+        g = sample_unit_vector(8, RngStream(0))
         config = DriverConfig(p=5, max_evaluations=2, iteration_kind=kind)
         trace = run_driver(linear_objective(g), np.zeros(8), config, RngStream(1))
         assert len(trace.records) == 1
@@ -386,7 +386,7 @@ class TestDriver:
             assert record.best_value == objective(record.iterate)
 
     def test_linear_objective_strictly_decreases(self):
-        g = sample_unit_vector(30, RngStream(2)).coords
+        g = sample_unit_vector(30, RngStream(2))
         trace = run_driver(
             linear_objective(g),
             np.zeros(30),
@@ -421,7 +421,7 @@ class TestDriver:
         assert np.linalg.norm(final.iterate) < 0.1 * np.linalg.norm(x0)
 
     def test_evaluation_accounting_per_iteration(self):
-        g = sample_unit_vector(12, RngStream(4)).coords
+        g = sample_unit_vector(12, RngStream(4))
         for kind, cost in (("ds-complete", 6), ("mb", 4)):
             trace = run_driver(
                 linear_objective(g),
@@ -447,7 +447,7 @@ class TestDriver:
     def test_basis_reconstruction_from_stream(self):
         # Iteration k draws its basis from child stream k of the driver stream.
         d, p = 10, 2
-        g = sample_unit_vector(d, RngStream(6)).coords
+        g = sample_unit_vector(d, RngStream(6))
         driver_rng = RngStream(777)
         trace = run_driver(
             linear_objective(g),
@@ -462,7 +462,7 @@ class TestDriver:
             assert best[k - 1] - best[k] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        g = sample_unit_vector(4, RngStream(0)).coords
+        g = sample_unit_vector(4, RngStream(0))
         with pytest.raises(InvalidDimensionError):
             run_driver(
                 linear_objective(g), np.zeros(5), DriverConfig(p=1, max_evaluations=10), RngStream(0)
@@ -511,7 +511,7 @@ class TestSmoothDecreaseBound:
         decreases = np.empty(n)
         directional = np.empty(n)
         for i in range(n):
-            b = sample_unit_vector(d, split_stream(base, i)).coords
+            b = sample_unit_vector(d, split_stream(base, i))
             candidates = (x + delta * b, x - delta * b, x)
             values = [f(c) for c in candidates]
             j = int(np.argmin(values))

@@ -6,10 +6,10 @@ import pytest
 
 from subspace_dfo import (
     DomainError,
-    GammaRatio,
     InvalidDimensionError,
     gamma_half_ratio,
     log_gamma,
+    specfun,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -57,24 +57,24 @@ class TestLogGamma:
 
 class TestGammaHalfRatio:
     def test_closed_forms(self):
-        assert gamma_half_ratio(1).value == pytest.approx(SQRT_PI, rel=1e-14)
-        assert gamma_half_ratio(2).value == pytest.approx(2.0 / SQRT_PI, rel=1e-14)
-        assert gamma_half_ratio(4).value == pytest.approx(4.0 / (3.0 * SQRT_PI), rel=1e-14)
-        assert gamma_half_ratio(1).value == pytest.approx(1.7724538509, abs=1e-9)
-        assert gamma_half_ratio(2).value == pytest.approx(1.1283791671, abs=1e-9)
-        assert gamma_half_ratio(4).value == pytest.approx(0.7522527781, abs=1e-9)
+        assert gamma_half_ratio(1) == pytest.approx(SQRT_PI, rel=1e-14)
+        assert gamma_half_ratio(2) == pytest.approx(2.0 / SQRT_PI, rel=1e-14)
+        assert gamma_half_ratio(4) == pytest.approx(4.0 / (3.0 * SQRT_PI), rel=1e-14)
+        assert gamma_half_ratio(1) == pytest.approx(1.7724538509, abs=1e-9)
+        assert gamma_half_ratio(2) == pytest.approx(1.1283791671, abs=1e-9)
+        assert gamma_half_ratio(4) == pytest.approx(0.7522527781, abs=1e-9)
 
     def test_recurrence(self):
         # r(d+2) = (d/(d+1)) r(d) follows from Gamma(x+1) = x Gamma(x).
         for d in (1, 2, 3, 10, 101, 1000):
-            lhs = gamma_half_ratio(d + 2).value
-            rhs = gamma_half_ratio(d).value * d / (d + 1.0)
+            lhs = gamma_half_ratio(d + 2)
+            rhs = gamma_half_ratio(d) * d / (d + 1.0)
             assert lhs == pytest.approx(rhs, rel=1e-13)
 
     def test_no_overflow_huge_dimension(self):
         r = gamma_half_ratio(10**9)
-        assert math.isfinite(r.value)
-        assert r.value == pytest.approx(math.sqrt(2.0 / 10**9), rel=1e-4)
+        assert math.isfinite(r)
+        assert r == pytest.approx(math.sqrt(2.0 / 10**9), rel=1e-4)
 
     @pytest.mark.parametrize(
         "d", [10**100, 1e100, 10**200, 1e200], ids=["int1e100", "1e100", "int1e200", "1e200"]
@@ -82,7 +82,7 @@ class TestGammaHalfRatio:
     def test_astronomical_dimension(self, d):
         # The ratio rounds onto its lower bracket sqrt(2/d) here.
         r = gamma_half_ratio(d)
-        assert r.value == pytest.approx(math.sqrt(2.0) / math.sqrt(float(d)), rel=1e-15)
+        assert r == pytest.approx(math.sqrt(2.0) / math.sqrt(float(d)), rel=1e-15)
 
     def test_dimension_beyond_float_range(self):
         with pytest.raises(InvalidDimensionError, match="dimension d"):
@@ -90,11 +90,11 @@ class TestGammaHalfRatio:
 
     def test_limit_scaling(self):
         d = 10**6
-        assert abs(gamma_half_ratio(d).value * math.sqrt(d) - math.sqrt(2.0)) < 1e-5
+        assert abs(gamma_half_ratio(d) * math.sqrt(d) - math.sqrt(2.0)) < 1e-5
 
     def test_sandwich_bounds(self):
         for d in range(1, 10_001):
-            value = gamma_half_ratio(d).value
+            value = gamma_half_ratio(d)
             assert math.sqrt(2.0) / math.sqrt(d) < value
             assert value < math.sqrt(2.0) * math.sqrt(d + 2.0) / d
 
@@ -102,7 +102,11 @@ class TestGammaHalfRatio:
         with pytest.raises(InvalidDimensionError):
             gamma_half_ratio(0)
 
-    def test_ratio_type_rejects_out_of_bracket(self):
-        with pytest.raises(ValueError):
-            GammaRatio(d=4, value=2.0)
+    def test_ratio_rejects_out_of_bracket(self, monkeypatch):
+        # A log-gamma kernel that returns 0 makes the ratio exp(0) = 1, far
+        # above the upper bracket sqrt(2(d+2))/d.
+        monkeypatch.setattr(specfun, "log_gamma", lambda x: 0.0)
+        for d in (4, 100, 10**5):
+            with pytest.raises(ValueError, match=f"violates the bracket .* for d={d}"):
+                gamma_half_ratio(d)
 
