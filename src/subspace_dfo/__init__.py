@@ -53,8 +53,6 @@ from .montecarlo import (
     DecreaseEstimate,
     PairedDelta,
     estimate,
-    estimate_per_evaluation,
-    paired_compare,
     paired_ratio_gap,
     replicate_decreases,
 )
@@ -99,8 +97,6 @@ __all__ = [
     "DecreaseEstimate",
     "PairedDelta",
     "estimate",
-    "estimate_per_evaluation",
-    "paired_compare",
     "paired_ratio_gap",
     "replicate_decreases",
     "ExperimentSpec",

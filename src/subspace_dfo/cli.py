@@ -15,7 +15,6 @@ flags override it.
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
 import os
 import sys
@@ -23,12 +22,12 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
+from .errors import NonFiniteObjectiveError
 from .experiments import (
     DEFAULT_NSIMS,
     DEFAULT_SEED,
     FIGURE_NAMES,
     OBJECTIVE_NAMES,
-    ExperimentSpec,
     ResultRow,
     default_figure_spec,
     rows_to_csv,
@@ -38,10 +37,9 @@ from .experiments import (
     run_verify,
     trace_to_csv,
     write_manifest,
-    write_rows,
 )
 from .formulas import VARIANTS, Variant
-from .montecarlo import SAMPLER, estimate, estimate_per_evaluation
+from .montecarlo import estimate
 from .optimizer import ITERATION_KINDS, DriverConfig
 from .rng import RngStream
 
@@ -83,20 +81,21 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    rng = RngStream(args.seed)
-    fn = estimate_per_evaluation if args.per_evaluation else estimate
-    est = fn(args.variant, args.p, args.d, args.nsims, rng, args.mode)
-    metric = "per-evaluation" if args.per_evaluation else "per-iteration"
+    est = estimate(args.variant, args.p, args.d, args.nsims, RngStream(args.seed), args.mode)
+    metric, mean, std_error = "per-iteration", est.mean, est.std_error
+    if args.per_evaluation:
+        # Per-evaluation values divide by the evaluations of one iteration.
+        cost = Variant.named(args.variant).rounds(args.p, 1)
+        metric, mean, std_error = "per-evaluation", mean / cost, std_error / cost
     rows = [
         ResultRow(
-            args.variant, args.d, args.p, "mc", metric, est.mean,
-            est.std_error, est.n_sims, est.seed,
+            args.variant, args.d, args.p, "mc", metric, mean, std_error, est.n_sims, est.seed
         )
     ]
     if args.format in ("csv", "json"):
         _emit_rows(rows, args.format, args.out)
     else:
-        print(f"{metric}  mean = {est.mean:.12g}  std_error = {est.std_error:.3g}  "
+        print(f"{metric}  mean = {mean:.12g}  std_error = {std_error:.3g}  "
               f"(n = {est.n_sims}, seed = {est.seed})")
     return 0
 
@@ -109,10 +108,11 @@ def _parse_cores(text: str) -> tuple[int, ...]:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out) if args.out else _default_outdir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     name = args.name
     if name == "parallel-sweep":
+        if args.config:
+            raise ValueError(f"--config {args.config} does not apply to parallel-sweep, "
+                             "which is exact and has no spec")
         variant = args.variant or VARIANTS[0]
         record = Variant.named(variant)
         d = args.d if args.d is not None else record.sweep_d
@@ -122,46 +122,38 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             flags = " and ".join(f"--{flag}" for flag in ignored)
             print(f"note: parallel-sweep is exact, so {flags} change nothing", file=sys.stderr)
         rows, summaries = run_parallel_sweep(variant, d, cores)
-        manifest_extra = {
+        manifest = {
+            "spec": {"name": name, "variant": variant, "d": d, "cores": list(cores)},
             "argmax": {str(s.cores): s.argmax_p for s in summaries},
             "ties": {str(s.cores): list(s.tied_p) for s in summaries},
         }
-        spec_payload = {"name": name, "variant": variant, "d": d, "cores": list(cores)}
     else:
-        if args.config:
-            try:
-                config = json.loads(Path(args.config).read_text())
-            except (OSError, ValueError) as exc:
-                raise ValueError(f"cannot read --config {args.config}: {exc}") from None
-            spec = ExperimentSpec.from_dict(config)
-        else:
-            spec = default_figure_spec(name)
-        # Flags supplied on the command line win over config-file values.
-        spec = spec.merged(
-            n_sims=args.nsims,
-            seed=args.seed,
-            d_values=(args.d,) if args.d is not None else None,
-        )
+        spec = default_figure_spec(name)
         if args.variant not in (None, spec.variant):
             raise ValueError(
                 f"--variant {args.variant} disagrees with figure {name}, "
                 f"whose variant is {spec.variant}"
             )
+        config = {}
+        if args.config:
+            try:
+                config = json.loads(Path(args.config).read_text())
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"cannot read --config {args.config}: {exc}") from None
+        # Config keys override the named figure's spec, and flags override both.
+        spec = spec.merged(
+            config,
+            n_sims=args.nsims,
+            seed=args.seed,
+            d_values=(args.d,) if args.d is not None else None,
+        )
         rows = run_named_figure(spec)
-        manifest_extra = {}
-        spec_payload = asdict(spec)
+        manifest = {"spec": asdict(spec)}
+    out_dir = Path(args.out) if args.out else _default_outdir()
+    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"
-    write_rows(csv_path, rows)
-    write_manifest(
-        out_dir / f"{name}.manifest.json",
-        {
-            "spec": spec_payload,
-            "version": __version__,
-            "sampler": SAMPLER,
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            **manifest_extra,
-        },
-    )
+    _emit_rows(rows, "csv", str(csv_path))
+    write_manifest(out_dir / f"{name}.manifest.json", manifest)
     print(f"wrote {csv_path}")
     return 0
 
@@ -245,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--seed", type=int, default=None)
     p_fig.add_argument("--out", type=str, default=None)
     p_fig.add_argument("--config", type=str, default=None,
-                       help="JSON file with ExperimentSpec fields (flags override)")
+                       help="JSON file of ExperimentSpec fields that override the named "
+                            "figure's (flags override both)")
     p_fig.add_argument("--cores-model", type=_parse_cores, default=None,
                        help="comma-separated core counts for parallel-sweep")
     p_fig.set_defaults(fn=_cmd_figure)
@@ -278,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NonFiniteObjectiveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

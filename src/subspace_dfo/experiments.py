@@ -28,7 +28,7 @@ from .formulas import (
     expected_decrease_mb,
     polling_factor,
 )
-from .montecarlo import SAMPLER, estimate, paired_compare, paired_ratio_gap
+from .montecarlo import SAMPLER, estimate, paired_ratio_gap
 from .optimizer import (
     DriverConfig,
     DriverTrace,
@@ -116,11 +116,15 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_rows(path: str | Path, rows: list[ResultRow]) -> None:
-    Path(path).write_text(rows_to_csv(rows), encoding="ascii", newline="\n")
-
-
 def write_manifest(path: str | Path, payload: dict) -> None:
+    """Write ``payload`` as JSON with the package version, the Monte Carlo
+    sampler and the creation time added."""
+    payload = {
+        **payload,
+        "version": __version__,
+        "sampler": SAMPLER,
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii", newline="\n"
     )
@@ -187,26 +191,28 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown include flags {sorted(unknown)}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"spec must be an object of named fields, got {data!r}")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - set(fields))
-        if unknown:
-            raise ValueError(f"unknown spec keys {unknown}; known keys are {sorted(fields)}")
-        missing = [
-            name
-            for name, f in fields.items()
-            if f.default is dataclasses.MISSING and name not in data
-        ]
-        if missing:
-            raise ValueError(f"spec is missing required keys {missing}")
-        return cls(**data)
+    def merged(self, config: object, **flags) -> "ExperimentSpec":
+        """This spec with the keys of ``config``, then the ``flags`` that are
+        not None, in place of its own values; the result is validated once.
 
-    def merged(self, **overrides) -> "ExperimentSpec":
-        updates = {k: v for k, v in overrides.items() if v is not None}
-        return dataclasses.replace(self, **updates)
+        ``config`` is a JSON object of field names.  Its name and variant may
+        only repeat this spec's, which fix the figure; a null value is
+        refused like any other value of the wrong type.
+        """
+        if not isinstance(config, dict):
+            raise ValueError(f"spec must be an object of named fields, got {config!r}")
+        known = sorted(f.name for f in dataclasses.fields(self))
+        unknown = sorted(set(config) - set(known))
+        if unknown:
+            raise ValueError(f"unknown spec keys {unknown}; known keys are {known}")
+        for key in ("name", "variant"):
+            if config.get(key, getattr(self, key)) != getattr(self, key):
+                raise ValueError(
+                    f"config {key} {config[key]!r} disagrees with figure {self.name}, "
+                    f"whose {key} is {getattr(self, key)}"
+                )
+        flags = {k: v for k, v in flags.items() if v is not None}
+        return dataclasses.replace(self, **{**config, **flags})
 
 
 def p_values_for(d: int, p_rule: tuple[int, ...] | str) -> tuple[int, ...]:
@@ -300,6 +306,10 @@ def default_figure_spec(
     )
 
 
+# Grid points per core count of a parallel sweep.
+SWEEP_MULTIPLES = 100
+
+
 @dataclass(frozen=True)
 class SweepSummary:
     """Argmax report for one core count of a parallel sweep."""
@@ -311,13 +321,11 @@ class SweepSummary:
 
 
 def run_parallel_sweep(
-    variant: str,
-    d: int,
-    cores_list: tuple[int, ...],
-    p_multiples: int = 100,
+    variant: str, d: int, cores_list: tuple[int, ...]
 ) -> tuple[list[ResultRow], list[SweepSummary]]:
     """Exact expected decrease per batched evaluation round over a p grid, per
-    core count.
+    core count: the first ``SWEEP_MULTIPLES`` multiples of the variant's
+    sweep step, up to d.
 
     Each summary reports the grid argmax (first index on ties within 1e-12)
     and every tied grid point.
@@ -328,7 +336,7 @@ def run_parallel_sweep(
     for cores in cores_list:
         metric = f"per-work({cores})"
         step = record.sweep_step(cores)
-        grid = tuple(range(step, min(p_multiples * step, d) + 1, step))
+        grid = tuple(range(step, min(SWEEP_MULTIPLES * step, d) + 1, step))
         if not grid:
             raise ValueError(
                 f"{variant} sweep at c={cores} cores has an empty p grid at d={d}; "
@@ -549,7 +557,11 @@ def gate_per_evaluation_monotonicity(
     cell = 0
     for variant in VARIANTS:
         for p in range(1, 6):
-            delta = paired_compare(variant, p, p + 1, 1000, n_sims, split_stream(base, cell))
+            # Per-evaluation value at p minus that at p + 1, on common draws.
+            delta = paired_ratio_gap(
+                variant, p + 1, p, 1000, 1.0, n_sims, split_stream(base, cell),
+                per_evaluation=True,
+            )
             cell += 1
             z = delta.delta_mean / delta.delta_std_error
             min_z = min(min_z, z)
@@ -751,12 +763,9 @@ def run_verify(
             {
                 "seed": seed,
                 "n_sims": n_sims,
-                "version": __version__,
                 "passed": exit_code == 0,
-                "sampler": SAMPLER,
                 "gates": {r.name: r.passed for r in results},
                 "gate_seconds": {r.name: s for r, s in zip(results, seconds)},
-                "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             },
         )
     return results, exit_code

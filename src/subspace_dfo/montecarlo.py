@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -249,40 +249,6 @@ def estimate(
     return DecreaseEstimate(mean, std_error, n_sims, p, d, variant, rng.seed)
 
 
-def estimate_per_evaluation(
-    variant: str,
-    p: int,
-    d: int,
-    n_sims: int,
-    rng: RngStream,
-    reduction: str = "reduced",
-) -> DecreaseEstimate:
-    """Estimate the expected decrease per new objective evaluation.
-
-    Divides the per-iteration estimate and its standard error by the
-    deterministic evaluation cost of one iteration.
-    """
-    base = estimate(variant, p, d, n_sims, rng, reduction)
-    cost = Variant.named(variant).rounds(p, 1)
-    return replace(base, mean=base.mean / cost, std_error=base.std_error / cost)
-
-
-def paired_compare(
-    variant: str, p1: int, p2: int, d: int, n_sims: int, rng: RngStream
-) -> PairedDelta:
-    """Estimate the per-evaluation decrease gap between subspace dimensions.
-
-    Uses common random numbers: each replicate scores the same sphere draw at
-    both p1 and p2, so the difference of per-evaluation values has far lower
-    variance than two independent estimates.  Returns the mean and standard
-    error of (per-eval value at p1) - (per-eval value at p2).
-    """
-    v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
-    record = Variant.named(variant)
-    diffs = v1 / record.rounds(p1, 1) - v2 / record.rounds(p2, 1)
-    return PairedDelta(*_summarize(diffs))
-
-
 def paired_ratio_gap(
     variant: str,
     p1: int,
@@ -299,6 +265,8 @@ def paired_ratio_gap(
     numbers; if the claimed ratio is exact the mean is zero up to sampling
     noise, and the returned standard error calibrates that noise.  With
     ``per_evaluation`` both sides are first divided by their evaluation costs.
+    A target ratio of 1 gives the plain paired difference, whose common
+    random numbers give it far lower variance than two independent estimates.
     """
     v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
     if per_evaluation:

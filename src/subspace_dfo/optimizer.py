@@ -104,6 +104,9 @@ class DriverConfig:
             raise InvalidDimensionError(f"subspace dimension must be positive, got {self.p}")
         if self.max_evaluations < 0:
             raise ValueError("evaluation budget cannot be negative")
+        for key in ("initial_step", "expand_factor", "contract_factor", "min_step"):
+            if not math.isfinite(getattr(self, key)):
+                raise DomainError(f"{key} must be finite, got {getattr(self, key)!r}")
         if self.initial_step <= 0.0 or self.min_step <= 0.0:
             raise DomainError("step sizes must be positive")
         if not (0.0 < self.contract_factor < 1.0):

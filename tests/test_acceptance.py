@@ -18,7 +18,7 @@ from subspace_dfo import (
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
-    paired_compare,
+    paired_ratio_gap,
     polling_factor,
     split_stream,
 )
@@ -104,7 +104,10 @@ def test_criterion_5_per_evaluation_monotonicity():
     base = split_stream(RngStream(SEED), 50)
     for i, variant in enumerate(("ds", "mb")):
         for p in range(1, 6):
-            delta = paired_compare(variant, p, p + 1, 1000, NSIMS, split_stream(base, 10 * i + p))
+            delta = paired_ratio_gap(
+                variant, p + 1, p, 1000, 1.0, NSIMS, split_stream(base, 10 * i + p),
+                per_evaluation=True,
+            )
             drops_ok &= delta.delta_mean > 3.0 * delta.delta_std_error
     _report(5, gate.passed and chains_ok and drops_ok, gate.detail)
 

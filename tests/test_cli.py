@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from subspace_dfo.cli import main
@@ -225,7 +226,7 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
     [
         ({"name": "ds-vary-d", "variant": "ds", "d_values": [8], "nsim": 5},
          "unknown spec keys ['nsim']"),
-        ({"name": "ds-vary-d", "d_values": [8]}, "missing required keys ['variant']"),
+        ({**SPEC, "n_sims": None}, "n_sims must be an integer, got None"),
         ([1, 2], "spec must be an object of named fields, got [1, 2]"),
         ({**SPEC, "d_values": "8"}, "d_values must be a list of integers, got '8'"),
         ({**SPEC, "d_values": [8.5]}, "d_values must be a list of integers, got [8.5]"),
@@ -323,3 +324,81 @@ def test_formula_takes_no_sampling_flags(capsys, flag):
         main(["formula", "--variant", "ds", "--d", "10", "--p", "2", flag, "5"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"name": "mb-vary-p", "variant": "mb", "d_values": [8], "n_sims": 100},
+         "config name 'mb-vary-p' disagrees with figure ds-vary-d"),
+        ({"variant": "mb", "d_values": [8], "n_sims": 100},
+         "config variant 'mb' disagrees with figure ds-vary-d, whose variant is ds"),
+    ],
+    ids=["name", "variant"],
+)
+def test_figure_config_naming_another_figure_is_refused(tmp_path, capsys, config, message):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main(["figure", "ds-vary-d", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _figure_rows(tmp_path, name, config, *flags):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps(config))
+    args = ["figure", name, "--config", str(cfg_path), "--out", str(tmp_path), *flags]
+    assert main(args) == 0
+    lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+    return [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines[1:]]
+
+
+# Keys a config leaves out keep the named figure's values.
+def test_figure_perfev_config_keeps_per_evaluation_rows(tmp_path):
+    config = {"name": "ds-perfev-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
+    rows = _figure_rows(tmp_path, "ds-perfev-vary-d", config)
+    assert rows and {r["metric"] for r in rows} == {"per-evaluation"}
+
+
+def test_figure_vary_p_config_keeps_the_vary_p_list(tmp_path):
+    config = {"name": "mb-vary-p", "variant": "mb", "d_values": [1000], "n_sims": 100}
+    rows = _figure_rows(tmp_path, "mb-vary-p", config)
+    assert sorted({int(r["p"]) for r in rows}) == [1, 2, 3, 4, 5, 10, 20, 50, 100, 200, 500, 1000]
+    assert {r["method"] for r in rows} == {"exact", "mc"}
+
+
+def test_figure_flag_beats_config_key(tmp_path):
+    config = {"d_values": [8], "n_sims": 100, "seed": 5}
+    rows = _figure_rows(tmp_path, "ds-vary-d", config, "--seed", "7", "--d", "16")
+    mc = [r for r in rows if r["method"] == "mc"]
+    assert {r["seed"] for r in mc} == {"7"} and {r["d"] for r in rows} == {"16"}
+    assert {r["n_sims"] for r in mc} == {"100"}
+
+
+def test_figure_parallel_sweep_refuses_config(tmp_path, capsys):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"n_sims": 100}))
+    out = tmp_path / "out"
+    code = main(["figure", "parallel-sweep", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert f"--config {cfg_path} does not apply to parallel-sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("delta0", ["nan", "inf"])
+def test_optimize_non_finite_step_is_refused(capsys, delta0):
+    args = ["optimize", "--function", "sphere-quadratic", "--d", "5", "--p", "2",
+            "--budget", "30", "--delta0", delta0]
+    assert main(args) == 2
+    assert f"error: initial_step must be finite, got {delta0}" in capsys.readouterr().err
+
+
+def test_optimize_non_finite_objective_is_reported(capsys):
+    args = ["optimize", "--function", "rosenbrock", "--d", "5", "--p", "2",
+            "--budget", "30", "--delta0", "1e200"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: objective 'rosenbrock' returned inf")

@@ -42,7 +42,7 @@ def small_vary_d_spec(variant: str, **overrides) -> ExperimentSpec:
         n_sims=2000,
         seed=0,
     )
-    return spec.merged(**overrides)
+    return spec.merged(overrides)
 
 
 class TestSpec:
@@ -55,7 +55,7 @@ class TestSpec:
         assert p_values_for(16, (1, 2, 20)) == (1, 2)
 
     def test_from_dict_and_merge(self):
-        spec = ExperimentSpec.from_dict(
+        spec = default_figure_spec("ds-vary-d").merged(
             {
                 "name": "ds-vary-d",
                 "variant": "ds",
@@ -65,7 +65,7 @@ class TestSpec:
             }
         )
         assert spec.d_values == (8, 16)
-        merged = spec.merged(n_sims=None, seed=3)
+        merged = spec.merged({}, n_sims=None, seed=3)
         assert merged.n_sims == 100 and merged.seed == 3
 
     def test_validation(self):

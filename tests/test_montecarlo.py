@@ -1,5 +1,6 @@
 """Estimator tests: determinism, unbiasedness against closed forms, pairing."""
 
+import json
 import math
 import sys
 import threading
@@ -13,17 +14,16 @@ from subspace_dfo import (
     InvalidDimensionError,
     RngStream,
     estimate,
-    estimate_per_evaluation,
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
-    paired_compare,
     Variant,
     paired_ratio_gap,
     replicate_decreases,
     split_stream,
 )
 from subspace_dfo import montecarlo
+from subspace_dfo.cli import main
 from subspace_dfo.montecarlo import _BLOCK, _replicates
 
 SQRT_PI = math.sqrt(math.pi)
@@ -168,32 +168,41 @@ class TestEstimate:
             assert gap <= 3.0 * math.hypot(full.std_error, reduced.std_error)
 
 
+def _mc_per_evaluation(capsys, variant, p, d, n_sims, seed):
+    """The row ``mc --per-evaluation`` prints for one cell, read back from JSON."""
+    args = ["mc", "--variant", variant, "--d", str(d), "--p", str(p), "--nsims", str(n_sims),
+            "--seed", str(seed), "--per-evaluation", "--format", "json"]
+    assert main(args) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    return row
+
+
 class TestPerEvaluationEstimate:
-    def test_scales_mean_and_error(self):
+    def test_scales_mean_and_error(self, capsys):
         base = estimate("ds", 1, 8, 4000, RngStream(8))
-        per_eval = estimate_per_evaluation("ds", 1, 8, 4000, RngStream(8))
-        assert per_eval.mean == base.mean / 2.0
-        assert per_eval.std_error == base.std_error / 2.0
+        per_eval = _mc_per_evaluation(capsys, "ds", 1, 8, 4000, 8)
+        assert per_eval["value"] == base.mean / 2.0
+        assert per_eval["std_error"] == base.std_error / 2.0
 
-    def test_model_p1_cost(self):
+    def test_model_p1_cost(self, capsys):
         base = estimate("mb", 1, 8, 4000, RngStream(8))
-        per_eval = estimate_per_evaluation("mb", 1, 8, 4000, RngStream(8))
-        assert per_eval.mean == base.mean / 1.5
+        per_eval = _mc_per_evaluation(capsys, "mb", 1, 8, 4000, 8)
+        assert per_eval["value"] == base.mean / 1.5
 
-    def test_model_p3_cost(self):
+    def test_model_p3_cost(self, capsys):
         base = estimate("mb", 3, 8, 4000, RngStream(8))
-        per_eval = estimate_per_evaluation("mb", 3, 8, 4000, RngStream(8))
-        assert per_eval.mean == base.mean / 4.0
+        per_eval = _mc_per_evaluation(capsys, "mb", 3, 8, 4000, 8)
+        assert per_eval["value"] == base.mean / 4.0
 
 
 class TestPairing:
     def test_identical_levels_give_zero(self):
-        delta = paired_compare("ds", 3, 3, 50, 2000, RngStream(10))
+        delta = paired_ratio_gap("ds", 3, 3, 50, 1.0, 2000, RngStream(10), per_evaluation=True)
         assert delta.delta_mean == 0.0 and delta.delta_std_error == 0.0
 
     def test_identical_model_levels_give_zero(self):
         # The gap between equal cut points is a Gamma(0) piece, exactly 0.
-        delta = paired_compare("mb", 4, 4, 50, 5000, RngStream(15))
+        delta = paired_ratio_gap("mb", 4, 4, 50, 1.0, 5000, RngStream(15), per_evaluation=True)
         assert delta.delta_mean == 0.0 and delta.delta_std_error == 0.0
 
     def test_model_full_dimension_level_is_exactly_one(self):
@@ -202,11 +211,11 @@ class TestPairing:
         assert np.all((v2 > 0.0) & (v2 < 1.0))
 
     def test_polling_drop_is_significant(self):
-        delta = paired_compare("ds", 1, 2, 1000, 10_000, RngStream(11))
+        delta = paired_ratio_gap("ds", 2, 1, 1000, 1.0, 10_000, RngStream(11), per_evaluation=True)
         assert delta.delta_mean > 3.0 * delta.delta_std_error
 
     def test_model_drop_is_significant(self):
-        delta = paired_compare("mb", 2, 3, 1000, 10_000, RngStream(12))
+        delta = paired_ratio_gap("mb", 3, 2, 1000, 1.0, 10_000, RngStream(12), per_evaluation=True)
         assert delta.delta_mean > 3.0 * delta.delta_std_error
 
     def test_ratio_gap_detects_true_ratio(self):
@@ -266,7 +275,9 @@ class TestChiSquareTailOracle:
     def test_paired_compare_matches_d_normal_sampler(self, variant):
         p1, p2, d = 5, 2, 300
         base = RngStream(5)
-        new = paired_compare(variant, p1, p2, d, self.N, split_stream(base, 2))
+        new = paired_ratio_gap(
+            variant, p2, p1, d, 1.0, self.N, split_stream(base, 2), per_evaluation=True
+        )
         v1, v2 = _d_normal_values(variant, (p1, p2), d, self.N, split_stream(base, 3))
         record = Variant.named(variant)
         diffs = v1 / record.rounds(p1, 1) - v2 / record.rounds(p2, 1)

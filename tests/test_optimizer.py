@@ -488,6 +488,11 @@ class TestDriverConfigValidation:
             dict(p=1, max_evaluations=1, contract_factor=1.0),
             dict(p=1, max_evaluations=1, expand_factor=0.9),
             dict(p=1, max_evaluations=1, iteration_kind="newton"),
+            dict(p=1, max_evaluations=1, initial_step=math.nan),
+            dict(p=1, max_evaluations=1, initial_step=math.inf),
+            dict(p=1, max_evaluations=1, min_step=math.nan),
+            dict(p=1, max_evaluations=1, expand_factor=math.nan),
+            dict(p=1, max_evaluations=1, expand_factor=math.inf),
         ],
     )
     def test_rejects_bad_config(self, kwargs):
