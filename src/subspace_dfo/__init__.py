@@ -28,6 +28,7 @@ from .rng import (
     RngStream,
     SubspaceBasis,
     sample_stiefel,
+    sample_stiefel_stack,
     sample_unit_vector,
     split_stream,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "RngStream",
     "SubspaceBasis",
     "sample_stiefel",
+    "sample_stiefel_stack",
     "sample_unit_vector",
     "split_stream",
     "gamma_half_ratio",

@@ -36,7 +36,7 @@ from .optimizer import (
     mb_iteration,
     run_driver,
 )
-from .rng import RngStream, sample_stiefel, sample_unit_vector, split_stream
+from .rng import RngStream, sample_stiefel_stack, sample_unit_vector, split_stream
 from .specfun import gamma_half_ratio
 
 DEFAULT_NSIMS = 10_000
@@ -170,9 +170,12 @@ class ExperimentSpec:
                 raise ValueError(f"unknown p rule {self.p_rule!r}")
         else:
             self.p_rule = _int_tuple("p_rule", self.p_rule)
+            if any(p < 1 for p in self.p_rule):
+                raise ValueError(f"p values must be positive, got {self.p_rule}")
+            # Each d runs the p values up to d (see p_values_for).
             top = max(self.d_values)
-            if any(p < 1 or p > top for p in self.p_rule):
-                raise ValueError(f"p values must lie in [1, max(d)], got {self.p_rule}")
+            if all(p > top for p in self.p_rule):
+                raise ValueError(f"no p value is at most max(d) = {top}, got {self.p_rule}")
         for key in ("n_sims", "seed"):
             if not _is_int(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
@@ -659,6 +662,16 @@ def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) 
     return GateResult(9, "parallel-sweeps", ok, "; ".join(notes))
 
 
+def _stacked_bases(d: int, p: int, rng: RngStream, count: int):
+    """Yield the bases of children 0, ..., count - 1 of ``rng``, drawing them
+    stack by stack as they are consumed."""
+    k = 0
+    while k < count:
+        stack = sample_stiefel_stack(d, p, rng, k, count - k)
+        yield from stack
+        k += len(stack)
+
+
 def gate_optimizer_behavior(
     n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
 ) -> GateResult:
@@ -677,8 +690,8 @@ def gate_optimizer_behavior(
         driver_rng = split_stream(base, stream_idx)
         trace = run_driver(objective, np.zeros(d), config, driver_rng)
         best = trace.best_values()
-        for k in range(1, len(trace.records)):
-            basis = sample_stiefel(d, p, split_stream(driver_rng, k - 1))
+        iterations = len(trace.records) - 1
+        for k, basis in enumerate(_stacked_bases(d, p, driver_rng, iterations), start=1):
             proj = float(np.linalg.norm(basis.columns.T @ g, ord=norm_ord))
             step = trace.records[k].step_size
             gap = abs((best[k - 1] - best[k]) - step * proj)
@@ -694,8 +707,7 @@ def gate_optimizer_behavior(
     objective1 = ObjectiveHandle(lambda x: float(g1 @ x), d1, name="linear")
     counts = np.empty(n_sims)
     reuse_rng = split_stream(base, 4)
-    for k in range(n_sims):
-        basis = sample_stiefel(d1, 1, split_stream(reuse_rng, k))
+    for k, basis in enumerate(_stacked_bases(d1, 1, reuse_rng, n_sims)):
         _, _, evaluations = mb_iteration(objective1, np.zeros(d1), 0.0, basis, 1.0)
         counts[k] = evaluations
         ok = ok and evaluations in (1, 2)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidDimensionError, NonFiniteObjectiveError
 from .formulas import Variant
-from .rng import RngStream, SubspaceBasis, sample_stiefel, split_stream
+from .rng import RngStream, SubspaceBasis, sample_stiefel_stack
 
 ITERATION_KINDS = ("ds-complete", "ds-opportunistic", "mb")
 
@@ -69,8 +69,13 @@ class ObjectiveHandle:
             )
         value = float(self._fn(x))
         if not math.isfinite(value):
+            # A summary of x: at d = 1000 the full point is some 20 kB of text.
+            summary = np.array2string(
+                x, max_line_width=200, precision=6, threshold=8, edgeitems=3
+            )
             raise NonFiniteObjectiveError(
-                f"objective {self.name or self._fn!r} returned {value!r} at x={x!r}"
+                f"objective {self.name or self._fn!r} returned {value!r} "
+                f"at a point of dimension {self.dimension}, x = {summary}"
             )
         with self._lock:
             self._count += 1
@@ -227,11 +232,14 @@ def run_driver(
 ) -> DriverTrace:
     """Run the random-subspace driver until the budget or step floor is hit.
 
-    Iteration k (counting from 0) draws its basis from ``split_stream(rng, k)``,
-    so a caller holding the same stream can reproduce every basis after the
-    fact.  The initial point is always evaluated once before the loop, and an
-    iteration starts only if its largest possible cost fits in what is left of
-    ``config.max_evaluations``.  The trace starts with the initial record and
+    Iteration k (counting from 0) uses the basis
+    ``sample_stiefel(d, p, split_stream(rng, k))``, so a caller holding the
+    same stream can reproduce every basis after the fact.  The bases are drawn
+    in stacks (``rng.sample_stiefel_stack``) of at most as many iterations as
+    the remaining budget guarantees, so only a run that stops at the step
+    floor leaves drawn bases unused.  The initial point is always evaluated
+    once before the loop, and an iteration starts only if its largest
+    possible cost fits in what is left of ``config.max_evaluations``.  The trace starts with the initial record and
     gains one record per iteration, with best values nonincreasing by
     construction and each equal to the objective's value at its iterate.
     """
@@ -252,12 +260,16 @@ def run_driver(
     name, _, mode = config.iteration_kind.partition("-")
     variant = Variant.named(name)
     largest_cost = variant.points * config.p + variant.trial
+    bases: list[SubspaceBasis] = []
     k = 0
     while (
         objective.eval_count + largest_cost <= config.max_evaluations
         and delta >= config.min_step
     ):
-        basis = sample_stiefel(d, config.p, split_stream(rng, k))
+        if not bases:
+            guaranteed = (config.max_evaluations - objective.eval_count) // largest_cost
+            bases = sample_stiefel_stack(d, config.p, rng, k, guaranteed)[::-1]
+        basis = bases.pop()
         if name == "mb":
             x_new, f_new, _ = mb_iteration(objective, x, fx, basis, delta)
         else:

@@ -21,6 +21,9 @@ _UINT64_MAX = 2**64 - 1
 # Re-draw guard for the measure-zero event of a numerically zero Gaussian draw.
 _NORM_FLOOR = 1e-300
 
+# Most Gaussian values one stack of bases draws and factors at once (128 KB).
+_STACK_VALUES = 2**14
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -71,9 +74,7 @@ class SubspaceBasis:
         d, p = cols.shape
         if p < 1 or p > d:
             raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
-        defect = float(np.max(np.abs(cols.T @ cols - np.eye(p))))
-        if defect > 1e-10:
-            raise ValueError(f"columns are not orthonormal: defect {defect!r}")
+        _check_orthonormal(cols)
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
@@ -84,6 +85,15 @@ class SubspaceBasis:
     @property
     def p(self) -> int:
         return self.columns.shape[1]
+
+
+def _check_orthonormal(q: np.ndarray) -> None:
+    """Raise unless every matrix of the (..., d, p) stack ``q`` has
+    orthonormal columns; one batched product checks the whole stack."""
+    gram = np.matmul(np.swapaxes(q, -1, -2), q)
+    defect = float(np.max(np.abs(gram - np.eye(q.shape[-1]))))
+    if defect > 1e-10:
+        raise ValueError(f"columns are not orthonormal: defect {defect!r}")
 
 
 def sample_unit_vector(d: int, rng: RngStream) -> np.ndarray:
@@ -102,20 +112,63 @@ def sample_unit_vector(d: int, rng: RngStream) -> np.ndarray:
             return z / norm
 
 
+def _orthonormalize(a: np.ndarray) -> list[SubspaceBasis]:
+    """Bases from an (n, d, p) stack of Gaussian matrices.
+
+    Each matrix is reduced by thin QR and each column is multiplied by the
+    sign of the corresponding diagonal entry of the triangular factor.  The
+    sign correction is required for exact uniformity; plain QR output is
+    biased because the factorization pins the diagonal signs.  LAPACK
+    factors every matrix of the stack on its own, so a basis does not depend
+    on the stack it was drawn in.
+    """
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0.0] = 1.0
+    q *= signs[:, np.newaxis, :]
+    _check_orthonormal(q)
+    q.setflags(write=False)
+    # The bases skip their own check: the one above covered the whole stack.
+    bases = []
+    for columns in q:
+        basis = object.__new__(SubspaceBasis)
+        object.__setattr__(basis, "columns", columns)
+        bases.append(basis)
+    return bases
+
+
+def _check_stiefel_shape(d: int, p: int) -> None:
+    if d < 1 or p < 1 or p > d:
+        raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
+
+
 def sample_stiefel(d: int, p: int, rng: RngStream) -> SubspaceBasis:
     """Draw a uniformly (rotation-invariantly) distributed orthonormal d-by-p basis.
 
-    A d-by-p standard Gaussian matrix is reduced by thin QR and each column is
-    multiplied by the sign of the corresponding diagonal entry of the
-    triangular factor.  The sign correction is required for exact uniformity;
-    plain QR output is biased because the factorization pins the diagonal
-    signs.
+    A d-by-p standard Gaussian matrix from ``rng`` is orthonormalized by
+    sign-corrected thin QR (see ``_orthonormalize``).
     """
-    if d < 1 or p < 1 or p > d:
-        raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
-    gen = rng.generator()
-    a = gen.standard_normal((d, p))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diagonal(r)).copy()
-    signs[signs == 0.0] = 1.0
-    return SubspaceBasis(q * signs)
+    _check_stiefel_shape(d, p)
+    a = rng.generator().standard_normal((d, p))
+    return _orthonormalize(a[np.newaxis])[0]
+
+
+def sample_stiefel_stack(
+    d: int, p: int, rng: RngStream, start: int, count: int
+) -> list[SubspaceBasis]:
+    """The bases of the children ``start``, ``start + 1``, ... of ``rng``,
+    drawn, factored and checked as one stack.
+
+    The stack holds ``count`` bases, or as many as fit in ``_STACK_VALUES``
+    Gaussian values if that is fewer, and always at least one.  Basis i is
+    bit for bit ``sample_stiefel(d, p, split_stream(rng, start + i))``: each
+    child still draws its d-by-p matrix from its own generator.
+    """
+    _check_stiefel_shape(d, p)
+    if start < 0 or count < 1:
+        raise ValueError(f"need start >= 0 and count >= 1, got {start} and {count}")
+    n = min(count, max(1, _STACK_VALUES // (d * p)))
+    a = np.empty((n, d, p))
+    for i in range(n):
+        split_stream(rng, start + i).generator().standard_normal((d, p), out=a[i])
+    return _orthonormalize(a)

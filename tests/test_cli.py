@@ -369,6 +369,15 @@ def test_figure_vary_p_config_keeps_the_vary_p_list(tmp_path):
     assert {r["method"] for r in rows} == {"exact", "mc"}
 
 
+def test_figure_vary_p_below_the_largest_p_runs_the_p_values_up_to_d(tmp_path):
+    args = ["figure", "ds-vary-p", "--d", "64", "--nsims", "100", "--out", str(tmp_path)]
+    assert main(args) == 0
+    lines = (tmp_path / "ds-vary-p.csv").read_text().splitlines()
+    rows = [dict(zip(CSV_HEADER.split(","), line.split(","))) for line in lines[1:]]
+    assert sorted({int(r["p"]) for r in rows}) == [1, 2, 3, 4, 5, 10, 20, 50]
+    assert {r["d"] for r in rows} == {"64"}
+
+
 def test_figure_flag_beats_config_key(tmp_path):
     config = {"d_values": [8], "n_sims": 100, "seed": 5}
     rows = _figure_rows(tmp_path, "ds-vary-d", config, "--seed", "7", "--d", "16")
@@ -402,3 +411,14 @@ def test_optimize_non_finite_objective_is_reported(capsys):
         assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: objective 'rosenbrock' returned inf")
+
+
+def test_optimize_non_finite_objective_message_summarises_the_point(capsys):
+    args = ["optimize", "--function", "rosenbrock", "--d", "1000", "--p", "2",
+            "--budget", "30", "--delta0", "1e200"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: objective 'rosenbrock' returned inf")
+    assert "dimension 1000" in err and "..." in err
+    assert len(err) < 500

@@ -73,8 +73,13 @@ class TestSpec:
             ExperimentSpec(name="x", variant="zz", d_values=(8,))
         with pytest.raises(ValueError):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), outputs="sideways")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no p value is at most max"):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(9,))
+        with pytest.raises(ValueError, match="p values must be positive"):
+            ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(0, 2))
+        # Entries above max(d) are dropped per d, as p_values_for does.
+        spec = ExperimentSpec(name="x", variant="ds", d_values=(4, 8), p_rule=(2, 6, 9))
+        assert [p_values_for(d, spec.p_rule) for d in spec.d_values] == [(2,), (2, 6)]
 
 
 class TestGridRows:

@@ -24,6 +24,7 @@ from subspace_dfo import (
     sample_unit_vector,
     split_stream,
 )
+from subspace_dfo import rng as rng_module
 
 
 def linear_objective(g: np.ndarray) -> ObjectiveHandle:
@@ -460,6 +461,45 @@ class TestDriver:
             basis = sample_stiefel(d, p, split_stream(driver_rng, k - 1))
             expected = trace.records[k].step_size * np.max(np.abs(basis.columns.T @ g))
             assert best[k - 1] - best[k] == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, d, p, budget",
+        [
+            ("ds-complete", 12, 1, 300),
+            ("ds-opportunistic", 100, 2, 2000),
+            ("mb", 300, 5, 400),
+            ("mb", 1000, 10, 60),
+        ],
+    )
+    def test_budget_bound_run_draws_one_generator_per_iteration(
+        self, monkeypatch, kind, d, p, budget
+    ):
+        # A linear objective always improves, so the step never reaches the
+        # floor: the run is budget-bound and no drawn basis goes unused.
+        generators, stack_values = [], []
+        make_generator = RngStream.generator
+        orthonormalize = rng_module._orthonormalize
+
+        def counted(stream):
+            generators.append(stream)
+            return make_generator(stream)
+
+        def recorded(a):
+            stack_values.append(a.size)
+            return orthonormalize(a)
+
+        monkeypatch.setattr(RngStream, "generator", counted)
+        monkeypatch.setattr(rng_module, "_orthonormalize", recorded)
+        g = sample_unit_vector(d, RngStream(8))
+        generators.clear()
+        config = DriverConfig(p=p, max_evaluations=budget, iteration_kind=kind)
+        driver_rng = RngStream(9)
+        trace = run_driver(linear_objective(g), np.zeros(d), config, driver_rng)
+        iterations = len(trace.records) - 1
+        assert iterations > 1
+        assert generators == [split_stream(driver_rng, k) for k in range(iterations)]
+        assert all(n == d * p or n <= rng_module._STACK_VALUES for n in stack_values)
+        assert sum(stack_values) == iterations * d * p
 
     def test_dimension_mismatch(self):
         g = sample_unit_vector(4, RngStream(0))

@@ -13,9 +13,11 @@ from subspace_dfo import (
     RngStream,
     SubspaceBasis,
     sample_stiefel,
+    sample_stiefel_stack,
     sample_unit_vector,
     split_stream,
 )
+from subspace_dfo import rng as rng_module
 
 # Two-sample Kolmogorov-Smirnov critical value at the 1% level.
 KS_COEFF_1PCT = math.sqrt(-0.5 * math.log(0.005))
@@ -149,6 +151,47 @@ class TestStiefelSampling:
         gap = abs(full.mean() - reduced.mean())
         se = math.hypot(full.std(ddof=1) / math.sqrt(n), reduced.std(ddof=1) / math.sqrt(n))
         assert gap <= 3.0 * se
+
+
+class TestStackedSampling:
+    @pytest.mark.parametrize(
+        "d, p", [(1, 1), (12, 1), (100, 2), (300, 5), (1000, 10), (7, 7), (130, 130)]
+    )
+    def test_stack_matches_per_child_draws_bit_for_bit(self, d, p):
+        base, start, count = RngStream(29), 3, 25
+        bases = []
+        while len(bases) < count:
+            bases += sample_stiefel_stack(d, p, base, start + len(bases), count - len(bases))
+        assert len(bases) == count
+        for i, basis in enumerate(bases):
+            single = sample_stiefel(d, p, split_stream(base, start + i))
+            assert isinstance(basis, SubspaceBasis)
+            assert basis.columns.shape == (d, p)
+            assert basis.columns.tobytes() == single.columns.tobytes()
+            assert not basis.columns.flags.writeable
+
+    @pytest.mark.parametrize("d, p", [(1, 1), (12, 1), (100, 2), (300, 5), (1000, 10), (200, 200)])
+    def test_no_stack_exceeds_the_value_cap(self, d, p):
+        cap = rng_module._STACK_VALUES
+        assert cap == 2**14
+        for count in (1, 7, 10**6):
+            n = len(sample_stiefel_stack(d, p, RngStream(1), 0, count))
+            assert n == min(count, max(1, cap // (d * p)))
+            assert n == 1 or n * d * p <= cap
+
+    def test_one_check_covers_the_whole_stack(self):
+        q = np.stack([np.eye(4, 2), np.eye(4, 2)])
+        rng_module._check_orthonormal(q)
+        q[1, 0, 1] = 1e-9
+        with pytest.raises(ValueError, match="not orthonormal"):
+            rng_module._check_orthonormal(q)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(InvalidDimensionError):
+            sample_stiefel_stack(3, 4, RngStream(0), 0, 2)
+        for start, count in ((0, 0), (-1, 2)):
+            with pytest.raises(ValueError):
+                sample_stiefel_stack(3, 2, RngStream(0), start, count)
 
 
 class TestDistributionalInvariance:
