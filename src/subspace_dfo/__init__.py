@@ -28,7 +28,6 @@ from .rng import (
     RngStream,
     SubspaceBasis,
     sample_stiefel,
-    sample_stiefel_stack,
     sample_unit_vector,
     split_stream,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "RngStream",
     "SubspaceBasis",
     "sample_stiefel",
-    "sample_stiefel_stack",
     "sample_unit_vector",
     "split_stream",
     "gamma_half_ratio",

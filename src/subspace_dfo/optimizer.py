@@ -235,13 +235,16 @@ def run_driver(
     Iteration k (counting from 0) uses the basis
     ``sample_stiefel(d, p, split_stream(rng, k))``, so a caller holding the
     same stream can reproduce every basis after the fact.  The bases are drawn
-    in stacks (``rng.sample_stiefel_stack``) of at most as many iterations as
-    the remaining budget guarantees, so only a run that stops at the step
-    floor leaves drawn bases unused.  The initial point is always evaluated
-    once before the loop, and an iteration starts only if its largest
-    possible cost fits in what is left of ``config.max_evaluations``.  The trace starts with the initial record and
-    gains one record per iteration, with best values nonincreasing by
-    construction and each equal to the objective's value at its iterate.
+    in stacks (``rng.sample_stiefel_stack``): the first holds one basis and
+    each refill doubles the last, capped at as many iterations as the
+    remaining budget guarantees.  A budget-bound run uses every basis it
+    draws, and a run that stops at the step floor leaves fewer bases unused
+    than it used.  The initial point is always evaluated once before the
+    loop, and an iteration starts only if its largest possible cost fits in
+    what is left of ``config.max_evaluations``.  The trace starts with the
+    initial record and gains one record per iteration, with best values
+    nonincreasing by construction and each equal to the objective's value at
+    its iterate.
     """
     x = np.asarray(x0, dtype=float)
     d = objective.dimension
@@ -261,6 +264,7 @@ def run_driver(
     variant = Variant.named(name)
     largest_cost = variant.points * config.p + variant.trial
     bases: list[SubspaceBasis] = []
+    stack_size = 1
     k = 0
     while (
         objective.eval_count + largest_cost <= config.max_evaluations
@@ -268,7 +272,9 @@ def run_driver(
     ):
         if not bases:
             guaranteed = (config.max_evaluations - objective.eval_count) // largest_cost
-            bases = sample_stiefel_stack(d, config.p, rng, k, guaranteed)[::-1]
+            count = min(stack_size, guaranteed)
+            bases = sample_stiefel_stack(d, config.p, rng, k, count)[::-1]
+            stack_size = 2 * len(bases)
         basis = bases.pop()
         if name == "mb":
             x_new, f_new, _ = mb_iteration(objective, x, fx, basis, delta)

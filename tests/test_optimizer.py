@@ -501,6 +501,26 @@ class TestDriver:
         assert all(n == d * p or n <= rng_module._STACK_VALUES for n in stack_values)
         assert sum(stack_values) == iterations * d * p
 
+    @pytest.mark.parametrize("min_step, iterations", [(0.3, 2), (1e-5, 17), (1e-9, 30)])
+    def test_run_stopped_by_the_step_floor_leaves_fewer_bases_unused_than_used(
+        self, monkeypatch, min_step, iterations
+    ):
+        # A constant objective never improves, so the step halves until it
+        # falls below the floor long before the budget runs out.
+        stack_sizes = []
+        orthonormalize = rng_module._orthonormalize
+
+        def recorded(a):
+            stack_sizes.append(len(a))
+            return orthonormalize(a)
+
+        monkeypatch.setattr(rng_module, "_orthonormalize", recorded)
+        config = DriverConfig(p=1, max_evaluations=10**5, min_step=min_step)
+        trace = run_driver(ObjectiveHandle(lambda x: 0.0, 12), np.zeros(12), config, RngStream(3))
+        assert len(trace.records) - 1 == iterations
+        assert stack_sizes == [2**i for i in range(len(stack_sizes))]
+        assert iterations <= sum(stack_sizes) < 2 * iterations
+
     def test_dimension_mismatch(self):
         g = sample_unit_vector(4, RngStream(0))
         with pytest.raises(InvalidDimensionError):

@@ -13,7 +13,6 @@ from subspace_dfo import (
     RngStream,
     SubspaceBasis,
     sample_stiefel,
-    sample_stiefel_stack,
     sample_unit_vector,
     split_stream,
 )
@@ -159,9 +158,10 @@ class TestStackedSampling:
     )
     def test_stack_matches_per_child_draws_bit_for_bit(self, d, p):
         base, start, count = RngStream(29), 3, 25
+        stack = rng_module.sample_stiefel_stack
         bases = []
         while len(bases) < count:
-            bases += sample_stiefel_stack(d, p, base, start + len(bases), count - len(bases))
+            bases += stack(d, p, base, start + len(bases), count - len(bases))
         assert len(bases) == count
         for i, basis in enumerate(bases):
             single = sample_stiefel(d, p, split_stream(base, start + i))
@@ -175,7 +175,7 @@ class TestStackedSampling:
         cap = rng_module._STACK_VALUES
         assert cap == 2**14
         for count in (1, 7, 10**6):
-            n = len(sample_stiefel_stack(d, p, RngStream(1), 0, count))
+            n = len(rng_module.sample_stiefel_stack(d, p, RngStream(1), 0, count))
             assert n == min(count, max(1, cap // (d * p)))
             assert n == 1 or n * d * p <= cap
 
@@ -188,10 +188,10 @@ class TestStackedSampling:
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidDimensionError):
-            sample_stiefel_stack(3, 4, RngStream(0), 0, 2)
+            rng_module.sample_stiefel_stack(3, 4, RngStream(0), 0, 2)
         for start, count in ((0, 0), (-1, 2)):
             with pytest.raises(ValueError):
-                sample_stiefel_stack(3, 2, RngStream(0), start, count)
+                rng_module.sample_stiefel_stack(3, 2, RngStream(0), start, count)
 
 
 class TestDistributionalInvariance:
