@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
+
+import numbers
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class InvalidDimensionError(ValueError):

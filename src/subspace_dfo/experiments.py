@@ -12,7 +12,6 @@ import dataclasses
 import datetime
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
@@ -20,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, _is_int
 from .formulas import (
     VARIANTS,
     Variant,
@@ -128,10 +127,6 @@ def write_manifest(path: str | Path, payload: dict) -> None:
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii", newline="\n"
     )
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _int_tuple(key: str, values: object) -> tuple[int, ...]:

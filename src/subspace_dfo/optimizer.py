@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimensionError, NonFiniteObjectiveError
+from .errors import DomainError, InvalidDimensionError, NonFiniteObjectiveError, _is_int
 from .formulas import Variant
 from .rng import RngStream, SubspaceBasis, sample_stiefel_stack
 
@@ -43,9 +43,9 @@ class ObjectiveHandle:
 
     The counter increments exactly once per evaluation.  The driver evaluates
     points one at a time; the lock keeps the count exact for a caller that
-    shares one handle between threads.  Non-finite objective values abort the
-    run immediately: silently propagating NaN would corrupt every later
-    comparison.
+    shares one handle between threads.  A non-finite objective value is
+    counted, then aborts the run: silently propagating NaN would corrupt every
+    later comparison.
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dimension: int, name: str = ""):
@@ -68,6 +68,8 @@ class ObjectiveHandle:
                 f"objective expects a vector of length {self.dimension}, got shape {x.shape}"
             )
         value = float(self._fn(x))
+        with self._lock:
+            self._count += 1
         if not math.isfinite(value):
             # A summary of x: at d = 1000 the full point is some 20 kB of text.
             summary = np.array2string(
@@ -77,8 +79,6 @@ class ObjectiveHandle:
                 f"objective {self.name or self._fn!r} returned {value!r} "
                 f"at a point of dimension {self.dimension}, x = {summary}"
             )
-        with self._lock:
-            self._count += 1
         return value
 
 
@@ -105,6 +105,9 @@ class DriverConfig:
     iteration_kind: str = "ds-complete"
 
     def __post_init__(self) -> None:
+        for key in ("p", "max_evaluations"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if self.p < 1:
             raise InvalidDimensionError(f"subspace dimension must be positive, got {self.p}")
         if self.max_evaluations < 0:
@@ -136,12 +139,14 @@ class TraceRecord:
     eval_count: int
     best_value: float
     step_size: float
-    iterate: np.ndarray
 
 
 @dataclass
 class DriverTrace:
-    records: list[TraceRecord] = field(default_factory=list)
+    """One run's records, and ``x``, its final point: f(``x``) is the final best value."""
+
+    records: list[TraceRecord]
+    x: np.ndarray = field(compare=False)
 
     def best_values(self) -> np.ndarray:
         return np.array([r.best_value for r in self.records])
@@ -243,8 +248,8 @@ def run_driver(
     loop, and an iteration starts only if its largest possible cost fits in
     what is left of ``config.max_evaluations``.  The trace starts with the
     initial record and gains one record per iteration, with best values
-    nonincreasing by construction and each equal to the objective's value at
-    its iterate.
+    nonincreasing by construction.  Its ``x`` is a copy of the final point,
+    made once when the run returns: the final best value is f(``trace.x``).
     """
     x = np.asarray(x0, dtype=float)
     d = objective.dimension
@@ -255,10 +260,7 @@ def run_driver(
 
     fx = objective(x)
     delta = config.initial_step
-    trace = DriverTrace()
-    trace.records.append(
-        TraceRecord(0, objective.eval_count, fx, delta, x.copy())
-    )
+    records = [TraceRecord(0, objective.eval_count, fx, delta)]
 
     name, _, mode = config.iteration_kind.partition("-")
     variant = Variant.named(name)
@@ -280,11 +282,8 @@ def run_driver(
             x_new, f_new, _ = mb_iteration(objective, x, fx, basis, delta)
         else:
             x_new, f_new, _ = ds_iteration(objective, x, fx, basis, delta, mode)
-        step_used = delta
+        k += 1
+        records.append(TraceRecord(k, objective.eval_count, f_new, delta))
         delta *= config.expand_factor if f_new < fx else config.contract_factor
         x, fx = x_new, f_new
-        k += 1
-        trace.records.append(
-            TraceRecord(k, objective.eval_count, fx, step_used, x.copy())
-        )
-    return trace
+    return DriverTrace(records, x.copy())

@@ -8,6 +8,7 @@ says otherwise.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -197,3 +198,15 @@ def test_package_exports_resolve():
 
     missing = [name for name in subspace_dfo.__all__ if not hasattr(subspace_dfo, name)]
     assert missing == [] and len(set(subspace_dfo.__all__)) == len(subspace_dfo.__all__)
+
+
+def test_readme_quickstart_runs(capsys):
+    # The README's Python block documents the API, so it must run as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    trace, objective = namespace["trace"], namespace["objective"]
+    assert objective(trace.x) == trace.final.best_value
+    assert str(trace.final.eval_count) in capsys.readouterr().out

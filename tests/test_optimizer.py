@@ -3,6 +3,7 @@ driver behavior."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,10 +113,12 @@ class TestObjectiveHandle:
             obj(np.zeros(4))
 
     def test_rejects_non_finite(self):
-        obj = ObjectiveHandle(lambda x: math.inf, 2)
-        with pytest.raises(NonFiniteObjectiveError):
-            obj(np.zeros(2))
-        assert obj.eval_count == 0
+        for value in (math.inf, math.nan):
+            obj = ObjectiveHandle(lambda x: value, 2)
+            with pytest.raises(NonFiniteObjectiveError):
+                obj(np.zeros(2))
+            # The evaluation happened, so it is counted.
+            assert obj.eval_count == 1
 
 
 class TestPollPoints:
@@ -331,14 +334,14 @@ class TestMbIteration:
 class TestDriver:
     def test_zero_budget_gives_single_record(self):
         g = sample_unit_vector(4, RngStream(0))
+        x0 = np.zeros(4)
         trace = run_driver(
-            linear_objective(g),
-            np.zeros(4),
-            DriverConfig(p=1, max_evaluations=0),
-            RngStream(1),
+            linear_objective(g), x0, DriverConfig(p=1, max_evaluations=0), RngStream(1)
         )
         assert len(trace.records) == 1
         assert trace.records[0].eval_count == 1
+        # The final point is a copy, never the caller's array.
+        assert np.array_equal(trace.x, x0) and not np.shares_memory(trace.x, x0)
 
     @pytest.mark.parametrize("kind", ["ds-complete", "ds-opportunistic", "mb"])
     def test_budget_too_small_for_one_iteration(self, kind):
@@ -378,13 +381,42 @@ class TestDriver:
         [
             ("sphere-quadratic", 12, 1, "mb", 4058335883),
             ("linear-random-g", 300, 5, "ds-complete", 2195314465),
+            ("rosenbrock", 100, 2, "ds-opportunistic", 3371069187),
         ],
     )
     def test_best_value_is_the_value_at_the_iterate(self, name, d, p, kind, seed):
         config = DriverConfig(p=p, max_evaluations=300, iteration_kind=kind)
         trace, objective = run_optimizer_experiment(name, d, config, seed=seed)
-        for record in trace.records:
-            assert record.best_value == objective(record.iterate)
+        assert objective(trace.x) == trace.final.best_value
+        if kind == "ds-complete":
+            # Every iteration costs 2p and basis k does not depend on the stack
+            # schedule, so a rerun whose budget is record k's count ends at k.
+            for record in trace.records:
+                budget = dataclasses.replace(config, max_evaluations=record.eval_count)
+                rerun, objective = run_optimizer_experiment(name, d, budget, seed=seed)
+                assert rerun.records == trace.records[: record.iteration + 1]
+                assert objective(rerun.x) == record.best_value
+
+    def test_runs_from_one_seed_have_equal_hashable_records(self):
+        config = DriverConfig(p=2, max_evaluations=200, iteration_kind="mb")
+        a, _ = run_optimizer_experiment("rosenbrock", 12, config, seed=3)
+        b, _ = run_optimizer_experiment("rosenbrock", 12, config, seed=3)
+        assert a.records == b.records
+        assert a == b
+        assert len(set(a.records)) == len(a.records) > 1
+        assert hash(a.final) == hash(b.final)
+
+    def test_trace_keeps_no_point_per_record(self):
+        # 2,000 iterates at d = 1000 would be 16 MB; the run keeps one.
+        config = DriverConfig(p=1, max_evaluations=4000)
+        tracemalloc.start()
+        try:
+            trace, _ = run_optimizer_experiment("linear-random-g", 1000, config, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.records) == 2000
+        assert peak < 4 * 2**20
 
     def test_linear_objective_strictly_decreases(self):
         g = sample_unit_vector(30, RngStream(2))
@@ -417,9 +449,8 @@ class TestDriver:
             p=1, max_evaluations=2500, iteration_kind="ds-complete", expand_factor=2.0
         )
         trace = run_driver(obj, x0, config, RngStream(11))
-        final = trace.final
         # Gradient of the half squared norm is the iterate itself.
-        assert np.linalg.norm(final.iterate) < 0.1 * np.linalg.norm(x0)
+        assert np.linalg.norm(trace.x) < 0.1 * np.linalg.norm(x0)
 
     def test_evaluation_accounting_per_iteration(self):
         g = sample_unit_vector(12, RngStream(4))
@@ -557,6 +588,13 @@ class TestDriverConfigValidation:
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(Exception):
+            DriverConfig(**kwargs)
+
+    @pytest.mark.parametrize("key, value", [("p", 2.0), ("p", True), ("max_evaluations", 40.5)])
+    def test_rejects_a_non_integer_count(self, key, value):
+        kwargs = dict(p=1, max_evaluations=40)
+        kwargs[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
             DriverConfig(**kwargs)
 
 
