@@ -658,11 +658,13 @@ def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) 
 
 
 def _stacked_bases(d: int, p: int, rng: RngStream, count: int):
-    """Yield the bases of children 0, ..., count - 1 of ``rng``, drawing them
-    stack by stack as they are consumed."""
+    """Yield the first ``count`` bases of ``rng.generator()``, the bases a
+    driver run on ``rng`` uses, drawing them stack by stack as they are
+    consumed."""
+    gen = rng.generator()
     k = 0
     while k < count:
-        stack = sample_stiefel_stack(d, p, rng, k, count - k)
+        stack = sample_stiefel_stack(d, p, gen, count - k)
         yield from stack
         k += len(stack)
 

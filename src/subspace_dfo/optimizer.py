@@ -21,6 +21,7 @@ once, even with a zero budget.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -113,8 +114,11 @@ class DriverConfig:
         if self.max_evaluations < 0:
             raise ValueError("evaluation budget cannot be negative")
         for key in ("initial_step", "expand_factor", "contract_factor", "min_step"):
-            if not math.isfinite(getattr(self, key)):
-                raise DomainError(f"{key} must be finite, got {getattr(self, key)!r}")
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise DomainError(f"{key} must be finite, got {value!r}")
         if self.initial_step <= 0.0 or self.min_step <= 0.0:
             raise DomainError("step sizes must be positive")
         if not (0.0 < self.contract_factor < 1.0):
@@ -237,16 +241,18 @@ def run_driver(
 ) -> DriverTrace:
     """Run the random-subspace driver until the budget or step floor is hit.
 
-    Iteration k (counting from 0) uses the basis
-    ``sample_stiefel(d, p, split_stream(rng, k))``, so a caller holding the
-    same stream can reproduce every basis after the fact.  The bases are drawn
-    in stacks (``rng.sample_stiefel_stack``): the first holds one basis and
-    each refill doubles the last, capped at as many iterations as the
-    remaining budget guarantees.  A budget-bound run uses every basis it
-    draws, and a run that stops at the step floor leaves fewer bases unused
-    than it used.  The initial point is always evaluated once before the
-    loop, and an iteration starts only if its largest possible cost fits in
-    what is left of ``config.max_evaluations``.  The trace starts with the
+    The run makes one generator, ``rng.generator()``, and iteration k
+    (counting from 0) uses the k-th d-by-p block of its Gaussian values,
+    orthonormalized: iteration 0 uses ``sample_stiefel(d, p, rng)``, and a
+    caller holding the same stream can replay every basis in order.  The
+    bases are drawn in stacks (``rng.sample_stiefel_stack``): the first holds
+    one basis and each refill doubles the last, capped at as many iterations
+    as the remaining budget guarantees; the schedule cannot change a basis.
+    A budget-bound run uses every basis it draws, and a run that stops at the
+    step floor leaves fewer bases unused than it used.  The initial point is
+    always evaluated once before the loop, and an iteration starts only if
+    its largest possible cost fits in what is left of
+    ``config.max_evaluations``.  The trace starts with the
     initial record and gains one record per iteration, with best values
     nonincreasing by construction.  Its ``x`` is a copy of the final point,
     made once when the run returns: the final best value is f(``trace.x``).
@@ -265,6 +271,7 @@ def run_driver(
     name, _, mode = config.iteration_kind.partition("-")
     variant = Variant.named(name)
     largest_cost = variant.points * config.p + variant.trial
+    gen = rng.generator()
     bases: list[SubspaceBasis] = []
     stack_size = 1
     k = 0
@@ -275,7 +282,7 @@ def run_driver(
         if not bases:
             guaranteed = (config.max_evaluations - objective.eval_count) // largest_cost
             count = min(stack_size, guaranteed)
-            bases = sample_stiefel_stack(d, config.p, rng, k, count)[::-1]
+            bases = sample_stiefel_stack(d, config.p, gen, count)[::-1]
             stack_size = 2 * len(bases)
         basis = bases.pop()
         if name == "mb":

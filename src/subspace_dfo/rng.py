@@ -6,6 +6,11 @@ stream always reproduces the same draws, and child streams obtained through
 :func:`split_stream` are statistically independent of each other and of their
 parent.  This makes replicated experiments bit-reproducible and lets parallel
 workers own disjoint streams without coordination.
+
+A sequence of bases, such as one optimizer run's, is read from one stream:
+basis k is the k-th d-by-p block of the Gaussian values of the stream's
+generator (:func:`sample_stiefel_stack`), so ``sample_stiefel`` on the same
+stream gives basis 0.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import InvalidDimensionError, _is_int
 
 _UINT64_MAX = 2**64 - 1
 
@@ -39,10 +44,11 @@ class RngStream:
     stream: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) <= _UINT64_MAX):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if any(k < 0 for k in self.stream):
-            raise ValueError(f"stream indices must be nonnegative, got {self.stream}")
+        if not _is_int(self.seed) or not (0 <= self.seed <= _UINT64_MAX):
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        stream = self.stream
+        if not isinstance(stream, tuple) or not all(_is_int(k) and k >= 0 for k in stream):
+            raise ValueError(f"stream indices must be nonnegative integers, got {stream!r}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -56,8 +62,8 @@ def split_stream(rng: RngStream, k: int) -> RngStream:
     Children with distinct ``k`` are independent; the same ``k`` always
     returns the same child.
     """
-    if k < 0:
-        raise ValueError(f"substream index must be nonnegative, got {k}")
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"substream index must be a nonnegative integer, got {k!r}")
     return RngStream(rng.seed, rng.stream + (int(k),))
 
 
@@ -137,38 +143,29 @@ def _orthonormalize(a: np.ndarray) -> list[SubspaceBasis]:
     return bases
 
 
-def _check_stiefel_shape(d: int, p: int) -> None:
-    if d < 1 or p < 1 or p > d:
-        raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
-
-
 def sample_stiefel(d: int, p: int, rng: RngStream) -> SubspaceBasis:
     """Draw a uniformly (rotation-invariantly) distributed orthonormal d-by-p basis.
 
-    A d-by-p standard Gaussian matrix from ``rng`` is orthonormalized by
-    sign-corrected thin QR (see ``_orthonormalize``).
+    The first d-by-p block of Gaussian values from ``rng`` is orthonormalized
+    by sign-corrected thin QR (see ``_orthonormalize``): basis 0 of the
+    sequence :func:`sample_stiefel_stack` reads from ``rng.generator()``.
     """
-    _check_stiefel_shape(d, p)
-    a = rng.generator().standard_normal((d, p))
-    return _orthonormalize(a[np.newaxis])[0]
+    return sample_stiefel_stack(d, p, rng.generator(), 1)[0]
 
 
 def sample_stiefel_stack(
-    d: int, p: int, rng: RngStream, start: int, count: int
+    d: int, p: int, gen: np.random.Generator, count: int
 ) -> list[SubspaceBasis]:
-    """The bases of the children ``start``, ``start + 1``, ... of ``rng``,
-    drawn, factored and checked as one stack.
+    """The next bases of ``gen``, drawn, factored and checked as one stack.
 
     The stack holds ``count`` bases, or as many as fit in ``_STACK_VALUES``
     Gaussian values if that is fewer, and always at least one.  Basis i is
-    bit for bit ``sample_stiefel(d, p, split_stream(rng, start + i))``: each
-    child still draws its d-by-p matrix from its own generator.
+    the i-th d-by-p block of the normals ``gen`` draws next, so the bases
+    read from one generator do not depend on how they are split into stacks.
     """
-    _check_stiefel_shape(d, p)
-    if start < 0 or count < 1:
-        raise ValueError(f"need start >= 0 and count >= 1, got {start} and {count}")
+    if d < 1 or p < 1 or p > d:
+        raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
+    if count < 1:
+        raise ValueError(f"need a count >= 1, got {count}")
     n = min(count, max(1, _STACK_VALUES // (d * p)))
-    a = np.empty((n, d, p))
-    for i in range(n):
-        split_stream(rng, start + i).generator().standard_normal((d, p), out=a[i])
-    return _orthonormalize(a)
+    return _orthonormalize(gen.standard_normal((n, d, p)))

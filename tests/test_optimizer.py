@@ -477,7 +477,7 @@ class TestDriver:
         assert trace.final.eval_count == 7
 
     def test_basis_reconstruction_from_stream(self):
-        # Iteration k draws its basis from child stream k of the driver stream.
+        # Iteration k uses the k-th basis of the driver stream's one generator.
         d, p = 10, 2
         g = sample_unit_vector(d, RngStream(6))
         driver_rng = RngStream(777)
@@ -488,8 +488,11 @@ class TestDriver:
             driver_rng,
         )
         best = trace.best_values()
-        for k in range(1, len(trace.records)):
-            basis = sample_stiefel(d, p, split_stream(driver_rng, k - 1))
+        iterations = len(trace.records) - 1
+        bases = rng_module.sample_stiefel_stack(d, p, driver_rng.generator(), iterations)
+        assert len(bases) == iterations > 1
+        assert bases[0].columns.tobytes() == sample_stiefel(d, p, driver_rng).columns.tobytes()
+        for k, basis in enumerate(bases, start=1):
             expected = trace.records[k].step_size * np.max(np.abs(basis.columns.T @ g))
             assert best[k - 1] - best[k] == pytest.approx(expected, abs=1e-12)
 
@@ -506,7 +509,9 @@ class TestDriver:
         self, monkeypatch, kind, d, p, budget
     ):
         # A linear objective always improves, so the step never reaches the
-        # floor: the run is budget-bound and no drawn basis goes unused.
+        # floor: the run is budget-bound and no drawn basis goes unused.  The
+        # name is kept from when each basis had a generator of its own; a run
+        # now makes exactly one, for its stream.
         generators, stack_values = [], []
         make_generator = RngStream.generator
         orthonormalize = rng_module._orthonormalize
@@ -528,7 +533,7 @@ class TestDriver:
         trace = run_driver(linear_objective(g), np.zeros(d), config, driver_rng)
         iterations = len(trace.records) - 1
         assert iterations > 1
-        assert generators == [split_stream(driver_rng, k) for k in range(iterations)]
+        assert generators == [driver_rng]
         assert all(n == d * p or n <= rng_module._STACK_VALUES for n in stack_values)
         assert sum(stack_values) == iterations * d * p
 
@@ -589,6 +594,31 @@ class TestDriverConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(Exception):
             DriverConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("initial_step", "1.0"),
+            ("initial_step", True),
+            ("expand_factor", True),
+            ("expand_factor", "2"),
+            ("contract_factor", None),
+            ("contract_factor", 0.5j),
+            ("min_step", None),
+            ("min_step", False),
+        ],
+    )
+    def test_rejects_a_non_real_factor(self, key, value):
+        kwargs = dict(p=1, max_evaluations=40)
+        kwargs[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be a real number, got {value!r}"):
+            DriverConfig(**kwargs)
+
+    def test_accepts_integer_and_numpy_factors(self):
+        config = DriverConfig(
+            p=1, max_evaluations=40, initial_step=2, expand_factor=np.float64(1.5), min_step=1e-3
+        )
+        assert config.initial_step == 2 and config.expand_factor == 1.5
 
     @pytest.mark.parametrize("key, value", [("p", 2.0), ("p", True), ("max_evaluations", 40.5)])
     def test_rejects_a_non_integer_count(self, key, value):

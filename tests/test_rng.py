@@ -60,6 +60,28 @@ class TestStreams:
         with pytest.raises(ValueError):
             split_stream(RngStream(0), -1)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None, 3.0])
+    def test_refuses_a_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be .* integer, got {seed!r}"):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("index", [1.5, "3", True, 2.0])
+    def test_refuses_a_non_integer_stream_index(self, index):
+        with pytest.raises(ValueError, match="stream indices must be nonnegative integers"):
+            RngStream(0, (1, index))
+        with pytest.raises(ValueError, match=f"substream index .* got {index!r}"):
+            split_stream(RngStream(0), index)
+
+    @pytest.mark.parametrize("stream", [[1], 5, (1, -2)])
+    def test_refuses_a_stream_path_that_is_not_a_tuple_of_indices(self, stream):
+        with pytest.raises(ValueError, match="stream indices must be nonnegative integers"):
+            RngStream(0, stream)
+
+    def test_numpy_integers_make_the_same_stream(self):
+        stream, plain = RngStream(np.uint64(7), (np.int64(2),)), RngStream(7, (2,))
+        assert stream == plain
+        assert stream.generator().standard_normal() == plain.generator().standard_normal()
+
 
 class TestUnitVector:
     def test_one_dimensional_sphere_is_signs(self):
@@ -157,25 +179,30 @@ class TestStackedSampling:
         "d, p", [(1, 1), (12, 1), (100, 2), (300, 5), (1000, 10), (7, 7), (130, 130)]
     )
     def test_stack_matches_per_child_draws_bit_for_bit(self, d, p):
-        base, start, count = RngStream(29), 3, 25
-        stack = rng_module.sample_stiefel_stack
-        bases = []
+        # Bases come in order from one generator (the name predates that):
+        # the stacks 1, 2, 4, ... the driver draws read them as one stack.
+        base, count = RngStream(29, (3,)), 25
+        # One stack of 25, past the value cap where the shape needs it.
+        one_stack = rng_module._orthonormalize(base.generator().standard_normal((count, d, p)))
+        gen, bases, size = base.generator(), [], 1
         while len(bases) < count:
-            bases += stack(d, p, base, start + len(bases), count - len(bases))
+            stack = rng_module.sample_stiefel_stack(d, p, gen, min(size, count - len(bases)))
+            bases += stack
+            size = 2 * len(stack)
         assert len(bases) == count
-        for i, basis in enumerate(bases):
-            single = sample_stiefel(d, p, split_stream(base, start + i))
+        for basis, single in zip(bases, one_stack):
             assert isinstance(basis, SubspaceBasis)
             assert basis.columns.shape == (d, p)
             assert basis.columns.tobytes() == single.columns.tobytes()
             assert not basis.columns.flags.writeable
+        assert bases[0].columns.tobytes() == sample_stiefel(d, p, base).columns.tobytes()
 
     @pytest.mark.parametrize("d, p", [(1, 1), (12, 1), (100, 2), (300, 5), (1000, 10), (200, 200)])
     def test_no_stack_exceeds_the_value_cap(self, d, p):
         cap = rng_module._STACK_VALUES
         assert cap == 2**14
         for count in (1, 7, 10**6):
-            n = len(rng_module.sample_stiefel_stack(d, p, RngStream(1), 0, count))
+            n = len(rng_module.sample_stiefel_stack(d, p, RngStream(1).generator(), count))
             assert n == min(count, max(1, cap // (d * p)))
             assert n == 1 or n * d * p <= cap
 
@@ -187,11 +214,12 @@ class TestStackedSampling:
             rng_module._check_orthonormal(q)
 
     def test_invalid_arguments(self):
+        gen = RngStream(0).generator()
         with pytest.raises(InvalidDimensionError):
-            rng_module.sample_stiefel_stack(3, 4, RngStream(0), 0, 2)
-        for start, count in ((0, 0), (-1, 2)):
-            with pytest.raises(ValueError):
-                rng_module.sample_stiefel_stack(3, 2, RngStream(0), start, count)
+            rng_module.sample_stiefel_stack(3, 4, gen, 2)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match=f"need a count >= 1, got {count}"):
+                rng_module.sample_stiefel_stack(3, 2, gen, count)
 
 
 class TestDistributionalInvariance:
