@@ -26,7 +26,6 @@ from .errors import (
 )
 from .rng import (
     RngStream,
-    SubspaceBasis,
     sample_stiefel,
     sample_unit_vector,
     split_stream,
@@ -75,7 +74,6 @@ __all__ = [
     "InvalidDimensionError",
     "NonFiniteObjectiveError",
     "RngStream",
-    "SubspaceBasis",
     "sample_stiefel",
     "sample_unit_vector",
     "split_stream",

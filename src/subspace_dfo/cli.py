@@ -50,11 +50,21 @@ def _default_outdir() -> Path:
     return Path(os.environ.get(ENV_OUTDIR, "."))
 
 
+def _text_line(r: ResultRow) -> str:
+    if r.std_error is None:
+        return f"{r.metric:>16}  {r.value:.12g}  [{r.method}]\n"
+    return (f"{r.metric}  mean = {r.value:.12g}  std_error = {r.std_error:.3g}  "
+            f"(n = {r.n_sims}, seed = {r.seed})\n")
+
+
 def _emit_rows(rows: list[ResultRow], fmt: str, out: str | None) -> None:
+    """Write ``rows`` as text, csv or json to the file ``out``, or to stdout."""
     if fmt == "json":
         payload = json.dumps([asdict(r) for r in rows], indent=2) + "\n"
-    else:
+    elif fmt == "csv":
         payload = rows_to_csv(rows)
+    else:
+        payload = "".join(map(_text_line, rows))
     if out:
         Path(out).write_text(payload, encoding="ascii", newline="\n")
     else:
@@ -72,11 +82,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     if args.cores_model is not None:
         c = args.cores_model
         rows.append(ResultRow(variant, d, p, "exact", f"per-work({c})", record.per_work(p, d, c)))
-    if args.format in ("csv", "json"):
-        _emit_rows(rows, args.format, args.out)
-    else:
-        for r in rows:
-            print(f"{r.metric:>16}  {r.value:.12g}  [{r.method}]")
+    _emit_rows(rows, args.format, args.out)
     return 0
 
 
@@ -92,11 +98,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             args.variant, args.d, args.p, "mc", metric, mean, std_error, est.n_sims, est.seed
         )
     ]
-    if args.format in ("csv", "json"):
-        _emit_rows(rows, args.format, args.out)
-    else:
-        print(f"{metric}  mean = {mean:.12g}  std_error = {std_error:.3g}  "
-              f"(n = {est.n_sims}, seed = {est.seed})")
+    _emit_rows(rows, args.format, args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .errors import InvalidDimensionError, _is_int
+from .errors import _check_positive, _is_int
 from .formulas import (
     VARIANTS,
     Variant,
@@ -130,9 +130,11 @@ def write_manifest(path: str | Path, payload: dict) -> None:
 
 
 def _int_tuple(key: str, values: object) -> tuple[int, ...]:
-    """``values`` as a tuple of ints, or a ValueError that names ``key``."""
+    """``values`` as a tuple of distinct ints, or a ValueError that names ``key``."""
     if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
         raise ValueError(f"{key} must be a list of integers, got {values!r}")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{key} must not repeat a value, got {values!r}")
     return tuple(int(v) for v in values)
 
 
@@ -144,6 +146,8 @@ class ExperimentSpec:
     string ``"standard"`` meaning {1, 2, d/2, d} per ambient dimension (integer
     division; duplicates collapse).  ``outputs`` selects per-iteration rows,
     per-evaluation rows, or both; ``include`` selects which methods to emit.
+    ``d_values`` and an explicit ``p_rule`` repeat no value, and ``include``
+    names at least one method, so every row of a grid is emitted once.
     """
 
     name: str
@@ -185,6 +189,8 @@ class ExperimentSpec:
         ):
             raise ValueError(f"include must be a list of method names, got {self.include!r}")
         self.include = tuple(self.include)
+        if not self.include:
+            raise ValueError("include must name at least one method, got none")
         unknown = set(self.include) - {"formula", "monte-carlo", "asymptotic"}
         if unknown:
             raise ValueError(f"unknown include flags {sorted(unknown)}")
@@ -356,8 +362,7 @@ def make_objective(name: str, d: int, rng: RngStream) -> tuple[ObjectiveHandle, 
     from the all-ones point; ``rosenbrock`` uses the classic alternating
     start.
     """
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be positive, got {d}")
+    _check_positive(d, "dimension")
     if name == "linear-random-g":
         g = sample_unit_vector(d, rng)
 
@@ -689,7 +694,7 @@ def gate_optimizer_behavior(
         best = trace.best_values()
         iterations = len(trace.records) - 1
         for k, basis in enumerate(_stacked_bases(d, p, driver_rng, iterations), start=1):
-            proj = float(np.linalg.norm(basis.columns.T @ g, ord=norm_ord))
+            proj = float(np.linalg.norm(basis.T @ g, ord=norm_ord))
             step = trace.records[k].step_size
             gap = abs((best[k - 1] - best[k]) - step * proj)
             worst_gap = max(worst_gap, gap)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, InvalidDimensionError
+from .errors import DomainError, _check_pd, _check_positive, _is_int
 from .specfun import SQRT_PI, gamma_half_ratio
 
 # Composite Gauss-Legendre rule for polling_factor: 20 nodes per panel.  One
@@ -47,11 +47,6 @@ from .specfun import SQRT_PI, gamma_half_ratio
 _GL_NODES, _GL_WEIGHTS = leggauss(20)
 _PANEL_OFFSETS = (-8, -4, -2, -1, 0, 1, 2, 4, 8)
 _TAIL_LOG = 45.0
-
-
-def _check_pd(p: int, d: int) -> None:
-    if p < 1 or d < 1 or p > d:
-        raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
 
 
 def _checked(value: float) -> float:
@@ -68,7 +63,8 @@ def _one_minus_cdf_max(x: float, p: int) -> float:
     return -math.expm1(p * log_cdf)
 
 
-@functools.lru_cache(maxsize=None)
+# Typed, so that True and 2.0 miss the cached values of 1 and 2 and are refused.
+@functools.lru_cache(maxsize=None, typed=True)
 def polling_factor(p: int) -> float:
     """E[max_{i<=p} |z_i|] / sqrt(2) for independent standard normals z_i.
 
@@ -77,8 +73,7 @@ def polling_factor(p: int) -> float:
     Gauss-Legendre quadrature; it equals 1/sqrt(pi) at p = 1 and
     sqrt(2/pi) at p = 2.
     """
-    if p < 1:
-        raise InvalidDimensionError(f"subspace dimension must be positive, got {p}")
+    _check_positive(p, "subspace dimension")
     log_p = math.log(p)
     top = math.sqrt(2.0 * (log_p + _TAIL_LOG))
     centre = math.sqrt(2.0 * log_p)
@@ -175,10 +170,9 @@ class Variant:
         on average no matter how many cores are available.  On one core the
         rounds are the new objective evaluations of the iteration.
         """
-        if p < 1:
-            raise InvalidDimensionError(f"subspace dimension must be positive, got {p}")
-        if cores < 1:
-            raise DomainError(f"core count must be positive, got {cores}")
+        _check_positive(p, "subspace dimension")
+        if not _is_int(cores) or cores < 1:
+            raise DomainError(f"core count must be a positive integer, got {cores!r}")
         trial = self.trial / 2.0 if p == 1 else self.trial
         return float(-((-self.points * p) // cores)) + trial
 

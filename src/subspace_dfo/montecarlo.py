@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidDimensionError
+from .errors import _check_pd
 from .formulas import Variant
 from .rng import RngStream, split_stream
 
@@ -88,8 +88,7 @@ class PairedDelta:
 
 
 def _check_cell(p: int, d: int, n_sims: int) -> None:
-    if p < 1 or d < 1 or p > d:
-        raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
+    _check_pd(p, d)
     if n_sims < 1:
         raise ValueError(f"need at least one replicate, got {n_sims}")
 

@@ -1,8 +1,9 @@
 """Random-subspace derivative-free optimizer.
 
 Each outer iteration draws a fresh uniformly random orthonormal basis
-b_1, ..., b_p of a p-dimensional subspace and runs one inner iteration around
-the incumbent x: either coordinate polling (complete or opportunistic) or a
+b_1, ..., b_p of a p-dimensional subspace, which is the read-only d-by-p
+array whose columns are the b_i, and runs one inner iteration around the
+incumbent x: either coordinate polling (complete or opportunistic) or a
 forward-difference linear-model step.  The iteration builds its points as the
 rows of one matrix, x + delta b_1, x - delta b_1, x + delta b_2, ... when
 polling and x + delta b_i for the model step, and evaluates them in order.
@@ -28,9 +29,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimensionError, NonFiniteObjectiveError, _is_int
+from .errors import (
+    DomainError, InvalidDimensionError, NonFiniteObjectiveError, _check_positive, _is_int
+)
 from .formulas import Variant
-from .rng import RngStream, SubspaceBasis, sample_stiefel_stack
+from .rng import RngStream, sample_stiefel_stack
 
 ITERATION_KINDS = ("ds-complete", "ds-opportunistic", "mb")
 
@@ -50,8 +53,7 @@ class ObjectiveHandle:
     """
 
     def __init__(self, fn: Callable[[np.ndarray], float], dimension: int, name: str = ""):
-        if dimension < 1:
-            raise InvalidDimensionError(f"dimension must be positive, got {dimension}")
+        _check_positive(dimension, "dimension")
         self._fn = fn
         self.dimension = int(dimension)
         self.name = name
@@ -89,12 +91,12 @@ class DriverConfig:
 
     The step size contracts on iterations with zero decrease and expands on
     strict decrease; the default expand factor of 1 leaves successful steps
-    unchanged.  ``max_evaluations`` is a hard cap: an iteration starts only if
-    its largest possible cost (2p evaluations when polling, p + 1 for the
-    model step) fits in what is left of it, and the initial point is
-    evaluated once even when it is 0.  The run stops when the next iteration
-    would not fit or the step size falls below ``min_step``, whichever
-    happens first.
+    unchanged.  ``max_evaluations`` is a hard cap on one run's evaluations,
+    counted from zero at the run's start: an iteration starts only if its
+    largest possible cost (2p evaluations when polling, p + 1 for the model
+    step) fits in what is left of it, and the initial point is evaluated once
+    even when it is 0.  The run stops when the next iteration would not fit
+    or the step size falls below ``min_step``, whichever happens first.
     """
 
     p: int
@@ -135,8 +137,9 @@ class DriverConfig:
 class TraceRecord:
     """One row of the driver trace.
 
-    ``step_size`` on row k >= 1 is the step used during iteration k; row 0
-    carries the initial step.
+    ``eval_count`` counts the run's evaluations up to this row.  ``step_size``
+    on row k >= 1 is the step used during iteration k; row 0 carries the
+    initial step.
     """
 
     iteration: int
@@ -160,31 +163,43 @@ class DriverTrace:
         return self.records[-1]
 
 
+def _checked_basis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``basis`` as a float array, checked to be len(x)-by-p with p >= 1."""
+    basis = np.asarray(basis, dtype=float)
+    if basis.ndim != 2 or basis.shape[0] != len(x) or basis.shape[1] < 1:
+        raise InvalidDimensionError(f"basis must be {len(x)}-by-p, p >= 1, got {basis.shape}")
+    return basis
+
+
 def ds_iteration(
     objective: ObjectiveHandle,
     x: np.ndarray,
     fx: float,
-    basis: SubspaceBasis,
+    basis: np.ndarray,
     delta: float,
     mode: str = "complete",
 ) -> tuple[np.ndarray, float, int]:
     """One polling iteration over the 2p signed basis directions around x.
 
-    The poll points are the rows x + delta b_1, x - delta b_1, x + delta b_2,
-    ... of one matrix, evaluated in that order.  Complete mode evaluates every
-    row and moves to the best, keeping the incumbent on ties (ties resolve to
-    the lowest index, positive sign first).  Opportunistic mode stops at the
-    first strict improvement.  Returns the point moved to, its value and the
+    ``basis`` is a len(x)-by-p array with columns b_1, ..., b_p, p >= 1; its
+    shape is checked, and orthonormal columns, which every basis ``rng``
+    draws has, are the caller's contract.  The poll points are the
+    rows x + delta b_1, x - delta b_1, x + delta b_2, ... of one matrix,
+    evaluated in that order.  Complete mode evaluates every row and moves to
+    the best, keeping the incumbent on ties (ties resolve to the lowest
+    index, positive sign first).  Opportunistic mode stops at the first
+    strict improvement.  Returns the point moved to, its value and the
     new evaluations; ``fx`` is the known value at x and is not re-evaluated.
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
     if mode not in ("complete", "opportunistic"):
         raise ValueError(f"mode must be 'complete' or 'opportunistic', got {mode!r}")
+    basis = _checked_basis(x, basis)
     # Built row by row C-contiguous: the objective then reads each point as
     # one contiguous vector, as it would a freshly computed x + delta b_i.
-    steps = delta * basis.columns.T
-    points = np.empty((2 * basis.p, basis.d))
+    steps = delta * basis.T
+    points = np.empty((2 * basis.shape[1], len(x)))
     np.add(x, steps, out=points[0::2])
     np.subtract(x, steps, out=points[1::2])
     best, best_value, evaluations = x, fx, 0
@@ -199,12 +214,13 @@ def ds_iteration(
 
 
 def mb_iteration(
-    objective: ObjectiveHandle, x: np.ndarray, fx: float, basis: SubspaceBasis, delta: float
+    objective: ObjectiveHandle, x: np.ndarray, fx: float, basis: np.ndarray, delta: float
 ) -> tuple[np.ndarray, float, int]:
     """One linear-model iteration: forward differences, then a trust-region step.
 
-    Evaluates the rows x + delta b_i of one matrix, forms the forward-difference
-    gradient (f(x + delta b_i) - fx) / delta in the subspace, steps delta
+    ``basis`` is a d-by-p array, as for :func:`ds_iteration`.  Evaluates the
+    rows x + delta b_i of one matrix, forms the forward-difference gradient
+    (f(x + delta b_i) - fx) / delta in the subspace, steps delta
     against its normalized direction, and keeps the better of incumbent and
     trial.  When p = 1 and the model points back along the already-evaluated
     poll point, that value is reused instead of a new evaluation.  A
@@ -213,19 +229,21 @@ def mb_iteration(
     """
     if delta <= 0.0:
         raise DomainError(f"delta must be positive, got {delta}")
-    points = np.empty((basis.p, basis.d))
-    np.add(x, delta * basis.columns.T, out=points)
+    basis = _checked_basis(x, basis)
+    p = basis.shape[1]
+    points = np.empty((p, len(x)))
+    np.add(x, delta * basis.T, out=points)
     poll_values = np.array([objective(point) for point in points])
-    evaluations = basis.p
+    evaluations = p
     grad = (poll_values - fx) / delta
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < _GRADIENT_FLOOR:
         return x, fx, evaluations
-    if basis.p == 1 and grad[0] < 0.0:
+    if p == 1 and grad[0] < 0.0:
         # Model points along +b_1: the trial point is the evaluated poll point.
         trial, trial_value = points[0], float(poll_values[0])
     else:
-        trial = x + basis.columns @ (-(delta / grad_norm) * grad)
+        trial = x + basis @ (-(delta / grad_norm) * grad)
         trial_value = objective(trial)
         evaluations += 1
     if trial_value < fx:
@@ -245,17 +263,20 @@ def run_driver(
     (counting from 0) uses the k-th d-by-p block of its Gaussian values,
     orthonormalized: iteration 0 uses ``sample_stiefel(d, p, rng)``, and a
     caller holding the same stream can replay every basis in order.  The
-    bases are drawn in stacks (``rng.sample_stiefel_stack``): the first holds
-    one basis and each refill doubles the last, capped at as many iterations
-    as the remaining budget guarantees; the schedule cannot change a basis.
+    bases are drawn in stacks (``rng.sample_stiefel_stack``), and the
+    iterations take the rows of each stack in turn: the first holds one basis
+    and each refill doubles the last, capped at as many iterations as the
+    remaining budget guarantees; the schedule cannot change a basis.
     A budget-bound run uses every basis it draws, and a run that stops at the
     step floor leaves fewer bases unused than it used.  The initial point is
     always evaluated once before the loop, and an iteration starts only if
     its largest possible cost fits in what is left of
-    ``config.max_evaluations``.  The trace starts with the
-    initial record and gains one record per iteration, with best values
-    nonincreasing by construction.  Its ``x`` is a copy of the final point,
-    made once when the run returns: the final best value is f(``trace.x``).
+    ``config.max_evaluations``.  The budget and the records' ``eval_count``
+    count this run's evaluations only, so runs on one handle do not share a
+    budget.  The trace starts with the initial record and gains one record
+    per iteration, with best values nonincreasing by construction.  Its
+    ``x`` is a copy of the final point, made once when the run returns: the
+    final best value is f(``trace.x``).
     """
     x = np.asarray(x0, dtype=float)
     d = objective.dimension
@@ -265,32 +286,29 @@ def run_driver(
         raise InvalidDimensionError(f"subspace dimension {config.p} exceeds ambient {d}")
 
     fx = objective(x)
+    evaluations = 1
     delta = config.initial_step
-    records = [TraceRecord(0, objective.eval_count, fx, delta)]
+    records = [TraceRecord(0, evaluations, fx, delta)]
 
     name, _, mode = config.iteration_kind.partition("-")
     variant = Variant.named(name)
     largest_cost = variant.points * config.p + variant.trial
     gen = rng.generator()
-    bases: list[SubspaceBasis] = []
+    bases = iter(())
     stack_size = 1
-    k = 0
-    while (
-        objective.eval_count + largest_cost <= config.max_evaluations
-        and delta >= config.min_step
-    ):
-        if not bases:
-            guaranteed = (config.max_evaluations - objective.eval_count) // largest_cost
-            count = min(stack_size, guaranteed)
-            bases = sample_stiefel_stack(d, config.p, gen, count)[::-1]
-            stack_size = 2 * len(bases)
-        basis = bases.pop()
+    while evaluations + largest_cost <= config.max_evaluations and delta >= config.min_step:
+        basis = next(bases, None)
+        if basis is None:
+            guaranteed = (config.max_evaluations - evaluations) // largest_cost
+            stack = sample_stiefel_stack(d, config.p, gen, min(stack_size, guaranteed))
+            bases, stack_size = iter(stack), 2 * len(stack)
+            basis = next(bases)
         if name == "mb":
-            x_new, f_new, _ = mb_iteration(objective, x, fx, basis, delta)
+            x_new, f_new, spent = mb_iteration(objective, x, fx, basis, delta)
         else:
-            x_new, f_new, _ = ds_iteration(objective, x, fx, basis, delta, mode)
-        k += 1
-        records.append(TraceRecord(k, objective.eval_count, f_new, delta))
+            x_new, f_new, spent = ds_iteration(objective, x, fx, basis, delta, mode)
+        evaluations += spent
+        records.append(TraceRecord(len(records), evaluations, f_new, delta))
         delta *= config.expand_factor if f_new < fx else config.contract_factor
         x, fx = x_new, f_new
     return DriverTrace(records, x.copy())

@@ -1,5 +1,8 @@
 """Seeded sampling of unit directions and orthonormal subspace bases.
 
+A unit direction is a plain array of d coordinates, and a basis is a
+read-only d-by-p float array whose columns are orthonormal.
+
 Randomness is threaded through :class:`RngStream` values rather than shared
 generator objects.  A stream is an immutable (seed, spawn path) pair: the same
 stream always reproduces the same draws, and child streams obtained through
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, _is_int
+from .errors import _check_pd, _check_positive, _is_int
 
 _UINT64_MAX = 2**64 - 1
 
@@ -67,32 +70,6 @@ def split_stream(rng: RngStream, k: int) -> RngStream:
     return RngStream(rng.seed, rng.stream + (int(k),))
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """A d-by-p matrix with orthonormal columns spanning a p-dimensional subspace."""
-
-    columns: np.ndarray
-
-    def __post_init__(self) -> None:
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim != 2:
-            raise InvalidDimensionError("basis must be a 2-d array of column vectors")
-        d, p = cols.shape
-        if p < 1 or p > d:
-            raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
-        _check_orthonormal(cols)
-        cols.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
-
-    @property
-    def d(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.columns.shape[1]
-
-
 def _check_orthonormal(q: np.ndarray) -> None:
     """Raise unless every matrix of the (..., d, p) stack ``q`` has
     orthonormal columns; one batched product checks the whole stack."""
@@ -108,8 +85,7 @@ def sample_unit_vector(d: int, rng: RngStream) -> np.ndarray:
     A standard Gaussian vector is normalized, which is rotation invariant;
     the result is that unit-norm array of d coordinates.
     """
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be positive, got {d}")
+    _check_positive(d, "dimension")
     gen = rng.generator()
     while True:
         z = gen.standard_normal(d)
@@ -118,8 +94,9 @@ def sample_unit_vector(d: int, rng: RngStream) -> np.ndarray:
             return z / norm
 
 
-def _orthonormalize(a: np.ndarray) -> list[SubspaceBasis]:
-    """Bases from an (n, d, p) stack of Gaussian matrices.
+def _orthonormalize(a: np.ndarray) -> np.ndarray:
+    """The read-only (n, d, p) stack of bases from an (n, d, p) stack of
+    Gaussian matrices.
 
     Each matrix is reduced by thin QR and each column is multiplied by the
     sign of the corresponding diagonal entry of the triangular factor.  The
@@ -134,17 +111,12 @@ def _orthonormalize(a: np.ndarray) -> list[SubspaceBasis]:
     q *= signs[:, np.newaxis, :]
     _check_orthonormal(q)
     q.setflags(write=False)
-    # The bases skip their own check: the one above covered the whole stack.
-    bases = []
-    for columns in q:
-        basis = object.__new__(SubspaceBasis)
-        object.__setattr__(basis, "columns", columns)
-        bases.append(basis)
-    return bases
+    return q
 
 
-def sample_stiefel(d: int, p: int, rng: RngStream) -> SubspaceBasis:
-    """Draw a uniformly (rotation-invariantly) distributed orthonormal d-by-p basis.
+def sample_stiefel(d: int, p: int, rng: RngStream) -> np.ndarray:
+    """Draw a uniformly (rotation-invariantly) distributed orthonormal basis,
+    a read-only d-by-p array.
 
     The first d-by-p block of Gaussian values from ``rng`` is orthonormalized
     by sign-corrected thin QR (see ``_orthonormalize``): basis 0 of the
@@ -153,18 +125,16 @@ def sample_stiefel(d: int, p: int, rng: RngStream) -> SubspaceBasis:
     return sample_stiefel_stack(d, p, rng.generator(), 1)[0]
 
 
-def sample_stiefel_stack(
-    d: int, p: int, gen: np.random.Generator, count: int
-) -> list[SubspaceBasis]:
-    """The next bases of ``gen``, drawn, factored and checked as one stack.
+def sample_stiefel_stack(d: int, p: int, gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next bases of ``gen``, drawn, factored and checked as one
+    read-only (n, d, p) stack.
 
     The stack holds ``count`` bases, or as many as fit in ``_STACK_VALUES``
     Gaussian values if that is fewer, and always at least one.  Basis i is
     the i-th d-by-p block of the normals ``gen`` draws next, so the bases
     read from one generator do not depend on how they are split into stacks.
     """
-    if d < 1 or p < 1 or p > d:
-        raise InvalidDimensionError(f"need 1 <= p <= d, got p={p}, d={d}")
+    _check_pd(p, d)
     if count < 1:
         raise ValueError(f"need a count >= 1, got {count}")
     n = min(count, max(1, _STACK_VALUES // (d * p)))

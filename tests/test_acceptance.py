@@ -181,7 +181,7 @@ def test_linear_iteration_identities_large_sample():
         basis = sample_stiefel(d, 1, split_stream(base, k + 1))
         _, value, evaluations = mb_iteration(objective, np.zeros(d), 0.0, basis, 1.0)
         counts[k] = evaluations
-        worst = max(worst, abs(-value - float(np.linalg.norm(basis.columns.T @ g))))
+        worst = max(worst, abs(-value - float(np.linalg.norm(basis.T @ g))))
     mean = counts.mean()
     se = counts.std(ddof=1) / math.sqrt(NSIMS)
     ok = worst <= 1e-12 and abs(mean - 1.5) <= 3.0 * se and set(counts) <= {1.0, 2.0}

@@ -29,6 +29,23 @@ def test_formula_csv_includes_per_work(tmp_path):
     assert any("per-work(4)" in line for line in lines)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["formula", "--variant", "ds", "--p", "2", "--d", "10"],
+        ["mc", "--variant", "ds", "--p", "2", "--d", "10", "--nsims", "100"],
+    ],
+    ids=["formula", "mc"],
+)
+def test_text_format_honours_out(tmp_path, capsys, args):
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "f.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed and "per-iteration" in printed
+
+
 def test_formula_rejects_invalid_dimension(capsys):
     assert main(["formula", "--variant", "ds", "--p", "5", "--d", "4"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -238,6 +255,9 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
         ({**SPEC, "seed": 1.5}, "seed must be an integer, got 1.5"),
         ({**SPEC, "include": "formula"},
          "include must be a list of method names, got 'formula'"),
+        ({**SPEC, "include": []}, "include must name at least one method"),
+        ({**SPEC, "d_values": [8, 8]}, "d_values must not repeat a value, got [8, 8]"),
+        ({**SPEC, "p_rule": [1, 2, 1]}, "p_rule must not repeat a value, got [1, 2, 1]"),
     ],
 )
 def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):

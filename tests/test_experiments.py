@@ -288,6 +288,11 @@ class TestObjectives:
         with pytest.raises(ValueError):
             make_objective("mystery", 3, RngStream(0))
 
+    @pytest.mark.parametrize("d", [0, 2.5, True, "3"])
+    def test_refuses_a_dimension_that_is_not_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match=f"dimension must be a positive integer, got {d!r}"):
+            make_objective("sphere-quadratic", d, RngStream(0))
+
     def test_optimizer_experiment_trace(self):
         config = DriverConfig(p=1, max_evaluations=60, iteration_kind="ds-complete")
         trace, objective = run_optimizer_experiment("linear-random-g", 25, config, seed=9)

@@ -14,6 +14,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from subspace_dfo import (
+    DomainError,
     InvalidDimensionError,
     RngStream,
     Variant,
@@ -233,8 +234,11 @@ class TestPollingFactor:
             assert value <= math.sqrt(math.log(2.0 * p))
 
     def test_invalid_level(self):
-        with pytest.raises(InvalidDimensionError):
-            polling_factor(0)
+        # A non-integer is refused even where it equals a cached level.
+        assert polling_factor(1) < polling_factor(2)
+        for p in (0, 2.5, True, 2.0, "3"):
+            with pytest.raises(InvalidDimensionError):
+                polling_factor(p)
 
 
 class TestPollingDecrease:
@@ -398,8 +402,12 @@ class TestParallelPerWork:
         assert MB.rounds(1, 8) == 1.5
 
     def test_invalid_cores(self):
-        with pytest.raises(Exception):
-            DS.per_work(2, 4, 0)
+        for cores in (0, 2.5, True):
+            with pytest.raises(DomainError, match="core count must be a positive integer"):
+                DS.per_work(2, 10, cores)
+        for p in (0, 2.0, True):
+            with pytest.raises(InvalidDimensionError):
+                MB.rounds(p, 1)
 
 
 class TestAsymptotics:
@@ -498,6 +506,11 @@ class TestStructuralInvariants:
             lambda: DS.per_work(5, 4, 1),
             lambda: MB.asymptotic(5, 4),
             lambda: DS.asymptotic(1, 0),
+            lambda: DS.exact(2.5, 10),
+            lambda: DS.exact(True, 5),
+            lambda: MB.exact(3, 3.0),
+            lambda: MB.asymptotic(2, 8.0),
+            lambda: per_evaluation_opportunistic(1, "4"),
         ):
             with pytest.raises(InvalidDimensionError, match="need 1 <= p <= d"):
                 call()

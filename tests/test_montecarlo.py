@@ -69,8 +69,11 @@ class TestReplicates:
             assert np.all(values > 0.0) and np.all(values <= 1.0)
 
     def test_invalid_cells(self):
-        with pytest.raises(InvalidDimensionError):
-            replicate_decreases("ds", 5, 4, 10, RngStream(0))
+        for variant, p, d in (("ds", 5, 4), ("ds", 2.5, 10), ("mb", 2.5, 10), ("mb", 3, 3.0)):
+            with pytest.raises(InvalidDimensionError, match="need 1 <= p <= d"):
+                replicate_decreases(variant, p, d, 10, RngStream(0))
+            with pytest.raises(InvalidDimensionError, match="need 1 <= p <= d"):
+                estimate(variant, p, d, 100, RngStream(0))
         with pytest.raises(ValueError):
             replicate_decreases("ds", 1, 4, 0, RngStream(0))
         with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from subspace_dfo import (
     NonFiniteObjectiveError,
     ObjectiveHandle,
     RngStream,
-    SubspaceBasis,
     ds_iteration,
     mb_iteration,
     run_driver,
@@ -32,7 +31,7 @@ def linear_objective(g: np.ndarray) -> ObjectiveHandle:
     return ObjectiveHandle(lambda x: float(g @ x), g.size, name="linear")
 
 
-def make_basis(d: int, p: int, seed: int) -> SubspaceBasis:
+def make_basis(d: int, p: int, seed: int) -> np.ndarray:
     return sample_stiefel(d, p, RngStream(seed))
 
 
@@ -51,12 +50,12 @@ def recording_objective(fn, d: int) -> tuple[ObjectiveHandle, list[np.ndarray]]:
 # kept as the oracle for the poll-matrix iterations: every point, value and
 # evaluation count must agree bit for bit.
 def _oracle_restriction(objective, x, basis):
-    return lambda z: objective(x + basis.columns @ z)
+    return lambda z: objective(x + basis @ z)
 
 
 def oracle_ds_iteration(objective, x, fx, basis, delta, mode):
     restriction = _oracle_restriction(objective, x, basis)
-    p = basis.p
+    p = basis.shape[1]
     best_value, best_step, evaluations = fx, np.zeros(p), 0
     for i in range(p):
         improved = False
@@ -71,12 +70,12 @@ def oracle_ds_iteration(objective, x, fx, basis, delta, mode):
                     break
         if mode == "opportunistic" and improved:
             break
-    return x + basis.columns @ best_step, best_value, evaluations
+    return x + basis @ best_step, best_value, evaluations
 
 
 def oracle_mb_iteration(objective, x, fx, basis, delta):
     restriction = _oracle_restriction(objective, x, basis)
-    p = basis.p
+    p = basis.shape[1]
     poll_values = np.empty(p)
     for i in range(p):
         step = np.zeros(p)
@@ -86,7 +85,7 @@ def oracle_mb_iteration(objective, x, fx, basis, delta):
     grad = (poll_values - fx) / delta
     grad_norm = float(np.linalg.norm(grad))
     if grad_norm < 1e-14:
-        return x + basis.columns @ np.zeros(p), fx, evaluations
+        return x + basis @ np.zeros(p), fx, evaluations
     trial_step = -(delta / grad_norm) * grad
     if p == 1 and grad[0] < 0.0:
         # The reused poll point is the trial point, exactly delta e_1.
@@ -96,8 +95,8 @@ def oracle_mb_iteration(objective, x, fx, basis, delta):
         trial_value = restriction(trial_step)
         evaluations += 1
     if trial_value < fx:
-        return x + basis.columns @ trial_step, trial_value, evaluations
-    return x + basis.columns @ np.zeros(p), fx, evaluations
+        return x + basis @ trial_step, trial_value, evaluations
+    return x + basis @ np.zeros(p), fx, evaluations
 
 
 class TestObjectiveHandle:
@@ -111,6 +110,9 @@ class TestObjectiveHandle:
         obj = ObjectiveHandle(lambda x: 0.0, 3)
         with pytest.raises(InvalidDimensionError):
             obj(np.zeros(4))
+        for dimension in (0, 2.5, True, "3"):
+            with pytest.raises(InvalidDimensionError, match="positive integer"):
+                ObjectiveHandle(lambda x: 0.0, dimension)
 
     def test_rejects_non_finite(self):
         for value in (math.inf, math.nan):
@@ -137,6 +139,18 @@ class TestPollPoints:
             assert evaluations == objective.eval_count == {"ds": 4, "mb": 3}[kind]
             assert not any(np.array_equal(y, x) for y in seen)
 
+    @pytest.mark.parametrize("shape", [(5,), (4, 2), (6, 2), (5, 0), (1, 5, 2)])
+    def test_basis_shape_is_checked(self, shape):
+        # Any d-by-p array with d = len(x) and p >= 1 is a poll matrix; its
+        # orthonormality is the caller's contract and is not checked.
+        objective = ObjectiveHandle(lambda y: float(y @ y), 5)
+        for iteration in (ds_iteration, mb_iteration):
+            with pytest.raises(InvalidDimensionError, match=rf"got \({shape[0]},"):
+                iteration(objective, np.ones(5), 5.0, np.ones(shape), 0.5)
+        assert objective.eval_count == 0
+        _, _, evaluations = ds_iteration(objective, np.ones(5), 5.0, np.ones((5, 2)), 0.5)
+        assert evaluations == objective.eval_count == 4
+
     def test_rows_are_signed_basis_steps(self):
         # Polling evaluates x + delta b_1, x - delta b_1, x + delta b_2, ...;
         # the model step x + delta b_i, then its trial point.
@@ -145,12 +159,12 @@ class TestPollPoints:
         x = np.linspace(0.5, 2.5, d)
         objective, seen = recording_objective(lambda y: float(y @ y), d)
         ds_iteration(objective, x, float(x @ x), basis, delta)
-        expected = [x + sign * (delta * basis.columns[:, i]) for i in range(p) for sign in (1, -1)]
+        expected = [x + sign * (delta * basis[:, i]) for i in range(p) for sign in (1, -1)]
         assert np.array_equal(np.array(seen), np.array(expected))
         assert all(y.flags.c_contiguous for y in seen)
         objective, seen = recording_objective(lambda y: float(y @ y), d)
         mb_iteration(objective, x, float(x @ x), basis, delta)
-        expected = [x + delta * basis.columns[:, i] for i in range(p)]
+        expected = [x + delta * basis[:, i] for i in range(p)]
         assert np.array_equal(np.array(seen[:p]), np.array(expected))
         assert len(seen) == p + 1
 
@@ -167,10 +181,10 @@ class TestSimplexGradient:
         d, p = 9, 4
         g = sample_unit_vector(d, RngStream(seed))
         basis = make_basis(d, p, seed + 1)
-        projected = basis.columns.T @ g
+        projected = basis.T @ g
         for delta in (1e-3, 1.0, 17.0):
             point, _, _ = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
-            direction = basis.columns.T @ point / delta
+            direction = basis.T @ point / delta
             assert np.max(np.abs(direction + projected / np.linalg.norm(projected))) <= 1e-12
 
     def test_constant_objective_gives_zero(self):
@@ -186,7 +200,7 @@ class TestSimplexGradient:
         # f(x) = |x|^2 at the origin with the identity basis: each component is
         # delta itself, so the trial point lies along -(1, 1).
         obj, seen = recording_objective(lambda x: float(x @ x), 2)
-        mb_iteration(obj, np.zeros(2), 0.0, SubspaceBasis(np.eye(2)), 0.1)
+        mb_iteration(obj, np.zeros(2), 0.0, np.eye(2), 0.1)
         assert seen[-1] == pytest.approx(-0.1 * np.array([1.0, 1.0]) / math.sqrt(2.0), abs=1e-15)
 
     def test_evaluation_cost(self):
@@ -227,7 +241,7 @@ class TestDsIteration:
         g = np.zeros(d)
         g[0] = 1.0
         point, value, evaluations = ds_iteration(
-            linear_objective(g), np.zeros(d), 0.0, SubspaceBasis(np.eye(d)), 1.0, mode="complete"
+            linear_objective(g), np.zeros(d), 0.0, np.eye(d), 1.0, mode="complete"
         )
         assert -value == pytest.approx(1.0, abs=1e-15)
         assert point[0] == -1.0
@@ -244,7 +258,7 @@ class TestDsIteration:
             linear_objective(g), np.zeros(d), 0.0, basis, delta, mode="complete"
         )
         assert evaluations == 2 * p
-        expected = delta * np.max(np.abs(basis.columns.T @ g))
+        expected = delta * np.max(np.abs(basis.T @ g))
         assert -value == pytest.approx(expected, abs=1e-12)
 
     def test_opportunistic_costs_one_or_two(self):
@@ -264,7 +278,7 @@ class TestDsIteration:
     def test_no_improvement_keeps_incumbent(self):
         obj = ObjectiveHandle(lambda x: float(x @ x), 3)
         x = np.zeros(3)
-        point, value, _ = ds_iteration(obj, x, 0.0, SubspaceBasis(np.eye(3)), 1.0, mode="complete")
+        point, value, _ = ds_iteration(obj, x, 0.0, np.eye(3), 1.0, mode="complete")
         assert value == 0.0
         assert point is x
 
@@ -279,7 +293,7 @@ class TestMbIteration:
         delta = 1.25
         _, value, evaluations = mb_iteration(linear_objective(g), np.zeros(d), 0.0, basis, delta)
         assert evaluations == p + 1
-        expected = delta * float(np.linalg.norm(basis.columns.T @ g))
+        expected = delta * float(np.linalg.norm(basis.T @ g))
         assert -value == pytest.approx(expected, abs=1e-12)
 
     def test_full_dimension_recovers_unit_decrease(self):
@@ -304,7 +318,7 @@ class TestMbIteration:
     def test_constant_objective_zero_gradient_branch(self):
         obj = ObjectiveHandle(lambda x: 2.0, 4)
         x = np.zeros(4)
-        point, value, evaluations = mb_iteration(obj, x, 2.0, SubspaceBasis(np.eye(4)), 1.0)
+        point, value, evaluations = mb_iteration(obj, x, 2.0, np.eye(4), 1.0)
         assert value == 2.0
         assert evaluations == 4
         assert point is x
@@ -317,7 +331,7 @@ class TestMbIteration:
         counts = set()
         for seed in range(60):
             basis = make_basis(d, 1, seed + 3000)
-            slope = float(basis.columns[:, 0] @ g)
+            slope = float(basis[:, 0] @ g)
             point, value, evaluations = mb_iteration(
                 linear_objective(g), np.zeros(d), 0.0, basis, 1.0
             )
@@ -325,7 +339,7 @@ class TestMbIteration:
             assert evaluations == expected_cost
             if slope < 0:
                 # The iterate is the poll point whose value is reused.
-                assert np.array_equal(point, basis.columns[:, 0])
+                assert np.array_equal(point, basis[:, 0])
             counts.add(evaluations)
             assert -value == pytest.approx(abs(slope), abs=1e-13)
         assert counts == {1, 2}
@@ -396,6 +410,17 @@ class TestDriver:
                 rerun, objective = run_optimizer_experiment(name, d, budget, seed=seed)
                 assert rerun.records == trace.records[: record.iteration + 1]
                 assert objective(rerun.x) == record.best_value
+
+    def test_runs_on_one_handle_have_their_own_budget(self):
+        # The budget and the records count only the run's own evaluations,
+        # whatever the handle counted before the run started.
+        objective = ObjectiveHandle(lambda x: float(x @ x), 10)
+        config = DriverConfig(p=2, max_evaluations=100)
+        first = run_driver(objective, np.ones(10), config, RngStream(1))
+        second = run_driver(objective, np.ones(10), config, RngStream(1))
+        assert len(first.records) - 1 == 24 and first.final.eval_count == 97
+        assert second.records == first.records
+        assert objective.eval_count == 2 * first.final.eval_count
 
     def test_runs_from_one_seed_have_equal_hashable_records(self):
         config = DriverConfig(p=2, max_evaluations=200, iteration_kind="mb")
@@ -491,9 +516,9 @@ class TestDriver:
         iterations = len(trace.records) - 1
         bases = rng_module.sample_stiefel_stack(d, p, driver_rng.generator(), iterations)
         assert len(bases) == iterations > 1
-        assert bases[0].columns.tobytes() == sample_stiefel(d, p, driver_rng).columns.tobytes()
+        assert bases[0].tobytes() == sample_stiefel(d, p, driver_rng).tobytes()
         for k, basis in enumerate(bases, start=1):
-            expected = trace.records[k].step_size * np.max(np.abs(basis.columns.T @ g))
+            expected = trace.records[k].step_size * np.max(np.abs(basis.T @ g))
             assert best[k - 1] - best[k] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from scipy import stats
 from subspace_dfo import (
     InvalidDimensionError,
     RngStream,
-    SubspaceBasis,
     sample_stiefel,
     sample_unit_vector,
     split_stream,
@@ -111,20 +110,21 @@ class TestUnitVector:
         assert np.max(np.abs(total / n)) < 4.0 / math.sqrt(n * d)
 
     def test_zero_dimension_rejected(self):
-        with pytest.raises(InvalidDimensionError):
-            sample_unit_vector(0, RngStream(0))
+        for d in (0, 2.5, True, "3"):
+            with pytest.raises(InvalidDimensionError):
+                sample_unit_vector(d, RngStream(0))
 
 
 class TestStiefelSampling:
     def test_square_sample_is_orthogonal(self):
         for seed in range(5):
             basis = sample_stiefel(3, 3, RngStream(seed))
-            defect = np.max(np.abs(basis.columns.T @ basis.columns - np.eye(3)))
+            defect = np.max(np.abs(basis.T @ basis - np.eye(3)))
             assert defect < 1e-10
 
     def test_single_column_is_unit_vector(self):
         basis = sample_stiefel(5, 1, RngStream(11))
-        assert float(np.linalg.norm(basis.columns[:, 0])) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.linalg.norm(basis[:, 0])) == pytest.approx(1.0, abs=1e-12)
 
     @given(
         st.integers(min_value=1, max_value=48),
@@ -136,23 +136,18 @@ class TestStiefelSampling:
         if p > d:
             d, p = p, d
         basis = sample_stiefel(d, p, RngStream(seed))
-        defect = np.max(np.abs(basis.columns.T @ basis.columns - np.eye(p)))
+        defect = np.max(np.abs(basis.T @ basis - np.eye(p)))
         assert defect < 1e-10
 
     def test_orthonormality_defect_large(self):
         basis = sample_stiefel(2048, 128, RngStream(0))
-        defect = np.max(np.abs(basis.columns.T @ basis.columns - np.eye(128)))
+        defect = np.max(np.abs(basis.T @ basis - np.eye(128)))
         assert defect < 1e-10
 
     def test_invalid_dimensions(self):
-        with pytest.raises(InvalidDimensionError):
-            sample_stiefel(3, 4, RngStream(0))
-        with pytest.raises(InvalidDimensionError):
-            sample_stiefel(3, 0, RngStream(0))
-
-    def test_type_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError):
-            SubspaceBasis(np.ones((3, 2)))
+        for d, p in ((3, 4), (3, 0), (10, 2.5), (3.0, 2), (4, True)):
+            with pytest.raises(InvalidDimensionError, match="need 1 <= p <= d"):
+                sample_stiefel(d, p, RngStream(0))
 
     def test_projection_matches_first_coordinates(self):
         # Composing a uniform basis with a uniform direction is again uniform,
@@ -164,7 +159,7 @@ class TestStiefelSampling:
         for i in range(n):
             pair = split_stream(base, i)
             g = sample_unit_vector(d, split_stream(pair, 0))
-            b = sample_stiefel(d, p, split_stream(pair, 1)).columns
+            b = sample_stiefel(d, p, split_stream(pair, 1))
             full[i] = np.max(np.abs(b.T @ g))
         gen = split_stream(base, n).generator()
         z = gen.standard_normal((n, d))
@@ -187,15 +182,18 @@ class TestStackedSampling:
         gen, bases, size = base.generator(), [], 1
         while len(bases) < count:
             stack = rng_module.sample_stiefel_stack(d, p, gen, min(size, count - len(bases)))
-            bases += stack
+            bases.extend(stack)
             size = 2 * len(stack)
         assert len(bases) == count
+        assert one_stack.shape == (count, d, p) and not one_stack.flags.writeable
         for basis, single in zip(bases, one_stack):
-            assert isinstance(basis, SubspaceBasis)
-            assert basis.columns.shape == (d, p)
-            assert basis.columns.tobytes() == single.columns.tobytes()
-            assert not basis.columns.flags.writeable
-        assert bases[0].columns.tobytes() == sample_stiefel(d, p, base).columns.tobytes()
+            assert isinstance(basis, np.ndarray)
+            assert basis.shape == (d, p)
+            assert basis.tobytes() == single.tobytes()
+            assert not basis.flags.writeable
+        first = sample_stiefel(d, p, base)
+        assert first.shape == (d, p) and not first.flags.writeable
+        assert bases[0].tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("d, p", [(1, 1), (12, 1), (100, 2), (300, 5), (1000, 10), (200, 200)])
     def test_no_stack_exceeds_the_value_cap(self, d, p):
@@ -215,8 +213,9 @@ class TestStackedSampling:
 
     def test_invalid_arguments(self):
         gen = RngStream(0).generator()
-        with pytest.raises(InvalidDimensionError):
-            rng_module.sample_stiefel_stack(3, 4, gen, 2)
+        for d, p in ((3, 4), (10, 2.5)):
+            with pytest.raises(InvalidDimensionError):
+                rng_module.sample_stiefel_stack(d, p, gen, 2)
         for count in (0, -1):
             with pytest.raises(ValueError, match=f"need a count >= 1, got {count}"):
                 rng_module.sample_stiefel_stack(3, 2, gen, count)
@@ -228,14 +227,14 @@ class TestDistributionalInvariance:
         # distribution of the projected gradient norm.
         d, p, n = 12, 3, 10_000
         base = RngStream(99)
-        q = sample_stiefel(d, d, split_stream(base, 0)).columns
+        q = sample_stiefel(d, d, split_stream(base, 0))
 
         def norms(offset: int, rotate: bool) -> np.ndarray:
             out = np.empty(n)
             for i in range(n):
                 pair = split_stream(base, offset + i)
                 g = sample_unit_vector(d, split_stream(pair, 0))
-                b = sample_stiefel(d, p, split_stream(pair, 1)).columns
+                b = sample_stiefel(d, p, split_stream(pair, 1))
                 if rotate:
                     b = q @ b
                 out[i] = np.linalg.norm(b.T @ g)
@@ -255,7 +254,7 @@ class TestDistributionalInvariance:
         cols = np.empty((m, d))
         rows = np.empty((m, d))
         for i in range(m):
-            cols[i] = sample_stiefel(d, d, split_stream(base, i)).columns[:, 0]
-            rows[i] = sample_stiefel(d, d, split_stream(base, m + i)).columns[0, :]
+            cols[i] = sample_stiefel(d, d, split_stream(base, i))[:, 0]
+            rows[i] = sample_stiefel(d, d, split_stream(base, m + i))[0, :]
         statistic = stats.ks_2samp(cols.ravel(), rows.ravel(), method="asymp").statistic
         assert statistic < ks_critical(m * d, m * d)
