@@ -1,4 +1,4 @@
-"""Exception types and the dimension checks shared across the package."""
+"""Exception types and the dimension and core-count checks shared across the package."""
 
 import numbers
 
@@ -17,6 +17,12 @@ def _check_pd(p: object, d: object) -> None:
     """Raise unless the dimensions p and d are integers with 1 <= p <= d."""
     if not (_is_int(p) and _is_int(d) and 1 <= p <= d):
         raise InvalidDimensionError(f"need 1 <= p <= d, got p={p!r}, d={d!r}")
+
+
+def _check_cores(cores: object) -> None:
+    """Raise a ``DomainError`` unless the core count ``cores`` is an integer >= 1."""
+    if not _is_int(cores) or cores < 1:
+        raise DomainError(f"core count must be a positive integer, got {cores!r}")
 
 
 class InvalidDimensionError(ValueError):

@@ -19,7 +19,7 @@ from time import perf_counter
 import numpy as np
 
 from . import __version__
-from .errors import _check_positive, _is_int
+from .errors import InvalidDimensionError, _check_cores, _check_positive, _is_int
 from .formulas import (
     VARIANTS,
     Variant,
@@ -335,6 +335,11 @@ def run_parallel_sweep(
     and every tied grid point.
     """
     record = Variant.named(variant)
+    # A d below 1 passes on to the empty-grid error, which names the cores.
+    if not _is_int(d):
+        raise InvalidDimensionError(f"dimension must be an integer, got {d!r}")
+    for cores in cores_list:
+        _check_cores(cores)
     rows: list[ResultRow] = []
     summaries: list[SweepSummary] = []
     for cores in cores_list:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, _check_pd, _check_positive, _is_int
+from .errors import _check_cores, _check_pd, _check_positive
 from .specfun import SQRT_PI, gamma_half_ratio
 
 # Composite Gauss-Legendre rule for polling_factor: 20 nodes per panel.  One
@@ -171,8 +171,7 @@ class Variant:
         rounds are the new objective evaluations of the iteration.
         """
         _check_positive(p, "subspace dimension")
-        if not _is_int(cores) or cores < 1:
-            raise DomainError(f"core count must be a positive integer, got {cores!r}")
+        _check_cores(cores)
         trial = self.trial / 2.0 if p == 1 else self.trial
         return float(-((-self.points * p) // cores)) + trial
 

@@ -36,7 +36,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import _check_pd
+from .errors import _check_pd, _is_int
 from .formulas import Variant
 from .rng import RngStream, split_stream
 
@@ -89,6 +89,8 @@ class PairedDelta:
 
 def _check_cell(p: int, d: int, n_sims: int) -> None:
     _check_pd(p, d)
+    if not _is_int(n_sims):
+        raise ValueError(f"n_sims must be an integer, got {n_sims!r}")
     if n_sims < 1:
         raise ValueError(f"need at least one replicate, got {n_sims}")
 

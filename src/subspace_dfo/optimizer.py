@@ -7,6 +7,9 @@ incumbent x: either coordinate polling (complete or opportunistic) or a
 forward-difference linear-model step.  The iteration builds its points as the
 rows of one matrix, x + delta b_1, x - delta b_1, x + delta b_2, ... when
 polling and x + delta b_i for the model step, and evaluates them in order.
+Opportunistic polling stops at the first improving point, so the driver
+draws its directions one at a time and polls each as it comes: the
+directions it never reaches are never drawn.
 The incumbent value is carried between iterations and never re-evaluated, so
 the per-iteration evaluation cost is exactly 2p for complete polling and
 p + 1 for the model step (p = 1 model steps reuse their poll point when the
@@ -23,9 +26,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .errors import (
     DomainError, InvalidDimensionError, NonFiniteObjectiveError, _check_positive, _is_int
 )
 from .formulas import Variant
-from .rng import RngStream, sample_stiefel_stack
+from .rng import RngStream, _orthonormal_extension, _unit_directions, sample_stiefel_stack
 
 ITERATION_KINDS = ("ds-complete", "ds-opportunistic", "mb")
 
@@ -45,9 +47,8 @@ _GRADIENT_FLOOR = 1e-14
 class ObjectiveHandle:
     """Black-box objective with an evaluation counter.
 
-    The counter increments exactly once per evaluation.  The driver evaluates
-    points one at a time; the lock keeps the count exact for a caller that
-    shares one handle between threads.  A non-finite objective value is
+    The counter increments exactly once per evaluation; the driver evaluates
+    points one at a time, from one thread.  A non-finite objective value is
     counted, then aborts the run: silently propagating NaN would corrupt every
     later comparison.
     """
@@ -58,7 +59,6 @@ class ObjectiveHandle:
         self.dimension = int(dimension)
         self.name = name
         self._count = 0
-        self._lock = threading.Lock()
 
     @property
     def eval_count(self) -> int:
@@ -71,8 +71,7 @@ class ObjectiveHandle:
                 f"objective expects a vector of length {self.dimension}, got shape {x.shape}"
             )
         value = float(self._fn(x))
-        with self._lock:
-            self._count += 1
+        self._count += 1
         if not math.isfinite(value):
             # A summary of x: at d = 1000 the full point is some 20 kB of text.
             summary = np.array2string(
@@ -251,6 +250,37 @@ def mb_iteration(
     return x, fx, evaluations
 
 
+def _opportunistic_iteration(
+    objective: ObjectiveHandle,
+    x: np.ndarray,
+    fx: float,
+    delta: float,
+    p: int,
+    directions: Iterator[np.ndarray],
+) -> tuple[np.ndarray, float, int]:
+    """Opportunistic polling over up to p directions, drawn as they are polled.
+
+    Direction j is the next unit vector of ``directions``, made orthonormal
+    to this iteration's earlier directions (``rng._orthonormal_extension``)
+    when it has any, and its pair x + delta b_j, x - delta b_j is polled by
+    :func:`ds_iteration`.  The iteration stops at the first strict
+    improvement, so it draws only the directions it polls.  Returns the
+    point moved to, its value and the new evaluations.
+    """
+    earlier = np.empty((p, len(x)))
+    evaluations = 0
+    for j in range(p):
+        b = next(directions)
+        earlier[j] = _orthonormal_extension(earlier[:j], b) if j else b
+        x_new, f_new, spent = ds_iteration(
+            objective, x, fx, earlier[j, :, np.newaxis], delta, "opportunistic"
+        )
+        evaluations += spent
+        if f_new < fx:
+            return x_new, f_new, evaluations
+    return x, fx, evaluations
+
+
 def run_driver(
     objective: ObjectiveHandle,
     x0: Sequence[float] | np.ndarray,
@@ -259,16 +289,20 @@ def run_driver(
 ) -> DriverTrace:
     """Run the random-subspace driver until the budget or step floor is hit.
 
-    The run makes one generator, ``rng.generator()``, and iteration k
-    (counting from 0) uses the k-th d-by-p block of its Gaussian values,
-    orthonormalized: iteration 0 uses ``sample_stiefel(d, p, rng)``, and a
-    caller holding the same stream can replay every basis in order.  The
-    bases are drawn in stacks (``rng.sample_stiefel_stack``), and the
-    iterations take the rows of each stack in turn: the first holds one basis
-    and each refill doubles the last, capped at as many iterations as the
-    remaining budget guarantees; the schedule cannot change a basis.
-    A budget-bound run uses every basis it draws, and a run that stops at the
-    step floor leaves fewer bases unused than it used.  The initial point is
+    The run makes one generator, ``rng.generator()``, and reads every
+    direction from it.  For ds-complete and mb, iteration k (counting from 0)
+    uses the k-th d-by-p block of its Gaussian values, orthonormalized:
+    iteration 0 uses ``sample_stiefel(d, p, rng)``, and a caller holding the
+    same stream can replay every basis in order.  The bases are drawn in
+    stacks (``rng.sample_stiefel_stack``), and the iterations take the rows
+    of each stack in turn: the first holds one basis and each refill doubles
+    the last, capped at as many iterations as the remaining budget
+    guarantees; the schedule cannot change a basis.  A budget-bound run uses
+    every basis it draws.  A ds-opportunistic iteration instead draws its
+    directions one at a time and stops at its first strict improvement
+    (``_opportunistic_iteration``); they have the joint law of a basis's
+    columns.  A run that stops at the step floor leaves fewer bases, or
+    directions, unused than it used.  The initial point is
     always evaluated once before the loop, and an iteration starts only if
     its largest possible cost fits in what is left of
     ``config.max_evaluations``.  The budget and the records' ``eval_count``
@@ -294,19 +328,25 @@ def run_driver(
     variant = Variant.named(name)
     largest_cost = variant.points * config.p + variant.trial
     gen = rng.generator()
+    directions = _unit_directions(d, gen)
     bases = iter(())
     stack_size = 1
     while evaluations + largest_cost <= config.max_evaluations and delta >= config.min_step:
-        basis = next(bases, None)
-        if basis is None:
-            guaranteed = (config.max_evaluations - evaluations) // largest_cost
-            stack = sample_stiefel_stack(d, config.p, gen, min(stack_size, guaranteed))
-            bases, stack_size = iter(stack), 2 * len(stack)
-            basis = next(bases)
-        if name == "mb":
-            x_new, f_new, spent = mb_iteration(objective, x, fx, basis, delta)
+        if mode == "opportunistic":
+            x_new, f_new, spent = _opportunistic_iteration(
+                objective, x, fx, delta, config.p, directions
+            )
         else:
-            x_new, f_new, spent = ds_iteration(objective, x, fx, basis, delta, mode)
+            basis = next(bases, None)
+            if basis is None:
+                guaranteed = (config.max_evaluations - evaluations) // largest_cost
+                stack = sample_stiefel_stack(d, config.p, gen, min(stack_size, guaranteed))
+                bases, stack_size = iter(stack), 2 * len(stack)
+                basis = next(bases)
+            if name == "mb":
+                x_new, f_new, spent = mb_iteration(objective, x, fx, basis, delta)
+            else:
+                x_new, f_new, spent = ds_iteration(objective, x, fx, basis, delta, mode)
         evaluations += spent
         records.append(TraceRecord(len(records), evaluations, f_new, delta))
         delta *= config.expand_factor if f_new < fx else config.contract_factor

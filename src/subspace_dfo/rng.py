@@ -10,14 +10,19 @@ stream always reproduces the same draws, and child streams obtained through
 parent.  This makes replicated experiments bit-reproducible and lets parallel
 workers own disjoint streams without coordination.
 
-A sequence of bases, such as one optimizer run's, is read from one stream:
-basis k is the k-th d-by-p block of the Gaussian values of the stream's
-generator (:func:`sample_stiefel_stack`), so ``sample_stiefel`` on the same
-stream gives basis 0.
+A sequence of bases, such as the bases of a complete-polling or model-step
+optimizer run, is read from one stream: basis k is the k-th d-by-p block of
+the Gaussian values of the stream's generator (:func:`sample_stiefel_stack`),
+so ``sample_stiefel`` on the same stream gives basis 0.  An opportunistic
+polling run reads its directions one at a time instead, each made orthonormal
+to its iteration's earlier ones by Gram-Schmidt, the process sign-corrected QR
+performs, so they have the joint law of a basis's columns.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +79,12 @@ def _check_orthonormal(q: np.ndarray) -> None:
     """Raise unless every matrix of the (..., d, p) stack ``q`` has
     orthonormal columns; one batched product checks the whole stack."""
     gram = np.matmul(np.swapaxes(q, -1, -2), q)
-    defect = float(np.max(np.abs(gram - np.eye(q.shape[-1]))))
-    if defect > 1e-10:
+    _check_defect(float(np.max(np.abs(gram - np.eye(q.shape[-1])))))
+
+
+def _check_defect(defect: float) -> None:
+    # Written so that a NaN defect, from a zero or non-finite column, fails.
+    if not defect <= 1e-10:
         raise ValueError(f"columns are not orthonormal: defect {defect!r}")
 
 
@@ -139,3 +148,36 @@ def sample_stiefel_stack(d: int, p: int, gen: np.random.Generator, count: int) -
         raise ValueError(f"need a count >= 1, got {count}")
     n = min(count, max(1, _STACK_VALUES // (d * p)))
     return _orthonormalize(gen.standard_normal((n, d, p)))
+
+
+def _unit_directions(d: int, gen: np.random.Generator) -> Iterator[np.ndarray]:
+    """The normalized Gaussian d-vectors of ``gen``, one at a time, endlessly.
+
+    They are drawn in stacks: the first holds one vector and each refill
+    doubles the last, capped at ``_STACK_VALUES // d`` vectors (at least one).
+    A caller that stops early has drawn fewer unused vectors than it used.
+    Every vector of a stack is checked for unit norm to 1e-10 at once.
+    """
+    size = 1
+    while True:
+        stack = gen.standard_normal((min(size, max(1, _STACK_VALUES // d)), d))
+        stack /= np.linalg.norm(stack, axis=1)[:, np.newaxis]
+        _check_defect(float(np.max(np.abs(np.einsum("ij,ij->i", stack, stack) - 1.0))))
+        yield from stack
+        size = 2 * len(stack)
+
+
+def _orthonormal_extension(earlier: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``z`` made orthonormal to the orthonormal rows of ``earlier``, of which
+    there is at least one.
+
+    Two passes of classical Gram-Schmidt remove the components along the
+    rows, and the result is renormalized; the second pass restores the
+    orthogonality that the first loses to rounding.  The new direction is
+    checked against every row, and for unit norm, to 1e-10.
+    """
+    for _ in range(2):
+        z = z - (earlier @ z) @ earlier
+    b = z / math.sqrt(z @ z)
+    _check_defect(max(abs(b @ b - 1.0), float(np.max(np.abs(earlier @ b)))))
+    return b

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from subspace_dfo import (
+    DomainError,
     DriverConfig,
     ExperimentSpec,
+    InvalidDimensionError,
     ResultRow,
     RngStream,
     expected_decrease_ds,
@@ -258,6 +260,18 @@ class TestParallelSweep:
         by_key = {(r.metric, r.p): r.value for r in rows}
         for p in (100, 1000):
             assert by_key[("per-work(200)", p)] == expected_decrease_ds(p, 1000) / (p // 100)
+
+    @pytest.mark.parametrize(
+        "d, cores, error, message",
+        [
+            (16.5, (2,), InvalidDimensionError, "dimension must be an integer, got 16.5"),
+            (16, (2.5,), DomainError, "core count must be a positive integer, got 2.5"),
+            (16, (4, True), DomainError, "core count must be a positive integer, got True"),
+        ],
+    )
+    def test_non_integer_inputs_are_named(self, d, cores, error, message):
+        with pytest.raises(error, match=message):
+            run_parallel_sweep("ds", d, cores)
 
     def test_deterministic(self):
         a = run_parallel_sweep("ds", 32, (4,))

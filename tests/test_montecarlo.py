@@ -79,6 +79,20 @@ class TestReplicates:
         with pytest.raises(ValueError):
             replicate_decreases("ds", 1, 4, 10, RngStream(0), "bogus")
 
+    @pytest.mark.parametrize("n_sims", [100.0, True, "3"])
+    def test_non_integer_replicate_count_is_named(self, n_sims):
+        message = f"n_sims must be an integer, got {n_sims!r}"
+        with pytest.raises(ValueError, match=message):
+            estimate("ds", 2, 10, n_sims, RngStream(0))
+        with pytest.raises(ValueError, match=message):
+            replicate_decreases("mb", 2, 10, n_sims, RngStream(0))
+        with pytest.raises(ValueError, match=message):
+            paired_ratio_gap("ds", 1, 2, 10, 1.0, n_sims, RngStream(0))
+
+    def test_zero_replicates_keep_their_message(self):
+        with pytest.raises(ValueError, match="need at least one replicate, got 0"):
+            estimate("ds", 2, 10, 0, RngStream(0))
+
 
 class TestEstimate:
     def test_bitwise_deterministic(self):

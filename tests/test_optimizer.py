@@ -18,12 +18,14 @@ from subspace_dfo import (
     RngStream,
     ds_iteration,
     mb_iteration,
+    per_evaluation_opportunistic,
     run_driver,
     run_optimizer_experiment,
     sample_stiefel,
     sample_unit_vector,
     split_stream,
 )
+from subspace_dfo import optimizer as optimizer_module
 from subspace_dfo import rng as rng_module
 
 
@@ -44,6 +46,28 @@ def recording_objective(fn, d: int) -> tuple[ObjectiveHandle, list[np.ndarray]]:
         return fn(x)
 
     return ObjectiveHandle(record, d), seen
+
+
+def count_draws(monkeypatch) -> tuple[list[RngStream], list[tuple[int, ...]]]:
+    """Make ``RngStream.generator`` record the stream of every generator it
+    makes and the shape of every standard normal draw those generators make."""
+    streams, shapes = [], []
+    make_generator = RngStream.generator
+
+    class Counted:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def standard_normal(self, size):
+            shapes.append(tuple(np.atleast_1d(size)))
+            return self._gen.standard_normal(size)
+
+    def counted(stream):
+        streams.append(stream)
+        return Counted(make_generator(stream))
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    return streams, shapes
 
 
 # The per-point iterations that evaluated one restricted p-vector at a time,
@@ -528,39 +552,38 @@ class TestDriver:
             ("ds-opportunistic", 100, 2, 2000),
             ("mb", 300, 5, 400),
             ("mb", 1000, 10, 60),
+            ("ds-opportunistic", 1000, 10, 600),
         ],
     )
     def test_budget_bound_run_draws_one_generator_per_iteration(
         self, monkeypatch, kind, d, p, budget
     ):
         # A linear objective always improves, so the step never reaches the
-        # floor: the run is budget-bound and no drawn basis goes unused.  The
-        # name is kept from when each basis had a generator of its own; a run
-        # now makes exactly one, for its stream.
-        generators, stack_values = [], []
-        make_generator = RngStream.generator
-        orthonormalize = rng_module._orthonormalize
-
-        def counted(stream):
-            generators.append(stream)
-            return make_generator(stream)
-
-        def recorded(a):
-            stack_values.append(a.size)
-            return orthonormalize(a)
-
-        monkeypatch.setattr(RngStream, "generator", counted)
-        monkeypatch.setattr(rng_module, "_orthonormalize", recorded)
+        # floor: the run is budget-bound.  The name is kept from when each
+        # basis had a generator of its own; a run now makes exactly one, for
+        # its stream.
+        streams, shapes = count_draws(monkeypatch)
         g = sample_unit_vector(d, RngStream(8))
-        generators.clear()
+        streams.clear()
+        shapes.clear()
         config = DriverConfig(p=p, max_evaluations=budget, iteration_kind=kind)
         driver_rng = RngStream(9)
         trace = run_driver(linear_objective(g), np.zeros(d), config, driver_rng)
         iterations = len(trace.records) - 1
         assert iterations > 1
-        assert generators == [driver_rng]
-        assert all(n == d * p or n <= rng_module._STACK_VALUES for n in stack_values)
-        assert sum(stack_values) == iterations * d * p
+        assert streams == [driver_rng]
+        drawn = sum(math.prod(shape) for shape in shapes)
+        cap = rng_module._STACK_VALUES
+        if kind == "ds-opportunistic":
+            # The first direction of every iteration improves, so each
+            # iteration uses d normals of the unit directions, drawn d at a
+            # time in stacks of at most cap values: about d per iteration.
+            assert all(n * d <= max(cap, d) and k == d for n, k in shapes)
+            assert iterations * d <= drawn < iterations * d + cap < iterations * d * p
+        else:
+            # No drawn basis goes unused: d * p normals per iteration.
+            assert all(math.prod(s) == d * p or math.prod(s) <= cap for s in shapes)
+            assert drawn == iterations * d * p
 
     @pytest.mark.parametrize("min_step, iterations", [(0.3, 2), (1e-5, 17), (1e-9, 30)])
     def test_run_stopped_by_the_step_floor_leaves_fewer_bases_unused_than_used(
@@ -581,6 +604,77 @@ class TestDriver:
         assert len(trace.records) - 1 == iterations
         assert stack_sizes == [2**i for i in range(len(stack_sizes))]
         assert iterations <= sum(stack_sizes) < 2 * iterations
+
+    @pytest.mark.parametrize("d, p", [(12, 3), (1000, 10)])
+    @pytest.mark.parametrize("min_step, iterations", [(0.3, 2), (1e-5, 17)])
+    def test_opportunistic_run_stopped_by_the_step_floor_leaves_fewer_directions_unused(
+        self, monkeypatch, d, p, min_step, iterations
+    ):
+        # A constant objective never improves, so every iteration polls all p
+        # directions and the step halves until it falls below the floor.
+        _, shapes = count_draws(monkeypatch)
+        config = DriverConfig(
+            p=p, max_evaluations=10**5, min_step=min_step, iteration_kind="ds-opportunistic"
+        )
+        trace = run_driver(ObjectiveHandle(lambda x: 0.0, d), np.zeros(d), config, RngStream(3))
+        assert len(trace.records) - 1 == iterations
+        cap = rng_module._STACK_VALUES // d
+        assert shapes == [(min(2**i, cap), d) for i in range(len(shapes))]
+        used = iterations * p
+        assert used <= sum(n for n, _ in shapes) < 2 * used
+
+    def test_opportunistic_directions_are_orthonormal_and_uniform(self, monkeypatch):
+        # Every direction a constant objective's run polls, grouped by
+        # iteration: within one, the p directions are orthonormal, and the
+        # first and the last are each uniform on the sphere, E (b . u)^2 = 1/d.
+        d, p, iterations = 20, 4, 2000
+        polled = []
+        poll = optimizer_module.ds_iteration
+
+        def recorded(objective, x, fx, basis, delta, mode="complete"):
+            polled.append(np.array(basis[:, 0]))
+            return poll(objective, x, fx, basis, delta, mode)
+
+        monkeypatch.setattr(optimizer_module, "ds_iteration", recorded)
+        config = DriverConfig(
+            p=p,
+            max_evaluations=1 + 2 * p * iterations,
+            contract_factor=0.99,
+            min_step=1e-300,
+            iteration_kind="ds-opportunistic",
+        )
+        trace = run_driver(ObjectiveHandle(lambda x: 1.0, d), np.zeros(d), config, RngStream(21))
+        assert len(trace.records) - 1 == iterations
+        bases = np.array(polled).reshape(iterations, p, d)
+        gram = bases @ np.swapaxes(bases, 1, 2)
+        assert np.max(np.abs(gram - np.eye(p))) <= 1e-10
+        u = sample_unit_vector(d, RngStream(22))
+        for j in (0, p - 1):
+            squares = (bases[:, j] @ u) ** 2
+            se = squares.std(ddof=1) / math.sqrt(iterations)
+            assert abs(squares.mean() - 1.0 / d) <= 3.0 * se
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_opportunistic_decrease_per_evaluation_matches_formula(self, p):
+        # On a linear objective the first direction of every iteration
+        # improves and, with expand factor 1, the step stays delta: decrease
+        # delta |g . b_1| for 1 or 2 evaluations.  The pooled ratio of total
+        # decrease to total evaluations, over delta |g|, estimates the formula;
+        # its standard error is the delta method's for a ratio of means.
+        d, runs, budget = 16, 8, 1500
+        decreases, costs = [], []
+        for k in range(runs):
+            g = sample_unit_vector(d, RngStream(100 + k))
+            config = DriverConfig(p=p, max_evaluations=budget, iteration_kind="ds-opportunistic")
+            trace = run_driver(linear_objective(g), np.zeros(d), config, RngStream(200 + k))
+            assert {r.step_size for r in trace.records} == {1.0}
+            decreases.append(-np.diff(trace.best_values()) / np.linalg.norm(g))
+            costs.append(np.diff([r.eval_count for r in trace.records]))
+        decrease, cost = np.concatenate(decreases), np.concatenate(costs)
+        ratio = decrease.sum() / cost.sum()
+        se = (decrease - ratio * cost).std(ddof=1) / math.sqrt(decrease.size) / cost.mean()
+        assert set(np.unique(cost)) == {1, 2}
+        assert abs(ratio - per_evaluation_opportunistic(p, d)) <= 3.0 * se
 
     def test_dimension_mismatch(self):
         g = sample_unit_vector(4, RngStream(0))
