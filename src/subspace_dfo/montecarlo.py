@@ -15,7 +15,10 @@ alike.  Two sampling modes exist:
   the tail is exactly zero.
 * ``full-basis`` draws the basis as well and scores the projected gradient,
   reproducing the raw two-sample definition at O(d p^2) per replicate.  It
-  exists to validate the reduction.
+  exists to validate the reduction.  The draw does not depend on the
+  variant: one draw fixes the projection Q^T g, and both variants' scores
+  (its max-norm and its 2-norm) are read from it, so ``full_basis_estimates``
+  scores a cell for both variants at the cost of one.
 
 Replicates are generated in fixed-size blocks, each from its own child
 stream, and each block writes its own slice of the result, so the values are
@@ -32,12 +35,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import _check_pd, _is_int
-from .formulas import Variant
+from .formulas import VARIANTS, Variant
 from .rng import RngStream, split_stream
 
 REDUCTIONS = ("reduced", "full-basis")
@@ -141,17 +143,17 @@ def _model_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int)
     return [np.sqrt(head_sq[p] / norm_sq) for p in ps]
 
 
-def _full_basis_scores(
-    norm: float, gen: np.random.Generator, m: int, ps: tuple[int], d: int
-) -> np.ndarray:
-    """The ``norm`` of the unit gradient g projected on a Haar-random basis.
+def _full_basis_scores(gen: np.random.Generator, m: int, ps: tuple[int], d: int) -> np.ndarray:
+    """Each variant's norm of the unit gradient g projected on a Haar-random
+    basis, one row per variant in ``VARIANTS`` order.
 
     The basis is the Q factor of a Gaussian d-by-p draw A.  Q is never
     formed: the R factor of [A, g] holds Q^T g in the top p entries of its
     last column.  QR fixes each basis vector's sign by convention, which
     neither score can see (both read |Q^T g| only).  g is drawn for the whole
     block first, then A and the QR run in replicate chunks of at most
-    ``_CHUNK`` values.
+    ``_CHUNK`` values.  Rounding can push a norm of the unit projection past
+    1 (at p = d it is 1 up to rounding), so scores are capped at 1.
     """
     (p,) = ps
     g = gen.standard_normal((m, d))
@@ -164,7 +166,8 @@ def _full_basis_scores(
         # Raw QR factors a copy of [A, g] and returns it transposed, R_k[i, j]
         # at [k, j, i] for i <= j, without the triangular copy of mode "r".
         proj[lo : lo + rows] = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
-    return np.linalg.norm(proj, ord=norm, axis=1)
+    scores = np.array([np.linalg.norm(proj, ord=Variant.named(v).norm, axis=1) for v in VARIANTS])
+    return np.minimum(scores, 1.0, out=scores)
 
 
 def _usable_cpus() -> int:
@@ -173,31 +176,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _replicates(
-    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream, reduction: str
+def _run_blocks(
+    scores,
+    rows: int,
+    ps: tuple[int, ...],
+    d: int,
+    n_sims: int,
+    rng: RngStream,
+    block: int,
+    draws: int,
 ) -> np.ndarray:
-    """Replicate values, one row per cut point in ps, scored on common draws.
+    """The ``rows`` rows of scores of n_sims replicates, in blocks of ``block``.
 
-    Blocks of replicates each come from their own child stream and fill
-    their own columns, on worker threads when a block draws enough values
-    to repay them.  Full-basis mode scores a single cut point, in blocks
-    shrunk so the stacked basis draws stay within a fixed budget.
+    Each block comes from its own child stream and fills its own columns, on
+    worker threads when the ``draws`` values one block draws repay them.
     """
-    norm = Variant.named(variant).norm
-    for p in ps:
-        _check_cell(p, d, n_sims)
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    if reduction == "full-basis":
-        block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * ps[0])))
-        draws, scores = block * d * (ps[0] + 1), partial(_full_basis_scores, norm)
-    elif norm == math.inf:
-        # The max-norm reads each of the first max(ps) coordinates.
-        block, draws, scores = _BLOCK, _BLOCK * (max(ps) + 1), _polling_scores
-    else:
-        # The 2-norm reads squared norms only, one chi-square per cut point.
-        block, draws, scores = _BLOCK, _BLOCK * (len(ps) + 1), _model_scores
-    out = np.empty((len(ps), n_sims))
+    out = np.empty((rows, n_sims))
 
     def fill(j: int) -> None:
         start = j * block
@@ -217,6 +211,44 @@ def _replicates(
         for j in range(blocks):
             fill(j)
     return out
+
+
+def _full_basis_replicates(p: int, d: int, n_sims: int, rng: RngStream) -> np.ndarray:
+    """Full-basis replicate values of one (p, d) cell, one row per variant in
+    ``VARIANTS`` order, scored on the same draws.
+
+    Blocks shrink so the stacked basis draws stay within a fixed budget.
+    """
+    _check_cell(p, d, n_sims)
+    block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * p)))
+    draws = block * d * (p + 1)
+    return _run_blocks(_full_basis_scores, len(VARIANTS), (p,), d, n_sims, rng, block, draws)
+
+
+def _replicates(
+    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream, reduction: str
+) -> np.ndarray:
+    """Replicate values, one row per cut point in ps, scored on common draws.
+
+    Full-basis mode scores a single cut point: the variant's row of
+    ``_full_basis_replicates``.
+    """
+    norm = Variant.named(variant).norm
+    for p in ps:
+        _check_cell(p, d, n_sims)
+    if reduction not in REDUCTIONS:
+        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
+    if reduction == "full-basis":
+        (p,) = ps
+        row = VARIANTS.index(variant)
+        return _full_basis_replicates(p, d, n_sims, rng)[row : row + 1]
+    if norm == math.inf:
+        # The max-norm reads each of the first max(ps) coordinates.
+        draws = _BLOCK * (max(ps) + 1)
+        return _run_blocks(_polling_scores, len(ps), ps, d, n_sims, rng, _BLOCK, draws)
+    # The 2-norm reads squared norms only, one chi-square per cut point.
+    draws = _BLOCK * (len(ps) + 1)
+    return _run_blocks(_model_scores, len(ps), ps, d, n_sims, rng, _BLOCK, draws)
 
 
 def replicate_decreases(
@@ -248,6 +280,21 @@ def estimate(
     """Estimate the expected per-iteration decrease with its standard error."""
     mean, std_error = _summarize(replicate_decreases(variant, p, d, n_sims, rng, reduction))
     return DecreaseEstimate(mean, std_error, n_sims, p, d, variant, rng.seed)
+
+
+def full_basis_estimates(
+    p: int, d: int, n_sims: int, rng: RngStream
+) -> tuple[DecreaseEstimate, ...]:
+    """Full-basis estimates of one (p, d) cell for every variant, in
+    ``VARIANTS`` order, all scored on one draw.
+
+    Each equals ``estimate(v, p, d, n_sims, rng, "full-basis")`` bit for bit.
+    """
+    values = _full_basis_replicates(p, d, n_sims, rng)
+    return tuple(
+        DecreaseEstimate(*_summarize(v), n_sims, p, d, variant, rng.seed)
+        for variant, v in zip(VARIANTS, values)
+    )
 
 
 def paired_ratio_gap(

@@ -294,7 +294,7 @@ def test_figure_variant_disagreeing_with_grid_is_refused(tmp_path, capsys):
 def test_parallel_sweep_zero_dimension_is_refused(tmp_path, capsys):
     code = main(["figure", "parallel-sweep", "--d", "0", "--out", str(tmp_path)])
     assert code == 2
-    assert "empty p grid at d=0" in capsys.readouterr().err
+    assert "dimension must be a positive integer, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("content,reason", [(None, "No such file"), ("{bad", "Expecting")])

@@ -23,8 +23,10 @@ from subspace_dfo import (
     run_verify,
     split_stream,
 )
+from subspace_dfo import montecarlo
 from subspace_dfo.experiments import (
     default_figure_spec,
+    gate_basis_invariance,
     p_values_for,
     rows_to_csv,
     run_named_figure,
@@ -264,7 +266,7 @@ class TestParallelSweep:
     @pytest.mark.parametrize(
         "d, cores, error, message",
         [
-            (16.5, (2,), InvalidDimensionError, "dimension must be an integer, got 16.5"),
+            (16.5, (2,), InvalidDimensionError, "dimension must be a positive integer, got 16.5"),
             (16, (2.5,), DomainError, "core count must be a positive integer, got 2.5"),
             (16, (4, True), DomainError, "core count must be a positive integer, got True"),
         ],
@@ -272,6 +274,13 @@ class TestParallelSweep:
     def test_non_integer_inputs_are_named(self, d, cores, error, message):
         with pytest.raises(error, match=message):
             run_parallel_sweep("ds", d, cores)
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_non_positive_dimension_is_named(self, d):
+        # A dimension below 1 is the dimension's fault, not the core count's.
+        message = f"dimension must be a positive integer, got {d}"
+        with pytest.raises(InvalidDimensionError, match=message):
+            run_parallel_sweep("mb", d, (2,))
 
     def test_deterministic(self):
         a = run_parallel_sweep("ds", 32, (4,))
@@ -354,3 +363,20 @@ class TestVerifyRunner:
         assert sum(seconds.values()) <= wall
         # Timings stay out of the byte-stable CSV.
         assert (tmp_path / "verify_gates.csv").read_text() == verify_results_to_csv(results)
+
+
+class TestBasisInvarianceGate:
+    def test_draws_each_full_basis_cell_once(self, monkeypatch):
+        # Both variants are scored from one full-basis draw per (p, d) cell.
+        drawn = {}
+        scores = montecarlo._full_basis_scores
+
+        def spy(*args):
+            m, ps, d = args[-3:]
+            drawn[ps, d] = drawn.get((ps, d), 0) + m
+            return scores(*args)
+
+        monkeypatch.setattr(montecarlo, "_full_basis_scores", spy)
+        gate = gate_basis_invariance(n_sims=300, seed=0)
+        assert gate.criterion == 8
+        assert drawn == {((1,), 16): 300, ((4,), 16): 300, ((8,), 64): 300, ((32,), 64): 300}

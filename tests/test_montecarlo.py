@@ -24,7 +24,12 @@ from subspace_dfo import (
 )
 from subspace_dfo import montecarlo
 from subspace_dfo.cli import main
-from subspace_dfo.montecarlo import _BLOCK, _replicates
+from subspace_dfo.montecarlo import (
+    _BLOCK,
+    _full_basis_replicates,
+    _replicates,
+    full_basis_estimates,
+)
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -359,6 +364,36 @@ class TestFullBasisOracle:
                 expected.append(np.linalg.norm(proj, axis=1))
         new = replicate_decreases(variant, p, d, n, rng, "full-basis")
         assert np.array_equal(new, np.concatenate(expected))
+
+
+class TestFullBasisSharedDraw:
+    """One full-basis draw scores both variants."""
+
+    @pytest.mark.parametrize("p,d", [(1, 16), (32, 64), (16, 16)])
+    def test_each_variant_reads_its_entry_of_the_shared_draw(self, p, d):
+        rng = RngStream(19)
+        values = _full_basis_replicates(p, d, 2000, rng)
+        estimates = full_basis_estimates(p, d, 2000, rng)
+        assert [e.variant for e in estimates] == ["ds", "mb"]
+        for row, shared in zip(values, estimates):
+            variant = shared.variant
+            assert np.array_equal(replicate_decreases(variant, p, d, 2000, rng, "full-basis"), row)
+            assert estimate(variant, p, d, 2000, rng, "full-basis") == shared
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_scores_never_exceed_one_at_full_dimension(self, variant):
+        # At p = d the projection of the unit gradient is a unit vector, whose
+        # 2-norm rounds up to 1 + 2^-52 or more on some draws.
+        for d in (2, 3, 5, 17, 64, 100):
+            values = replicate_decreases(variant, d, d, 200, RngStream(d), "full-basis")
+            assert np.all(values <= 1.0), d
+
+    def test_full_dimension_cli_estimate_is_accepted(self, capsys):
+        args = ["mc", "--variant", "mb", "--p", "2", "--d", "2", "--mode", "full-basis",
+                "--nsims", "2", "--seed", "2", "--format", "json"]
+        assert main(args) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert row["value"] == 1.0
 
 
 class TestWorkerThreads:
