@@ -39,7 +39,7 @@ from .experiments import (
     write_manifest,
 )
 from .formulas import VARIANTS, Variant
-from .montecarlo import estimate
+from .montecarlo import REDUCTIONS, estimate
 from .optimizer import ITERATION_KINDS, DriverConfig
 from .rng import RngStream
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_mc)
     p_mc.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
     p_mc.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_mc.add_argument("--mode", choices=("reduced", "full-basis"), default="reduced")
+    p_mc.add_argument("--mode", choices=REDUCTIONS, default="reduced")
     p_mc.add_argument("--per-evaluation", action="store_true")
     p_mc.set_defaults(fn=_cmd_mc)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from .optimizer import (
     mb_iteration,
     run_driver,
 )
-from .rng import RngStream, sample_stiefel_stack, sample_unit_vector, split_stream
+from .rng import RngStream, _bases, sample_unit_vector, split_stream
 from .specfun import gamma_half_ratio
 
 DEFAULT_NSIMS = 10_000
@@ -669,18 +670,6 @@ def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) 
     return GateResult(9, "parallel-sweeps", ok, "; ".join(notes))
 
 
-def _stacked_bases(d: int, p: int, rng: RngStream, count: int):
-    """Yield the first ``count`` bases of ``rng.generator()``, the bases a
-    driver run on ``rng`` uses, drawing them stack by stack as they are
-    consumed."""
-    gen = rng.generator()
-    k = 0
-    while k < count:
-        stack = sample_stiefel_stack(d, p, gen, count - k)
-        yield from stack
-        k += len(stack)
-
-
 def gate_optimizer_behavior(
     n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
 ) -> GateResult:
@@ -700,7 +689,8 @@ def gate_optimizer_behavior(
         trace = run_driver(objective, np.zeros(d), config, driver_rng)
         best = trace.best_values()
         iterations = len(trace.records) - 1
-        for k, basis in enumerate(_stacked_bases(d, p, driver_rng, iterations), start=1):
+        bases = itertools.islice(_bases(d, p, driver_rng.generator()), iterations)
+        for k, basis in enumerate(bases, start=1):
             proj = float(np.linalg.norm(basis.T @ g, ord=norm_ord))
             step = trace.records[k].step_size
             gap = abs((best[k - 1] - best[k]) - step * proj)
@@ -716,7 +706,7 @@ def gate_optimizer_behavior(
     objective1 = ObjectiveHandle(lambda x: float(g1 @ x), d1, name="linear")
     counts = np.empty(n_sims)
     reuse_rng = split_stream(base, 4)
-    for k, basis in enumerate(_stacked_bases(d1, 1, reuse_rng, n_sims)):
+    for k, basis in enumerate(itertools.islice(_bases(d1, 1, reuse_rng.generator()), n_sims)):
         _, _, evaluations = mb_iteration(objective1, np.zeros(d1), 0.0, basis, 1.0)
         counts[k] = evaluations
         ok = ok and evaluations in (1, 2)

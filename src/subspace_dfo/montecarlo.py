@@ -26,8 +26,11 @@ bit-identical however the blocks are scheduled.  A cell whose blocks each
 draw at least 2^16 values runs them on a thread pool with one worker per
 usable CPU (numpy releases the interpreter lock while it draws and reduces);
 smaller cells, which threads would only slow, run serially.  Within a block
-the normals are drawn in row chunks of at most 2^18 values (2 MB), in
-stream order, so a block's memory stays bounded whatever p and d are.
+the normals are drawn in row chunks, in stream order, of at most 2^18 values
+(2 MB) or one replicate's row if that is more: p values when polling, and
+d (p + 1) for a full-basis replicate.  A full-basis worker holds about three
+such chunks (24 MB at d = p = 1024) and its block's unit gradients, at most
+2 * 10^6 values or one row of d.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ Each outer iteration draws a fresh uniformly random orthonormal basis
 b_1, ..., b_p of a p-dimensional subspace, which is the read-only d-by-p
 array whose columns are the b_i, and runs one inner iteration around the
 incumbent x: either coordinate polling (complete or opportunistic) or a
-forward-difference linear-model step.  The iteration builds its points as the
-rows of one matrix, x + delta b_1, x - delta b_1, x + delta b_2, ... when
-polling and x + delta b_i for the model step, and evaluates them in order.
-Opportunistic polling stops at the first improving point, so the driver
-draws its directions one at a time and polls each as it comes: the
-directions it never reaches are never drawn.
+forward-difference linear-model step.  Complete polling and the model step
+build their points as the rows of one matrix, x + delta b_1, x - delta b_1,
+x + delta b_2, ... when polling and x + delta b_i for the model step, and
+evaluate them in order.  Opportunistic polling stops at the first improving
+point, so it draws its directions one at a time and polls each as it comes:
+the directions it never reaches are never drawn.
 The incumbent value is carried between iterations and never re-evaluated, so
 the per-iteration evaluation cost is exactly 2p for complete polling and
 p + 1 for the model step (p = 1 model steps reuse their poll point when the
@@ -35,7 +35,7 @@ from .errors import (
     DomainError, InvalidDimensionError, NonFiniteObjectiveError, _check_positive, _is_int
 )
 from .formulas import Variant
-from .rng import RngStream, _orthonormal_extension, _unit_directions, sample_stiefel_stack
+from .rng import RngStream, _bases, _orthonormal_extension, _unit_directions
 
 ITERATION_KINDS = ("ds-complete", "ds-opportunistic", "mb")
 
@@ -170,30 +170,32 @@ def _checked_basis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _check_delta(delta: float) -> None:
+    # Written so that a NaN step fails; an infinite one reaches the objective.
+    if not delta > 0.0:
+        raise DomainError(f"delta must be positive, got {delta}")
+
+
 def ds_iteration(
     objective: ObjectiveHandle,
     x: np.ndarray,
     fx: float,
     basis: np.ndarray,
     delta: float,
-    mode: str = "complete",
 ) -> tuple[np.ndarray, float, int]:
-    """One polling iteration over the 2p signed basis directions around x.
+    """One complete polling iteration over the 2p signed basis directions
+    around x.
 
     ``basis`` is a len(x)-by-p array with columns b_1, ..., b_p, p >= 1; its
     shape is checked, and orthonormal columns, which every basis ``rng``
     draws has, are the caller's contract.  The poll points are the
-    rows x + delta b_1, x - delta b_1, x + delta b_2, ... of one matrix,
-    evaluated in that order.  Complete mode evaluates every row and moves to
-    the best, keeping the incumbent on ties (ties resolve to the lowest
-    index, positive sign first).  Opportunistic mode stops at the first
-    strict improvement.  Returns the point moved to, its value and the
-    new evaluations; ``fx`` is the known value at x and is not re-evaluated.
+    rows x + delta b_1, x - delta b_1, x + delta b_2, ... of one matrix, all
+    evaluated in that order, and the iteration moves to the best, keeping
+    the incumbent on ties (ties resolve to the lowest index, positive sign
+    first).  Returns the point moved to, its value and the new evaluations;
+    ``fx`` is the known value at x and is not re-evaluated.
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
-    if mode not in ("complete", "opportunistic"):
-        raise ValueError(f"mode must be 'complete' or 'opportunistic', got {mode!r}")
+    _check_delta(delta)
     basis = _checked_basis(x, basis)
     # Built row by row C-contiguous: the objective then reads each point as
     # one contiguous vector, as it would a freshly computed x + delta b_i.
@@ -207,8 +209,6 @@ def ds_iteration(
         evaluations += 1
         if value < best_value:
             best, best_value = point, value
-            if mode == "opportunistic":
-                break
     return best, best_value, evaluations
 
 
@@ -226,8 +226,7 @@ def mb_iteration(
     numerically zero gradient keeps the incumbent (the step direction would be
     undefined).  Returns the point moved to, its value and the new evaluations.
     """
-    if delta <= 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     basis = _checked_basis(x, basis)
     p = basis.shape[1]
     points = np.empty((p, len(x)))
@@ -262,22 +261,21 @@ def _opportunistic_iteration(
 
     Direction j is the next unit vector of ``directions``, made orthonormal
     to this iteration's earlier directions (``rng._orthonormal_extension``)
-    when it has any, and its pair x + delta b_j, x - delta b_j is polled by
-    :func:`ds_iteration`.  The iteration stops at the first strict
-    improvement, so it draws only the directions it polls.  Returns the
-    point moved to, its value and the new evaluations.
+    when it has any; they have the joint law of a basis's columns.  The
+    iteration polls x + delta b_j, then x - delta b_j, and stops at the
+    first strict improvement, so it draws only the directions it polls.
+    Returns the point moved to, its value and the new evaluations.
     """
     earlier = np.empty((p, len(x)))
     evaluations = 0
     for j in range(p):
         b = next(directions)
-        earlier[j] = _orthonormal_extension(earlier[:j], b) if j else b
-        x_new, f_new, spent = ds_iteration(
-            objective, x, fx, earlier[j, :, np.newaxis], delta, "opportunistic"
-        )
-        evaluations += spent
-        if f_new < fx:
-            return x_new, f_new, evaluations
+        earlier[j] = b = _orthonormal_extension(earlier[:j], b) if j else b
+        for point in (x + delta * b, x - delta * b):
+            value = objective(point)
+            evaluations += 1
+            if value < fx:
+                return point, value, evaluations
     return x, fx, evaluations
 
 
@@ -291,31 +289,29 @@ def run_driver(
 
     The run makes one generator, ``rng.generator()``, and reads every
     direction from it.  For ds-complete and mb, iteration k (counting from 0)
-    uses the k-th d-by-p block of its Gaussian values, orthonormalized:
-    iteration 0 uses ``sample_stiefel(d, p, rng)``, and a caller holding the
-    same stream can replay every basis in order.  The bases are drawn in
-    stacks (``rng.sample_stiefel_stack``), and the iterations take the rows
-    of each stack in turn: the first holds one basis and each refill doubles
-    the last, capped at as many iterations as the remaining budget
-    guarantees; the schedule cannot change a basis.  A budget-bound run uses
-    every basis it draws.  A ds-opportunistic iteration instead draws its
-    directions one at a time and stops at its first strict improvement
-    (``_opportunistic_iteration``); they have the joint law of a basis's
-    columns.  A run that stops at the step floor leaves fewer bases, or
-    directions, unused than it used.  The initial point is
-    always evaluated once before the loop, and an iteration starts only if
-    its largest possible cost fits in what is left of
-    ``config.max_evaluations``.  The budget and the records' ``eval_count``
-    count this run's evaluations only, so runs on one handle do not share a
-    budget.  The trace starts with the initial record and gains one record
-    per iteration, with best values nonincreasing by construction.  Its
-    ``x`` is a copy of the final point, made once when the run returns: the
-    final best value is f(``trace.x``).
+    uses its k-th basis (``rng._bases``): iteration 0 uses
+    ``sample_stiefel(d, p, rng)``.  Each refill of bases is capped at the
+    iterations the remaining budget guarantees, so a budget-bound run uses
+    every basis it draws.  A ds-opportunistic iteration instead reads unit
+    directions (``rng._unit_directions``) and stops at its first strict
+    improvement (``_opportunistic_iteration``).  A run that stops at the step
+    floor leaves fewer bases, or directions, unused than it used.  ``x0``
+    must be finite.  The initial point is always evaluated once before the
+    loop, and an iteration starts only if its largest possible cost fits in
+    what is left of ``config.max_evaluations``.  The budget and the records'
+    ``eval_count`` count this run's evaluations only, so runs on one handle
+    do not share a budget.  The trace starts with the initial record and
+    gains one record per iteration, with best values nonincreasing by
+    construction.  Its ``x`` is a copy of the final point, made once when
+    the run returns: the final best value is f(``trace.x``).
     """
     x = np.asarray(x0, dtype=float)
     d = objective.dimension
     if x.shape != (d,):
         raise InvalidDimensionError(f"x0 has shape {x.shape}, objective expects ({d},)")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"x0 must be finite, got {x[bad[0]]} at coordinate {bad[0]}")
     if config.p > d:
         raise InvalidDimensionError(f"subspace dimension {config.p} exceeds ambient {d}")
 
@@ -329,24 +325,18 @@ def run_driver(
     largest_cost = variant.points * config.p + variant.trial
     gen = rng.generator()
     directions = _unit_directions(d, gen)
-    bases = iter(())
-    stack_size = 1
+    bases = _bases(
+        d, config.p, gen, limit=lambda: (config.max_evaluations - evaluations) // largest_cost
+    )
     while evaluations + largest_cost <= config.max_evaluations and delta >= config.min_step:
         if mode == "opportunistic":
             x_new, f_new, spent = _opportunistic_iteration(
                 objective, x, fx, delta, config.p, directions
             )
+        elif name == "mb":
+            x_new, f_new, spent = mb_iteration(objective, x, fx, next(bases), delta)
         else:
-            basis = next(bases, None)
-            if basis is None:
-                guaranteed = (config.max_evaluations - evaluations) // largest_cost
-                stack = sample_stiefel_stack(d, config.p, gen, min(stack_size, guaranteed))
-                bases, stack_size = iter(stack), 2 * len(stack)
-                basis = next(bases)
-            if name == "mb":
-                x_new, f_new, spent = mb_iteration(objective, x, fx, basis, delta)
-            else:
-                x_new, f_new, spent = ds_iteration(objective, x, fx, basis, delta, mode)
+            x_new, f_new, spent = ds_iteration(objective, x, fx, next(bases), delta)
         evaluations += spent
         records.append(TraceRecord(len(records), evaluations, f_new, delta))
         delta *= config.expand_factor if f_new < fx else config.contract_factor

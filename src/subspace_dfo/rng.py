@@ -11,18 +11,16 @@ parent.  This makes replicated experiments bit-reproducible and lets parallel
 workers own disjoint streams without coordination.
 
 A sequence of bases, such as the bases of a complete-polling or model-step
-optimizer run, is read from one stream: basis k is the k-th d-by-p block of
-the Gaussian values of the stream's generator (:func:`sample_stiefel_stack`),
-so ``sample_stiefel`` on the same stream gives basis 0.  An opportunistic
-polling run reads its directions one at a time instead, each made orthonormal
-to its iteration's earlier ones by Gram-Schmidt, the process sign-corrected QR
-performs, so they have the joint law of a basis's columns.
+optimizer run, is read from one generator (``_bases``), and an opportunistic
+polling run reads unit directions from one (``_unit_directions``), each made
+orthonormal to its iteration's earlier ones by Gram-Schmidt, the process
+sign-corrected QR performs, so they have the joint law of a basis's columns.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,43 +126,52 @@ def sample_stiefel(d: int, p: int, rng: RngStream) -> np.ndarray:
     a read-only d-by-p array.
 
     The first d-by-p block of Gaussian values from ``rng`` is orthonormalized
-    by sign-corrected thin QR (see ``_orthonormalize``): basis 0 of the
-    sequence :func:`sample_stiefel_stack` reads from ``rng.generator()``.
+    by sign-corrected thin QR (see ``_orthonormalize``): it is the first basis
+    ``_bases`` reads from ``rng.generator()``.
     """
-    return sample_stiefel_stack(d, p, rng.generator(), 1)[0]
+    return next(_bases(d, p, rng.generator()))
 
 
-def sample_stiefel_stack(d: int, p: int, gen: np.random.Generator, count: int) -> np.ndarray:
-    """The next bases of ``gen``, drawn, factored and checked as one
-    read-only (n, d, p) stack.
-
-    The stack holds ``count`` bases, or as many as fit in ``_STACK_VALUES``
-    Gaussian values if that is fewer, and always at least one.  Basis i is
-    the i-th d-by-p block of the normals ``gen`` draws next, so the bases
-    read from one generator do not depend on how they are split into stacks.
-    """
+def _bases(
+    d: int, p: int, gen: np.random.Generator, limit: Callable[[], int] | None = None
+) -> Iterator[np.ndarray]:
+    """The bases of ``gen``, one at a time, endlessly: basis k is the k-th
+    d-by-p block of its normals, orthonormalized, whatever the stacks of
+    :func:`_normal_stacks` they are drawn, factored and checked in."""
     _check_pd(p, d)
-    if count < 1:
-        raise ValueError(f"need a count >= 1, got {count}")
-    n = min(count, max(1, _STACK_VALUES // (d * p)))
-    return _orthonormalize(gen.standard_normal((n, d, p)))
+    for stack in _normal_stacks(gen, (d, p), limit):
+        yield from _orthonormalize(stack)
 
 
 def _unit_directions(d: int, gen: np.random.Generator) -> Iterator[np.ndarray]:
-    """The normalized Gaussian d-vectors of ``gen``, one at a time, endlessly.
-
-    They are drawn in stacks: the first holds one vector and each refill
-    doubles the last, capped at ``_STACK_VALUES // d`` vectors (at least one).
-    A caller that stops early has drawn fewer unused vectors than it used.
-    Every vector of a stack is checked for unit norm to 1e-10 at once.
-    """
-    size = 1
-    while True:
-        stack = gen.standard_normal((min(size, max(1, _STACK_VALUES // d)), d))
+    """The normalized Gaussian d-vectors of ``gen``, one at a time, endlessly,
+    drawn in the stacks of :func:`_normal_stacks` and checked for unit norm
+    to 1e-10 a stack at a time."""
+    for stack in _normal_stacks(gen, (d,)):
         stack /= np.linalg.norm(stack, axis=1)[:, np.newaxis]
         _check_defect(float(np.max(np.abs(np.einsum("ij,ij->i", stack, stack) - 1.0))))
         yield from stack
-        size = 2 * len(stack)
+
+
+def _normal_stacks(
+    gen: np.random.Generator, shape: tuple[int, ...], limit: Callable[[], int] | None = None
+) -> Iterator[np.ndarray]:
+    """Stacks of standard normal arrays of ``shape`` from ``gen``, endlessly.
+
+    The first stack holds one array and each refill doubles the last, capped
+    at as many arrays as fit in ``_STACK_VALUES`` values (at least one) and
+    at ``limit()``, read at each refill and at least 1, when it is given.  So
+    a caller that stops early has drawn fewer unused arrays than it used, and
+    none if ``limit()`` never exceeds the arrays it goes on to use.
+    """
+    cap = max(1, _STACK_VALUES // math.prod(shape))
+    n = 1
+    while True:
+        n = min(n, cap) if limit is None else min(n, cap, limit())
+        if n < 1:
+            raise ValueError(f"need a limit >= 1, got {n}")
+        yield gen.standard_normal((n, *shape))
+        n *= 2
 
 
 def _orthonormal_extension(earlier: np.ndarray, z: np.ndarray) -> np.ndarray:

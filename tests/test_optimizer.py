@@ -2,6 +2,7 @@
 driver behavior."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_dfo import (
+    DomainError,
     DriverConfig,
     InvalidDimensionError,
     NonFiniteObjectiveError,
@@ -46,6 +48,22 @@ def recording_objective(fn, d: int) -> tuple[ObjectiveHandle, list[np.ndarray]]:
         return fn(x)
 
     return ObjectiveHandle(record, d), seen
+
+
+def opportunistic(objective, x, fx, basis, delta):
+    """Opportunistic polling fed the columns of ``basis`` as its directions."""
+    return optimizer_module._opportunistic_iteration(
+        objective, x, fx, delta, basis.shape[1], iter(basis.T)
+    )
+
+
+def extended(basis: np.ndarray) -> np.ndarray:
+    """The directions opportunistic polling polls when fed the columns of
+    ``basis``: each made orthonormal to the ones before it."""
+    polled = np.empty(basis.shape[::-1])
+    for j, b in enumerate(basis.T):
+        polled[j] = rng_module._orthonormal_extension(polled[:j], b) if j else b
+    return polled.T
 
 
 def count_draws(monkeypatch) -> tuple[list[RngStream], list[tuple[int, ...]]]:
@@ -175,6 +193,15 @@ class TestPollPoints:
         _, _, evaluations = ds_iteration(objective, np.ones(5), 5.0, np.ones((5, 2)), 0.5)
         assert evaluations == objective.eval_count == 4
 
+    @pytest.mark.parametrize("delta", [math.nan, 0.0, -1.0])
+    def test_a_nan_or_nonpositive_step_is_refused_before_any_evaluation(self, delta):
+        objective = ObjectiveHandle(lambda x: float(x @ x), 4, name="sphere")
+        basis = sample_stiefel(4, 2, RngStream(0))
+        for iteration in (ds_iteration, mb_iteration):
+            with pytest.raises(DomainError, match="delta must be positive"):
+                iteration(objective, np.zeros(4), 0.0, basis, delta)
+        assert objective.eval_count == 0
+
     def test_rows_are_signed_basis_steps(self):
         # Polling evaluates x + delta b_1, x - delta b_1, x + delta b_2, ...;
         # the model step x + delta b_i, then its trial point.
@@ -251,9 +278,12 @@ class TestOracle:
                 if kind == "mb":
                     new = mb_iteration(new_obj, x, fx, basis, delta)
                     old = oracle_mb_iteration(old_obj, x, fx, basis, delta)
-                else:
-                    new = ds_iteration(new_obj, x, fx, basis, delta, kind)
+                elif kind == "complete":
+                    new = ds_iteration(new_obj, x, fx, basis, delta)
                     old = oracle_ds_iteration(old_obj, x, fx, basis, delta, kind)
+                else:
+                    new = opportunistic(new_obj, x, fx, basis, delta)
+                    old = oracle_ds_iteration(old_obj, x, fx, extended(basis), delta, kind)
                 assert new[0].tobytes() == old[0].tobytes()
                 assert new[1:] == old[1:]
                 assert new_obj.eval_count == old_obj.eval_count == new[2]
@@ -265,7 +295,7 @@ class TestDsIteration:
         g = np.zeros(d)
         g[0] = 1.0
         point, value, evaluations = ds_iteration(
-            linear_objective(g), np.zeros(d), 0.0, np.eye(d), 1.0, mode="complete"
+            linear_objective(g), np.zeros(d), 0.0, np.eye(d), 1.0
         )
         assert -value == pytest.approx(1.0, abs=1e-15)
         assert point[0] == -1.0
@@ -279,7 +309,7 @@ class TestDsIteration:
         basis = make_basis(d, p, seed + 1000)
         delta = 0.75
         _, value, evaluations = ds_iteration(
-            linear_objective(g), np.zeros(d), 0.0, basis, delta, mode="complete"
+            linear_objective(g), np.zeros(d), 0.0, basis, delta
         )
         assert evaluations == 2 * p
         expected = delta * np.max(np.abs(basis.T @ g))
@@ -290,8 +320,8 @@ class TestDsIteration:
         for seed in range(300):
             g = sample_unit_vector(8, RngStream(seed))
             basis = make_basis(8, 3, seed + 5000)
-            _, value, evaluations = ds_iteration(
-                linear_objective(g), np.zeros(8), 0.0, basis, 1.0, mode="opportunistic"
+            _, value, evaluations = opportunistic(
+                linear_objective(g), np.zeros(8), 0.0, basis, 1.0
             )
             assert value < 0.0
             costs.append(evaluations)
@@ -302,8 +332,11 @@ class TestDsIteration:
     def test_no_improvement_keeps_incumbent(self):
         obj = ObjectiveHandle(lambda x: float(x @ x), 3)
         x = np.zeros(3)
-        point, value, _ = ds_iteration(obj, x, 0.0, np.eye(3), 1.0, mode="complete")
+        point, value, _ = ds_iteration(obj, x, 0.0, np.eye(3), 1.0)
         assert value == 0.0
+        assert point is x
+        point, value, evaluations = opportunistic(obj, x, 0.0, np.eye(3), 1.0)
+        assert (value, evaluations) == (0.0, 6)
         assert point is x
 
 
@@ -538,7 +571,9 @@ class TestDriver:
         )
         best = trace.best_values()
         iterations = len(trace.records) - 1
-        bases = rng_module.sample_stiefel_stack(d, p, driver_rng.generator(), iterations)
+        bases = list(
+            itertools.islice(rng_module._bases(d, p, driver_rng.generator()), iterations)
+        )
         assert len(bases) == iterations > 1
         assert bases[0].tobytes() == sample_stiefel(d, p, driver_rng).tobytes()
         for k, basis in enumerate(bases, start=1):
@@ -549,6 +584,7 @@ class TestDriver:
         "kind, d, p, budget",
         [
             ("ds-complete", 12, 1, 300),
+            ("mb", 12, 1, 300),
             ("ds-opportunistic", 100, 2, 2000),
             ("mb", 300, 5, 400),
             ("mb", 1000, 10, 60),
@@ -581,7 +617,9 @@ class TestDriver:
             assert all(n * d <= max(cap, d) and k == d for n, k in shapes)
             assert iterations * d <= drawn < iterations * d + cap < iterations * d * p
         else:
-            # No drawn basis goes unused: d * p normals per iteration.
+            # No drawn basis goes unused: d * p normals per iteration.  At
+            # p = 1 a model step costs 1 or 2 evaluations, so only a cap
+            # re-read at each refill keeps the last stacks from overdrawing.
             assert all(math.prod(s) == d * p or math.prod(s) <= cap for s in shapes)
             assert drawn == iterations * d * p
 
@@ -623,19 +661,13 @@ class TestDriver:
         used = iterations * p
         assert used <= sum(n for n, _ in shapes) < 2 * used
 
-    def test_opportunistic_directions_are_orthonormal_and_uniform(self, monkeypatch):
+    def test_opportunistic_directions_are_orthonormal_and_uniform(self):
         # Every direction a constant objective's run polls, grouped by
         # iteration: within one, the p directions are orthonormal, and the
         # first and the last are each uniform on the sphere, E (b . u)^2 = 1/d.
+        # The run stays at the origin, so it polls +delta b, then -delta b.
         d, p, iterations = 20, 4, 2000
-        polled = []
-        poll = optimizer_module.ds_iteration
-
-        def recorded(objective, x, fx, basis, delta, mode="complete"):
-            polled.append(np.array(basis[:, 0]))
-            return poll(objective, x, fx, basis, delta, mode)
-
-        monkeypatch.setattr(optimizer_module, "ds_iteration", recorded)
+        objective, seen = recording_objective(lambda x: 1.0, d)
         config = DriverConfig(
             p=p,
             max_evaluations=1 + 2 * p * iterations,
@@ -643,9 +675,12 @@ class TestDriver:
             min_step=1e-300,
             iteration_kind="ds-opportunistic",
         )
-        trace = run_driver(ObjectiveHandle(lambda x: 1.0, d), np.zeros(d), config, RngStream(21))
+        trace = run_driver(objective, np.zeros(d), config, RngStream(21))
         assert len(trace.records) - 1 == iterations
-        bases = np.array(polled).reshape(iterations, p, d)
+        points = np.array(seen[1:]).reshape(iterations, p, 2, d)
+        assert np.array_equal(points[:, :, 1], -points[:, :, 0])
+        steps = np.array([r.step_size for r in trace.records[1:]])
+        bases = points[:, :, 0] / steps[:, np.newaxis, np.newaxis]
         gram = bases @ np.swapaxes(bases, 1, 2)
         assert np.max(np.abs(gram - np.eye(p))) <= 1e-10
         u = sample_unit_vector(d, RngStream(22))
@@ -686,6 +721,28 @@ class TestDriver:
             run_driver(
                 linear_objective(g), np.zeros(4), DriverConfig(p=5, max_evaluations=10), RngStream(0)
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_refused_before_any_evaluation(self, bad):
+        x0 = np.array([1.0, 1.0, 2.0])
+        x0[0] = bad
+        for fn in (lambda x: 0.0 if math.isnan(x[0]) else float(x @ x), lambda x: float(x @ x)):
+            objective = ObjectiveHandle(fn, 3)
+            config = DriverConfig(p=1, max_evaluations=40)
+            with pytest.raises(DomainError, match=f"x0 must be finite, got {bad} at coordinate 0"):
+                run_driver(objective, x0, config, RngStream(0))
+            assert objective.eval_count == 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_step_expanded_to_infinity_ends_in_non_finite_objective(self):
+        # On an objective unbounded below every step improves, so the step
+        # grows 1, 1e300, inf; the poll at an infinite step is blamed on the
+        # objective's value there.
+        objective = linear_objective(sample_unit_vector(4, RngStream(2)))
+        config = DriverConfig(p=1, max_evaluations=40, expand_factor=1e300)
+        with pytest.raises(NonFiniteObjectiveError):
+            run_driver(objective, np.zeros(4), config, RngStream(3))
+        assert objective.eval_count <= 7
 
     def test_non_finite_objective_aborts(self):
         obj = ObjectiveHandle(lambda x: math.nan if x[0] != 0.0 else 0.0, 2)

@@ -1,5 +1,6 @@
 """Sampling tests: determinism of streams, uniformity and invariance of draws."""
 
+import itertools
 import math
 
 import numpy as np
@@ -175,34 +176,36 @@ class TestStackedSampling:
     )
     def test_stack_matches_per_child_draws_bit_for_bit(self, d, p):
         # Bases come in order from one generator (the name predates that):
-        # the stacks 1, 2, 4, ... the driver draws read them as one stack.
+        # the stacks 1, 2, 4, ... the generator draws, with or without a
+        # limit, read them as one stack.
         base, count = RngStream(29, (3,)), 25
         # One stack of 25, past the value cap where the shape needs it.
         one_stack = rng_module._orthonormalize(base.generator().standard_normal((count, d, p)))
-        gen, bases, size = base.generator(), [], 1
-        while len(bases) < count:
-            stack = rng_module.sample_stiefel_stack(d, p, gen, min(size, count - len(bases)))
-            bases.extend(stack)
-            size = 2 * len(stack)
-        assert len(bases) == count
         assert one_stack.shape == (count, d, p) and not one_stack.flags.writeable
-        for basis, single in zip(bases, one_stack):
-            assert isinstance(basis, np.ndarray)
-            assert basis.shape == (d, p)
-            assert basis.tobytes() == single.tobytes()
-            assert not basis.flags.writeable
+        limits = itertools.cycle((5, 1, 3))
+        for limit in (None, lambda: next(limits)):
+            bases = list(itertools.islice(rng_module._bases(d, p, base.generator(), limit), count))
+            assert len(bases) == count
+            for basis, single in zip(bases, one_stack):
+                assert isinstance(basis, np.ndarray)
+                assert basis.shape == (d, p)
+                assert basis.tobytes() == single.tobytes()
+                assert not basis.flags.writeable
         first = sample_stiefel(d, p, base)
         assert first.shape == (d, p) and not first.flags.writeable
         assert bases[0].tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("d, p", [(1, 1), (12, 1), (100, 2), (300, 5), (1000, 10), (200, 200)])
     def test_no_stack_exceeds_the_value_cap(self, d, p):
+        # Stacks double from 1 up to the cap, and each is also capped at the
+        # limit read as it is drawn.
         cap = rng_module._STACK_VALUES
         assert cap == 2**14
         for count in (1, 7, 10**6):
-            n = len(rng_module.sample_stiefel_stack(d, p, RngStream(1).generator(), count))
-            assert n == min(count, max(1, cap // (d * p)))
-            assert n == 1 or n * d * p <= cap
+            stacks = rng_module._normal_stacks(RngStream(1).generator(), (d, p), lambda: count)
+            sizes = [len(next(stacks)) for _ in range(12)]
+            assert sizes == [min(2**i, count, max(1, cap // (d * p))) for i in range(12)]
+            assert all(n == 1 or n * d * p <= cap for n in sizes)
 
     def test_one_check_covers_the_whole_stack(self):
         q = np.stack([np.eye(4, 2), np.eye(4, 2)])
@@ -215,10 +218,10 @@ class TestStackedSampling:
         gen = RngStream(0).generator()
         for d, p in ((3, 4), (10, 2.5)):
             with pytest.raises(InvalidDimensionError):
-                rng_module.sample_stiefel_stack(d, p, gen, 2)
+                next(rng_module._bases(d, p, gen))
         for count in (0, -1):
-            with pytest.raises(ValueError, match=f"need a count >= 1, got {count}"):
-                rng_module.sample_stiefel_stack(3, 2, gen, count)
+            with pytest.raises(ValueError, match=f"need a limit >= 1, got {count}"):
+                next(rng_module._bases(3, 2, gen, lambda: count))
 
 
 class TestDistributionalInvariance:
