@@ -52,6 +52,7 @@ from .montecarlo import (
     DecreaseEstimate,
     PairedDelta,
     estimate,
+    estimates,
     paired_ratio_gap,
     replicate_decreases,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "DecreaseEstimate",
     "PairedDelta",
     "estimate",
+    "estimates",
     "paired_ratio_gap",
     "replicate_decreases",
     "ExperimentSpec",

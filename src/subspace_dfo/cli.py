@@ -26,6 +26,7 @@ from .errors import NonFiniteObjectiveError
 from .experiments import (
     DEFAULT_NSIMS,
     DEFAULT_SEED,
+    FIGURE_MC_DRAWS,
     FIGURE_NAMES,
     OBJECTIVE_NAMES,
     ResultRow,
@@ -150,7 +151,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             d_values=(args.d,) if args.d is not None else None,
         )
         rows = run_named_figure(spec)
-        manifest = {"spec": asdict(spec)}
+        manifest = {"spec": asdict(spec), "mc_draws": FIGURE_MC_DRAWS}
     out_dir = Path(args.out) if args.out else _default_outdir()
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"

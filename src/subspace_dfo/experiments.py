@@ -1,9 +1,12 @@
 """Reproduction grids, parallel-cost sweeps, named objectives, and the gate suite.
 
-Everything here is deterministic given a seed: each Monte Carlo cell derives
-its child stream from the cell's identity (variant, p, d), CSV serialization
-uses a fixed header and 17 significant digits, and re-running any experiment
-with the same spec and seed produces byte-identical output.
+Everything here is deterministic given a seed: CSV serialization uses a
+fixed header and 17 significant digits, and re-running any experiment with
+the same spec and seed produces byte-identical output.  A figure row, every
+p of one (variant, d), is scored on one draw from a child stream keyed by
+(variant, d), so its values depend on (variant, d) and on the row's p set:
+for polling only on the largest p, for the model step on every cut point.
+A gate cell draws its own stream, keyed by (variant, p, d).
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from .formulas import (
     expected_decrease_mb,
     polling_factor,
 )
-from .montecarlo import SAMPLER, estimate, full_basis_estimates, paired_ratio_gap
+from .montecarlo import (
+    SAMPLER,
+    _usable_cpus,
+    estimate,
+    estimates,
+    full_basis_estimates,
+    paired_ratio_gap,
+)
 from .optimizer import (
     DriverConfig,
     DriverTrace,
@@ -118,12 +128,22 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 def write_manifest(path: str | Path, payload: dict) -> None:
     """Write ``payload`` as JSON with the package version, the Monte Carlo
-    sampler and the creation time added."""
+    sampler, the creation time and the environment added."""
+    # Imported here: only manifest writers need it, not every package import.
+    import platform
+
+    system = platform.uname()
     payload = {
         **payload,
         "version": __version__,
         "sampler": SAMPLER,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": {
+            "numpy": np.__version__,
+            "platform": f"{system.system} {system.release} {system.machine}",
+            "python": platform.python_version(),
+            "usable_cpus": _usable_cpus(),
+        },
     }
     Path(path).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii", newline="\n"
@@ -229,11 +249,25 @@ def p_values_for(d: int, p_rule: tuple[int, ...] | str) -> tuple[int, ...]:
 def cell_stream(base: RngStream, variant: str, p: int, d: int) -> RngStream:
     """Child stream for one Monte Carlo cell, keyed by the cell's identity.
 
-    Keying by (variant, p, d) rather than by enumeration order keeps a cell's
-    randomness stable when grids are edited.
+    Keying by (variant, p, d) rather than by enumeration order keeps a
+    gate cell's randomness stable when other cells are added or removed.
     """
     variant_index = VARIANTS.index(variant)
     return split_stream(split_stream(split_stream(base, variant_index), p), d)
+
+
+# How a figure draws its Monte Carlo rows; recorded in every figure manifest.
+FIGURE_MC_DRAWS = "one draw per (variant, d) row, scored at every p"
+
+
+def row_stream(base: RngStream, variant: str, d: int) -> RngStream:
+    """Child stream for one figure row, every p of (variant, d) on one draw.
+
+    It is the cell stream at p = 0, which is never a cell, so it differs from
+    every cell stream.  The row's values also depend on its p set: for
+    polling only on the largest p, for the model step on every cut point.
+    """
+    return cell_stream(base, variant, 0, d)
 
 
 def _metrics_for(outputs: str) -> tuple[str, ...]:
@@ -248,21 +282,25 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """Rows of a vary-d or vary-p grid: per cell, the methods ``spec.include``
     selects, for the metrics ``spec.outputs`` selects.
 
-    Cell streams are keyed by cell identity under RngStream(spec.seed), so
-    reruns with the same spec are bit-identical.
+    The Monte Carlo rows of one d are scored on one draw from that row's
+    stream under RngStream(spec.seed) (see ``row_stream``), so reruns with
+    the same spec are bit-identical.  A d with no p draws nothing.
     """
     record = Variant.named(spec.variant)
     base = RngStream(spec.seed)
     metrics = _metrics_for(spec.outputs)
     rows: list[ResultRow] = []
     for d in spec.d_values:
-        for p in p_values_for(d, spec.p_rule):
+        ps = p_values_for(d, spec.p_rule)
+        mc = {}
+        if ps and "monte-carlo" in spec.include:
+            row = row_stream(base, spec.variant, d)
+            mc = dict(zip(ps, estimates(spec.variant, ps, d, spec.n_sims, row)))
+        for p in ps:
             # Per-evaluation rows divide by the evaluations of one iteration.
             scales = [1.0 if m == METRIC_ITERATION else record.rounds(p, 1) for m in metrics]
-            if "monte-carlo" in spec.include:
-                est = estimate(
-                    spec.variant, p, d, spec.n_sims, cell_stream(base, spec.variant, p, d)
-                )
+            if p in mc:
+                est = mc[p]
                 rows += [
                     ResultRow(
                         spec.variant, d, p, METHOD_MC, metric, est.mean / scale,

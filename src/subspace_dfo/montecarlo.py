@@ -113,18 +113,24 @@ def _polling_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: in
     with d - max(ps) degrees of freedom: twice a Gamma((d - max(ps))/2) draw,
     which numpy returns as exactly 0 for shape 0.
     """
-    top = max(ps)
+    cuts = sorted(set(ps))
+    top = cuts[-1]
     head_sq = np.empty(m)
-    peaks = np.empty((len(ps), m))
+    peaks = {p: np.empty(m) for p in cuts}
     rows = max(1, _CHUNK // top)
     for lo in range(0, m, rows):
         head = gen.standard_normal((min(rows, m - lo), top))
         # einsum sums the row products without an (m, top) temporary.
         head_sq[lo : lo + rows] = np.einsum("ij,ij->i", head, head)
-        for peak, p in zip(peaks, ps):
-            peak[lo : lo + rows] = _max_abs(head[:, :p])
+        # A running max over the sorted cut points reads each column once;
+        # max is exact, so each peak is the float a direct max would give.
+        peak = None
+        for start, stop in zip([0] + cuts, cuts):
+            part = _max_abs(head[:, start:stop])
+            peak = part if peak is None else np.maximum(peak, part, out=part)
+            peaks[stop][lo : lo + rows] = peak
     norm = np.sqrt(head_sq + 2.0 * gen.standard_gamma((d - top) / 2.0, m))
-    return [peak / norm for peak in peaks]
+    return [peaks[p] / norm for p in ps]
 
 
 def _model_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
@@ -237,6 +243,8 @@ def _replicates(
     ``_full_basis_replicates``.
     """
     norm = Variant.named(variant).norm
+    if not ps:
+        raise ValueError("need at least one subspace dimension p, got none")
     for p in ps:
         _check_cell(p, d, n_sims)
     if reduction not in REDUCTIONS:
@@ -283,6 +291,25 @@ def estimate(
     """Estimate the expected per-iteration decrease with its standard error."""
     mean, std_error = _summarize(replicate_decreases(variant, p, d, n_sims, rng, reduction))
     return DecreaseEstimate(mean, std_error, n_sims, p, d, variant, rng.seed)
+
+
+def estimates(
+    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream
+) -> tuple[DecreaseEstimate, ...]:
+    """Reduced-mode estimates for each p in ps, in ps order, all scored on
+    one draw from ``rng``.
+
+    The draw depends on d and on ps: polling draws the first max(ps)
+    coordinates, the model step one chi-square per gap between sorted cut
+    points.  ``estimates(v, (p,), d, n_sims, rng)[0]`` equals
+    ``estimate(v, p, d, n_sims, rng)`` bit for bit: both are one
+    ``_replicates`` call on ps = (p,).
+    """
+    values = _replicates(variant, ps, d, n_sims, rng, "reduced")
+    return tuple(
+        DecreaseEstimate(*_summarize(v), n_sims, p, d, variant, rng.seed)
+        for p, v in zip(ps, values)
+    )
 
 
 def full_basis_estimates(

@@ -86,6 +86,16 @@ def test_figure_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["spec"]["n_sims"] == 200
 
 
+def test_figure_manifest_records_draws_and_environment(tmp_path):
+    assert main(["figure", "ds-vary-d", "--nsims", "100", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "ds-vary-d.manifest.json").read_text())
+    assert manifest["mc_draws"] == "one draw per (variant, d) row, scored at every p"
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert env["platform"] and env["python"]
+    assert isinstance(env["usable_cpus"], int) and env["usable_cpus"] >= 1
+
+
 def test_figure_rerun_is_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 import time
 
 import numpy as np
@@ -14,6 +15,8 @@ from subspace_dfo import (
     InvalidDimensionError,
     ResultRow,
     RngStream,
+    Variant,
+    estimates,
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
@@ -25,9 +28,11 @@ from subspace_dfo import (
 )
 from subspace_dfo import montecarlo
 from subspace_dfo.experiments import (
+    cell_stream,
     default_figure_spec,
     gate_basis_invariance,
     p_values_for,
+    row_stream,
     rows_to_csv,
     run_named_figure,
     trace_to_csv,
@@ -199,6 +204,86 @@ class TestGridRows:
         assert spec.d_values == (1000,)
         with pytest.raises(ValueError):
             default_figure_spec("parallel-sweep")
+
+
+class TestFigureRowDraws:
+    """Every p of one (variant, d) row is scored on one draw from its row stream."""
+
+    @staticmethod
+    def _spy_scores(monkeypatch):
+        calls = []
+        for name in ("_polling_scores", "_model_scores"):
+            scores = getattr(montecarlo, name)
+
+            def spy(gen, m, ps, d, scores=scores):
+                calls.append((ps, d, threading.current_thread() is threading.main_thread()))
+                return scores(gen, m, ps, d)
+
+            monkeypatch.setattr(montecarlo, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_mc_rows_equal_estimates_on_the_row_stream(self, variant):
+        spec = small_vary_d_spec(variant, outputs="both", n_sims=700, seed=4)
+        rows = run_named_figure(spec)
+        record = Variant.named(variant)
+        for d in spec.d_values:
+            ps = p_values_for(d, spec.p_rule)
+            row = row_stream(RngStream(4), variant, d)
+            for est in estimates(variant, ps, d, 700, row):
+                mc = [r for r in rows if r.method == "mc" and (r.d, r.p) == (d, est.p)]
+                assert [(r.metric, r.value, r.std_error, r.seed) for r in mc] == [
+                    ("per-iteration", est.mean, est.std_error, 4),
+                    ("per-evaluation", est.mean / record.rounds(est.p, 1),
+                     est.std_error / record.rounds(est.p, 1), 4),
+                ]
+
+    @pytest.mark.parametrize("variant,n_blocks", [("ds", 1), ("mb", 1), ("ds", 2)])
+    def test_one_score_call_per_block_per_d(self, monkeypatch, variant, n_blocks):
+        calls = self._spy_scores(monkeypatch)
+        n_sims = montecarlo._BLOCK * (n_blocks - 1) + 50
+        run_named_figure(small_vary_d_spec(variant, n_sims=n_sims))
+        assert sorted((ps, d) for ps, d, _ in calls) == sorted(
+            [((1, 2, 4, 8), 8)] * n_blocks + [((1, 2, 8, 16), 16)] * n_blocks
+        )
+
+    def test_a_d_without_p_draws_nothing_and_emits_no_rows(self, monkeypatch):
+        calls = self._spy_scores(monkeypatch)
+        spec = ExperimentSpec(
+            name="ds-vary-d", variant="ds", d_values=(4, 8), p_rule=(6,), n_sims=100
+        )
+        rows = run_named_figure(spec)
+        assert [(r.d, r.p, r.method) for r in rows] == [
+            (8, 6, "mc"), (8, 6, "exact"), (8, 6, "asymptotic")
+        ]
+        assert [(ps, d) for ps, d, _ in calls] == [((6,), 8)]
+
+    def test_row_stream_is_stable_and_no_cell_stream(self):
+        def first_draws(stream):
+            return stream.generator().standard_normal(4).tobytes()
+
+        base = RngStream(0)
+        for variant in ("ds", "mb"):
+            row = first_draws(row_stream(base, variant, 16))
+            assert row == first_draws(row_stream(RngStream(0), variant, 16))
+            cells = {first_draws(cell_stream(base, variant, p, 16)) for p in range(1, 17)}
+            assert row not in cells
+        assert first_draws(row_stream(base, "ds", 16)) != first_draws(row_stream(base, "mb", 16))
+
+    def test_worker_threads_give_the_serial_bytes(self, monkeypatch):
+        # At d = 200 a polling block draws more than 2^16 values, so its two
+        # blocks go to worker threads when two CPUs are usable.
+        spec = ExperimentSpec(
+            name="ds-vary-p", variant="ds", d_values=(200,), p_rule=(20, 1, 200, 5),
+            n_sims=montecarlo._BLOCK + 100, seed=2, include=("monte-carlo",),
+        )
+        calls = self._spy_scores(monkeypatch)
+        texts = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
+            texts[cpus] = rows_to_csv(run_named_figure(spec))
+        assert texts[1] == texts[2]
+        assert [on_main for _, _, on_main in calls] == [True, True, False, False]
 
 
 class TestCsvSerialization:

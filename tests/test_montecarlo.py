@@ -14,6 +14,7 @@ from subspace_dfo import (
     InvalidDimensionError,
     RngStream,
     estimate,
+    estimates,
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
@@ -27,6 +28,7 @@ from subspace_dfo.cli import main
 from subspace_dfo.montecarlo import (
     _BLOCK,
     _full_basis_replicates,
+    _polling_scores,
     _replicates,
     full_basis_estimates,
 )
@@ -188,6 +190,53 @@ class TestEstimate:
             reduced = estimate(variant, 4, 16, 10_000, split_stream(base, 2 * i + 1))
             gap = abs(full.mean - reduced.mean)
             assert gap <= 3.0 * math.hypot(full.std_error, reduced.std_error)
+
+
+class TestEstimates:
+    @pytest.mark.parametrize("variant,p,d", [("ds", 3, 20), ("mb", 5, 40), ("ds", 700, 1024)])
+    def test_single_cut_point_is_estimate_bitwise(self, variant, p, d):
+        n = _BLOCK + 300
+        (est,) = estimates(variant, (p,), d, n, RngStream(14))
+        assert est == estimate(variant, p, d, n, RngStream(14))
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_each_p_reads_its_row_of_one_draw(self, variant):
+        ps = (10, 2, 5)
+        rng = RngStream(15)
+        values = _replicates(variant, ps, 30, 500, rng, "reduced")
+        for est, p, v in zip(estimates(variant, ps, 30, 500, rng), ps, values):
+            assert (est.p, est.d, est.variant, est.seed) == (p, 30, variant, 15)
+            assert est.mean == float(np.mean(v))
+            assert est.std_error == float(np.std(v, ddof=1) / np.sqrt(500))
+
+    def test_model_full_dimension_cut_is_exactly_one(self):
+        top = estimates("mb", (1, 6, 12), 12, 5000, RngStream(5))[-1]
+        assert top.mean == 1.0 and top.std_error == 0.0
+
+    def test_rejects_an_empty_p_set(self):
+        with pytest.raises(ValueError, match="at least one subspace dimension"):
+            estimates("ds", (), 8, 100, RngStream(0))
+
+    @pytest.mark.parametrize("ps", [(10, 2, 5), (3, 3, 1), (1000,), (1, 2, 3, 500, 20, 1000)])
+    def test_running_max_equals_direct_max(self, ps):
+        # The reference takes each p's max over its own first p columns.
+        def direct(gen, m, ps, d):
+            top = max(ps)
+            head_sq = np.empty(m)
+            peaks = np.empty((len(ps), m))
+            rows = max(1, montecarlo._CHUNK // top)
+            for lo in range(0, m, rows):
+                head = gen.standard_normal((min(rows, m - lo), top))
+                head_sq[lo : lo + rows] = np.einsum("ij,ij->i", head, head)
+                for peak, p in zip(peaks, ps):
+                    peak[lo : lo + rows] = np.max(np.abs(head[:, :p]), axis=1)
+            norm = np.sqrt(head_sq + 2.0 * gen.standard_gamma((d - top) / 2.0, m))
+            return [peak / norm for peak in peaks]
+
+        m, d = 700, 1000
+        got = _polling_scores(np.random.default_rng(3), m, ps, d)
+        want = direct(np.random.default_rng(3), m, ps, d)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def _mc_per_evaluation(capsys, variant, p, d, n_sims, seed):
