@@ -11,6 +11,7 @@ import sys
 
 from subspace_dfo import DriverConfig, run_optimizer_experiment
 from subspace_dfo.experiments import OBJECTIVE_NAMES
+from subspace_dfo.optimizer import ITERATION_KINDS
 
 
 def main() -> int:
@@ -24,7 +25,7 @@ def main() -> int:
 
     print(f"{args.function}, d={args.d}, budget={args.budget}, seed={args.seed}")
     print(f"{'kind':>18} {'p':>4} {'final best':>14} {'evals':>6} {'iters':>6}")
-    for kind in ("ds-complete", "ds-opportunistic", "mb"):
+    for kind in ITERATION_KINDS:
         for p in (1, 2, args.d // 2):
             config = DriverConfig(
                 p=p,

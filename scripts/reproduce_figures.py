@@ -11,15 +11,17 @@ import os
 import sys
 import time
 
+from subspace_dfo.cli import ENV_OUTDIR
 from subspace_dfo.cli import main as cli_main
-from subspace_dfo.experiments import FIGURE_NAMES
+from subspace_dfo.experiments import DEFAULT_NSIMS, DEFAULT_SEED, FIGURE_NAMES
+from subspace_dfo.formulas import VARIANTS
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=os.environ.get("SUBSPACE_DFO_OUTDIR", "figures"))
-    parser.add_argument("--nsims", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=os.environ.get(ENV_OUTDIR, "figures"))
+    parser.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
         "--only", nargs="*", choices=FIGURE_NAMES, default=None,
         help="subset of figures to run (default: all)",
@@ -32,7 +34,7 @@ def main() -> int:
         if name == "parallel-sweep":
             # Emit both sweep variants at their reference dimensions.  The
             # sweep is exact, so it takes no replicate count or seed.
-            for variant in ("ds", "mb"):
+            for variant in VARIANTS:
                 sub_out = os.path.join(args.out, f"parallel-sweep-{variant}")
                 code = cli_main(["figure", name, "--out", sub_out, "--variant", variant])
                 if code != 0:

@@ -185,10 +185,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _verify_nsims(text: str) -> int:
-    n = int(text)
-    if n < 2:
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 2:
         raise argparse.ArgumentTypeError(
-            f"verify needs at least 2 replicates per cell for a standard error, got {n}"
+            "verify needs an integer count of at least 2 replicates per cell "
+            f"for a standard error, got {text!r}"
         )
     return n
 

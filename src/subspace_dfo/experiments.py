@@ -40,6 +40,7 @@ from .montecarlo import (
     paired_ratio_gap,
 )
 from .optimizer import (
+    ITERATION_KINDS,
     DriverConfig,
     DriverTrace,
     ObjectiveHandle,
@@ -165,8 +166,8 @@ class ExperimentSpec:
 
     ``p_rule`` is either an explicit tuple of subspace dimensions or the
     string ``"standard"`` meaning {1, 2, d/2, d} per ambient dimension (integer
-    division; duplicates collapse).  ``outputs`` selects per-iteration rows,
-    per-evaluation rows, or both; ``include`` selects which methods to emit.
+    division; duplicates collapse).  ``outputs`` selects per-iteration rows
+    ("decrease") or per-evaluation rows; ``include`` selects which methods to emit.
     ``d_values`` and an explicit ``p_rule`` repeat no value, and ``include``
     names at least one method, so every row of a grid is emitted once.
     """
@@ -203,7 +204,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"n_sims must be at least 2 for a standard error, got {self.n_sims}"
             )
-        if self.outputs not in ("decrease", "per-evaluation", "both"):
+        if self.outputs not in ("decrease", "per-evaluation"):
             raise ValueError(f"unknown outputs selector {self.outputs!r}")
         if not isinstance(self.include, (list, tuple)) or not all(
             isinstance(flag, str) for flag in self.include
@@ -220,9 +221,9 @@ class ExperimentSpec:
         """This spec with the keys of ``config``, then the ``flags`` that are
         not None, in place of its own values; the result is validated once.
 
-        ``config`` is a JSON object of field names.  Its name and variant may
-        only repeat this spec's, which fix the figure; a null value is
-        refused like any other value of the wrong type.
+        ``config`` is a JSON object of field names.  Its name, variant and
+        outputs may only repeat this spec's, which fix the figure; a null
+        value is refused like any other value of the wrong type.
         """
         if not isinstance(config, dict):
             raise ValueError(f"spec must be an object of named fields, got {config!r}")
@@ -230,7 +231,7 @@ class ExperimentSpec:
         unknown = sorted(set(config) - set(known))
         if unknown:
             raise ValueError(f"unknown spec keys {unknown}; known keys are {known}")
-        for key in ("name", "variant"):
+        for key in ("name", "variant", "outputs"):
             if config.get(key, getattr(self, key)) != getattr(self, key):
                 raise ValueError(
                     f"config {key} {config[key]!r} disagrees with figure {self.name}, "
@@ -270,17 +271,9 @@ def row_stream(base: RngStream, variant: str, d: int) -> RngStream:
     return cell_stream(base, variant, 0, d)
 
 
-def _metrics_for(outputs: str) -> tuple[str, ...]:
-    if outputs == "decrease":
-        return (METRIC_ITERATION,)
-    if outputs == "per-evaluation":
-        return (METRIC_EVALUATION,)
-    return (METRIC_ITERATION, METRIC_EVALUATION)
-
-
 def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """Rows of a vary-d or vary-p grid: per cell, the methods ``spec.include``
-    selects, for the metrics ``spec.outputs`` selects.
+    selects, in the metric ``spec.outputs`` selects.
 
     The Monte Carlo rows of one d are scored on one draw from that row's
     stream under RngStream(spec.seed) (see ``row_stream``), so reruns with
@@ -288,7 +281,7 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """
     record = Variant.named(spec.variant)
     base = RngStream(spec.seed)
-    metrics = _metrics_for(spec.outputs)
+    metric = METRIC_EVALUATION if spec.outputs == "per-evaluation" else METRIC_ITERATION
     rows: list[ResultRow] = []
     for d in spec.d_values:
         ps = p_values_for(d, spec.p_rule)
@@ -298,16 +291,15 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
             mc = dict(zip(ps, estimates(spec.variant, ps, d, spec.n_sims, row)))
         for p in ps:
             # Per-evaluation rows divide by the evaluations of one iteration.
-            scales = [1.0 if m == METRIC_ITERATION else record.rounds(p, 1) for m in metrics]
+            scale = 1.0 if metric == METRIC_ITERATION else record.rounds(p, 1)
             if p in mc:
                 est = mc[p]
-                rows += [
+                rows.append(
                     ResultRow(
                         spec.variant, d, p, METHOD_MC, metric, est.mean / scale,
                         est.std_error / scale, est.n_sims, est.seed,
                     )
-                    for metric, scale in zip(metrics, scales)
-                ]
+                )
             values = {}
             if "formula" in spec.include:
                 values[METHOD_EXACT] = record.exact(p, d)
@@ -316,7 +308,6 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
             rows += [
                 ResultRow(spec.variant, d, p, method, metric, value / scale)
                 for method, value in values.items()
-                for metric, scale in zip(metrics, scales)
             ]
     return rows
 
@@ -326,9 +317,9 @@ def default_figure_spec(
 ) -> ExperimentSpec:
     if name not in FIGURE_NAMES or name == "parallel-sweep":
         raise ValueError(f"no grid spec for figure {name!r}")
-    variant, _, rest = name.partition("-")
-    perfev = rest.startswith("perfev")
-    vary_p = rest.endswith("vary-p")
+    variant = name.split("-")[0]
+    perfev = "-perfev-" in name
+    vary_p = name.endswith("-vary-p")
     if vary_p:
         d_values: tuple[int, ...] = (D_VARY_P,)
         p_rule: tuple[int, ...] | str = P_LIST_VARY_P
@@ -474,38 +465,24 @@ def _gate_stream(seed: int, criterion: int) -> RngStream:
     return split_stream(RngStream(seed), criterion)
 
 
-def gate_ds_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
-    """Polling closed forms at p in {1, 2} versus MC over the dimension grid."""
-    base = _gate_stream(seed, 1)
+def _closed_form_cells(
+    criterion: int, variant: str, p_rule: tuple[int, ...] | str, n_sims: int, seed: int
+) -> tuple[bool, str]:
+    """Whether MC matches the exact decrease at every p of
+    ``p_values_for(d, p_rule)`` over D_GRID, and where |z| is largest.
+
+    Each cell draws its own stream and must lie within 3 standard errors; a
+    p = d cell must instead be exactly 1 with zero standard error.
+    """
+    base = _gate_stream(seed, criterion)
+    record = Variant.named(variant)
     worst = 0.0
     worst_cell = (0, 0)
     ok = True
     for d in D_GRID:
-        for p in (1, 2):
-            est = estimate("ds", p, d, n_sims, cell_stream(base, "ds", p, d))
-            exact = expected_decrease_ds(p, d)
-            z = abs(est.mean - exact) / est.std_error
-            if z > worst:
-                worst, worst_cell = z, (p, d)
-            ok = ok and z <= 3.0
-    return GateResult(
-        1,
-        "ds-closed-form-vs-mc",
-        ok,
-        f"max |z| = {_fmt(worst)} at (p={worst_cell[0]}; d={worst_cell[1]}); gate |z| <= 3",
-    )
-
-
-def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
-    """Model closed form versus MC at p in {1, 2, d/2, d}; p = d must be exact."""
-    base = _gate_stream(seed, 2)
-    worst = 0.0
-    worst_cell = (0, 0)
-    ok = True
-    for d in D_GRID:
-        for p in p_values_for(d, "standard"):
-            est = estimate("mb", p, d, n_sims, cell_stream(base, "mb", p, d))
-            exact = expected_decrease_mb(p, d)
+        for p in p_values_for(d, p_rule):
+            est = estimate(variant, p, d, n_sims, cell_stream(base, variant, p, d))
+            exact = record.exact(p, d)
             if p == d:
                 ok = ok and exact == 1.0 and est.mean == 1.0 and est.std_error == 0.0
                 continue
@@ -513,12 +490,19 @@ def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -
             if z > worst:
                 worst, worst_cell = z, (p, d)
             ok = ok and z <= 3.0
-    return GateResult(
-        2,
-        "mb-closed-form-vs-mc",
-        ok,
-        f"max |z| = {_fmt(worst)} at (p={worst_cell[0]}; d={worst_cell[1]}); p=d cells exact",
-    )
+    return ok, f"max |z| = {_fmt(worst)} at (p={worst_cell[0]}; d={worst_cell[1]})"
+
+
+def gate_ds_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
+    """Polling closed forms at p in {1, 2} versus MC over the dimension grid."""
+    ok, where = _closed_form_cells(1, "ds", (1, 2), n_sims, seed)
+    return GateResult(1, "ds-closed-form-vs-mc", ok, f"{where}; gate |z| <= 3")
+
+
+def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
+    """Model closed form versus MC at p in {1, 2, d/2, d}; p = d must be exact."""
+    ok, where = _closed_form_cells(2, "mb", "standard", n_sims, seed)
+    return GateResult(2, "mb-closed-form-vs-mc", ok, f"{where}; p=d cells exact")
 
 
 def gate_quadrature_constants(
@@ -719,7 +703,7 @@ def gate_optimizer_behavior(
     worst_gap = 0.0
     ok = True
     for kind, stream_idx in (("ds-complete", 1), ("mb", 2)):
-        variant = Variant.named(kind.partition("-")[0])
+        variant = Variant.named(ITERATION_KINDS[kind])
         norm_ord, cost = variant.norm, variant.rounds(p, 1)
         objective = ObjectiveHandle(lambda x, g=g: float(g @ x), d, name="linear")
         config = DriverConfig(p=p, max_evaluations=420, iteration_kind=kind)

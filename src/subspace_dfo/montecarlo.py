@@ -235,24 +235,15 @@ def _full_basis_replicates(p: int, d: int, n_sims: int, rng: RngStream) -> np.nd
 
 
 def _replicates(
-    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream, reduction: str
+    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream
 ) -> np.ndarray:
-    """Replicate values, one row per cut point in ps, scored on common draws.
-
-    Full-basis mode scores a single cut point: the variant's row of
-    ``_full_basis_replicates``.
-    """
+    """Reduced-mode replicate values, one row per cut point in ps, scored on
+    common draws."""
     norm = Variant.named(variant).norm
     if not ps:
         raise ValueError("need at least one subspace dimension p, got none")
     for p in ps:
         _check_cell(p, d, n_sims)
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
-    if reduction == "full-basis":
-        (p,) = ps
-        row = VARIANTS.index(variant)
-        return _full_basis_replicates(p, d, n_sims, rng)[row : row + 1]
     if norm == math.inf:
         # The max-norm reads each of the first max(ps) coordinates.
         draws = _BLOCK * (max(ps) + 1)
@@ -270,8 +261,16 @@ def replicate_decreases(
     rng: RngStream,
     reduction: str = "reduced",
 ) -> np.ndarray:
-    """Per-replicate decrease values, each in [0, 1], in deterministic order."""
-    return _replicates(variant, (p,), d, n_sims, rng, reduction)[0]
+    """Per-replicate decrease values, each in [0, 1], in deterministic order.
+
+    Full-basis mode returns the variant's row of ``_full_basis_replicates``.
+    """
+    if reduction not in REDUCTIONS:
+        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
+    if reduction == "full-basis":
+        Variant.named(variant)
+        return _full_basis_replicates(p, d, n_sims, rng)[VARIANTS.index(variant)]
+    return _replicates(variant, (p,), d, n_sims, rng)[0]
 
 
 def _summarize(values: np.ndarray) -> tuple[float, float]:
@@ -305,7 +304,7 @@ def estimates(
     ``estimate(v, p, d, n_sims, rng)`` bit for bit: both are one
     ``_replicates`` call on ps = (p,).
     """
-    values = _replicates(variant, ps, d, n_sims, rng, "reduced")
+    values = _replicates(variant, ps, d, n_sims, rng)
     return tuple(
         DecreaseEstimate(*_summarize(v), n_sims, p, d, variant, rng.seed)
         for p, v in zip(ps, values)
@@ -346,7 +345,7 @@ def paired_ratio_gap(
     A target ratio of 1 gives the plain paired difference, whose common
     random numbers give it far lower variance than two independent estimates.
     """
-    v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng, "reduced")
+    v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng)
     if per_evaluation:
         record = Variant.named(variant)
         v1 = v1 / record.rounds(p1, 1)

@@ -37,7 +37,8 @@ from .errors import (
 from .formulas import Variant
 from .rng import RngStream, _bases, _orthonormal_extension, _unit_directions
 
-ITERATION_KINDS = ("ds-complete", "ds-opportunistic", "mb")
+# Each iteration kind and the name of the variant (``formulas.Variant``) it runs.
+ITERATION_KINDS = {"ds-complete": "ds", "ds-opportunistic": "ds", "mb": "mb"}
 
 # Below this simplex-gradient norm the model direction is undefined and the
 # iteration keeps the incumbent.
@@ -128,7 +129,8 @@ class DriverConfig:
             raise DomainError(f"expand factor must be >= 1, got {self.expand_factor}")
         if self.iteration_kind not in ITERATION_KINDS:
             raise ValueError(
-                f"iteration kind must be one of {ITERATION_KINDS}, got {self.iteration_kind!r}"
+                f"iteration kind must be one of {tuple(ITERATION_KINDS)}, "
+                f"got {self.iteration_kind!r}"
             )
 
 
@@ -320,8 +322,8 @@ def run_driver(
     delta = config.initial_step
     records = [TraceRecord(0, evaluations, fx, delta)]
 
-    name, _, mode = config.iteration_kind.partition("-")
-    variant = Variant.named(name)
+    kind = config.iteration_kind
+    variant = Variant.named(ITERATION_KINDS[kind])
     largest_cost = variant.points * config.p + variant.trial
     gen = rng.generator()
     directions = _unit_directions(d, gen)
@@ -329,11 +331,11 @@ def run_driver(
         d, config.p, gen, limit=lambda: (config.max_evaluations - evaluations) // largest_cost
     )
     while evaluations + largest_cost <= config.max_evaluations and delta >= config.min_step:
-        if mode == "opportunistic":
+        if kind == "ds-opportunistic":
             x_new, f_new, spent = _opportunistic_iteration(
                 objective, x, fx, delta, config.p, directions
             )
-        elif name == "mb":
+        elif kind == "mb":
             x_new, f_new, spent = mb_iteration(objective, x, fx, next(bases), delta)
         else:
             x_new, f_new, spent = ds_iteration(objective, x, fx, next(bases), delta)

@@ -245,6 +245,19 @@ def test_verify_rejects_single_replicate(capsys):
     assert "at least 2 replicates" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("nsims", ["x", "2.5"])
+def test_verify_names_a_non_integer_replicate_count(capsys, nsims):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--nsims", nsims])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (
+        "an integer count of at least 2 replicates per cell for a standard error, "
+        f"got '{nsims}'"
+    ) in err
+    assert "_verify_nsims" not in err
+
+
 SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
 
 
@@ -373,6 +386,19 @@ def test_figure_config_naming_another_figure_is_refused(tmp_path, capsys, config
     code = main(["figure", "ds-vary-d", "--config", str(cfg_path), "--out", str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_figure_config_cannot_change_the_figure_metric(tmp_path, capsys):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"outputs": "decrease"}))
+    out = tmp_path / "out"
+    code = main(["figure", "ds-perfev-vary-d", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert (
+        "config outputs 'decrease' disagrees with figure ds-perfev-vary-d, "
+        "whose outputs is per-evaluation"
+    ) in capsys.readouterr().err
     assert not out.exists()
 
 

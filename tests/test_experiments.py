@@ -1,5 +1,6 @@
 """Experiment-layer tests: grids, CSV stability, sweeps, named objectives."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -43,13 +44,17 @@ SQRT_PI = math.sqrt(math.pi)
 
 
 def small_vary_d_spec(variant: str, **overrides) -> ExperimentSpec:
+    """A two-d grid; ``outputs="per-evaluation"`` names its perfev figure."""
+    outputs = overrides.get("outputs", "decrease")
+    perfev = "perfev-" if outputs == "per-evaluation" else ""
     spec = ExperimentSpec(
-        name=f"{variant}-vary-d",
+        name=f"{variant}-{perfev}vary-d",
         variant=variant,
         d_values=(8, 16),
         p_rule="standard",
         n_sims=2000,
         seed=0,
+        outputs=outputs,
     )
     return spec.merged(overrides)
 
@@ -80,8 +85,9 @@ class TestSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             ExperimentSpec(name="x", variant="zz", d_values=(8,))
-        with pytest.raises(ValueError):
-            ExperimentSpec(name="x", variant="ds", d_values=(8,), outputs="sideways")
+        for outputs in ("sideways", "both"):
+            with pytest.raises(ValueError, match=f"unknown outputs selector '{outputs}'"):
+                ExperimentSpec(name="x", variant="ds", d_values=(8,), outputs=outputs)
         with pytest.raises(ValueError, match="no p value is at most max"):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(9,))
         with pytest.raises(ValueError, match="p values must be positive"):
@@ -123,13 +129,21 @@ class TestGridRows:
                 if r.method == "mc" and (r.d, r.p) in exact:
                     assert abs(r.value - exact[(r.d, r.p)]) <= 3.0 * r.std_error
 
-    def test_per_evaluation_outputs(self):
-        spec = small_vary_d_spec("mb", outputs="per-evaluation")
-        rows = run_named_figure(spec)
-        assert all(r.metric == "per-evaluation" for r in rows)
-        both = run_named_figure(small_vary_d_spec("mb", outputs="both"))
-        metrics = {r.metric for r in both}
-        assert metrics == {"per-iteration", "per-evaluation"}
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_per_evaluation_outputs(self, variant):
+        # Each perfev row is its sibling's row divided by one iteration's cost.
+        record = Variant.named(variant)
+        rows = run_named_figure(small_vary_d_spec(variant))
+        perfev = run_named_figure(small_vary_d_spec(variant, outputs="per-evaluation"))
+        assert {r.metric for r in rows} == {"per-iteration"}
+        assert {r.method for r in rows} == {"mc", "exact", "asymptotic"}
+        assert len(perfev) == len(rows)
+        for r, e in zip(rows, perfev):
+            cost = record.rounds(r.p, 1)
+            se = None if r.std_error is None else r.std_error / cost
+            assert e == dataclasses.replace(
+                r, metric="per-evaluation", value=r.value / cost, std_error=se
+            )
 
     def test_vary_p_exact_rows_at_every_p(self):
         spec = ExperimentSpec(
@@ -224,18 +238,16 @@ class TestFigureRowDraws:
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     def test_mc_rows_equal_estimates_on_the_row_stream(self, variant):
-        spec = small_vary_d_spec(variant, outputs="both", n_sims=700, seed=4)
+        # test_per_evaluation_outputs checks that perfev rows divide these.
+        spec = small_vary_d_spec(variant, n_sims=700, seed=4)
         rows = run_named_figure(spec)
-        record = Variant.named(variant)
         for d in spec.d_values:
             ps = p_values_for(d, spec.p_rule)
             row = row_stream(RngStream(4), variant, d)
             for est in estimates(variant, ps, d, 700, row):
                 mc = [r for r in rows if r.method == "mc" and (r.d, r.p) == (d, est.p)]
                 assert [(r.metric, r.value, r.std_error, r.seed) for r in mc] == [
-                    ("per-iteration", est.mean, est.std_error, 4),
-                    ("per-evaluation", est.mean / record.rounds(est.p, 1),
-                     est.std_error / record.rounds(est.p, 1), 4),
+                    ("per-iteration", est.mean, est.std_error, 4)
                 ]
 
     @pytest.mark.parametrize("variant,n_blocks", [("ds", 1), ("mb", 1), ("ds", 2)])

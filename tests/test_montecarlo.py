@@ -203,7 +203,7 @@ class TestEstimates:
     def test_each_p_reads_its_row_of_one_draw(self, variant):
         ps = (10, 2, 5)
         rng = RngStream(15)
-        values = _replicates(variant, ps, 30, 500, rng, "reduced")
+        values = _replicates(variant, ps, 30, 500, rng)
         for est, p, v in zip(estimates(variant, ps, 30, 500, rng), ps, values):
             assert (est.p, est.d, est.variant, est.seed) == (p, 30, variant, 15)
             assert est.mean == float(np.mean(v))
@@ -277,7 +277,7 @@ class TestPairing:
         assert delta.delta_mean == 0.0 and delta.delta_std_error == 0.0
 
     def test_model_full_dimension_level_is_exactly_one(self):
-        v1, v2 = _replicates("mb", (30, 7), 30, 5000, RngStream(16), "reduced")
+        v1, v2 = _replicates("mb", (30, 7), 30, 5000, RngStream(16))
         assert np.all(v1 == 1.0)
         assert np.all((v2 > 0.0) & (v2 < 1.0))
 
@@ -461,7 +461,10 @@ class TestWorkerThreads:
     def _run_with_cpus(monkeypatch, cpus, cell, n):
         variant, ps, d, reduction = cell
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        return _replicates(variant, ps, d, n, RngStream(23), reduction)
+        if reduction == "full-basis":
+            (p,) = ps
+            return _full_basis_replicates(p, d, n, RngStream(23))
+        return _replicates(variant, ps, d, n, RngStream(23))
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]}")
     def test_any_worker_count_matches_serial(self, monkeypatch, cell):

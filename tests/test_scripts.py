@@ -1,4 +1,4 @@
-"""Script tests: the figure reproduction script end to end."""
+"""Script tests: the figure reproduction and optimizer demo scripts end to end."""
 
 import runpy
 import sys
@@ -17,3 +17,13 @@ def test_reproduce_figures_rerun_is_byte_identical(tmp_path, monkeypatch, capsys
     assert len(csvs) == 10
     for path in csvs:
         assert (tmp_path / "a" / path).read_bytes() == (tmp_path / "b" / path).read_bytes(), path
+
+
+def test_optimizer_demo_runs_every_kind_at_three_dimensions(monkeypatch, capsys):
+    script = runpy.run_path(str(SCRIPTS / "optimizer_demo.py"))
+    monkeypatch.setattr(sys, "argv", ["optimizer_demo.py", "--d", "6", "--budget", "60"])
+    assert script["main"]() == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [row.split()[:2] for row in rows] == [
+        [kind, p] for kind in ("ds-complete", "ds-opportunistic", "mb") for p in ("1", "2", "3")
+    ]
