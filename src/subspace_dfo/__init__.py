@@ -60,7 +60,6 @@ from .experiments import (
     ExperimentSpec,
     GateResult,
     ResultRow,
-    SweepSummary,
     default_figure_spec,
     make_objective,
     run_named_figure,
@@ -102,7 +101,6 @@ __all__ = [
     "ExperimentSpec",
     "GateResult",
     "ResultRow",
-    "SweepSummary",
     "default_figure_spec",
     "make_objective",
     "run_named_figure",

@@ -124,13 +124,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         if ignored:
             flags = " and ".join(f"--{flag}" for flag in ignored)
             print(f"note: parallel-sweep is exact, so {flags} change nothing", file=sys.stderr)
-        rows, summaries = run_parallel_sweep(variant, d, cores)
+        rows, ties = run_parallel_sweep(variant, d, cores)
         manifest = {
             "spec": {"name": name, "variant": variant, "d": d, "cores": list(cores)},
-            "argmax": {str(s.cores): s.argmax_p for s in summaries},
-            "ties": {str(s.cores): list(s.tied_p) for s in summaries},
+            "argmax": {str(c): tied[0] for c, tied in ties.items()},
+            "ties": {str(c): list(tied) for c, tied in ties.items()},
         }
     else:
+        if args.cores_model is not None:
+            raise ValueError("--cores-model sets the core counts of parallel-sweep only; "
+                             f"figure {name} has none")
         spec = default_figure_spec(name)
         if args.variant not in (None, spec.variant):
             raise ValueError(

@@ -344,32 +344,25 @@ def default_figure_spec(
 SWEEP_MULTIPLES = 100
 
 
-@dataclass(frozen=True)
-class SweepSummary:
-    """Argmax report for one core count of a parallel sweep."""
-
-    cores: int
-    argmax_p: int
-    max_value: float
-    tied_p: tuple[int, ...]
-
-
 def run_parallel_sweep(
     variant: str, d: int, cores_list: tuple[int, ...]
-) -> tuple[list[ResultRow], list[SweepSummary]]:
+) -> tuple[list[ResultRow], dict[int, tuple[int, ...]]]:
     """Exact expected decrease per batched evaluation round over a p grid, per
     core count: the first ``SWEEP_MULTIPLES`` multiples of the variant's
     sweep step, up to d.
 
-    Each summary reports the grid argmax (first index on ties within 1e-12)
-    and every tied grid point.
+    Returns the rows and ``ties``: ``ties[c]`` holds, in grid order, every
+    grid point within 1e-12 of the largest value at c cores, so ``ties[c][0]``
+    is the argmax.  A repeated core count is refused.
     """
     record = Variant.named(variant)
     _check_positive(d, "dimension")
     for cores in cores_list:
         _check_cores(cores)
+    if len(set(cores_list)) < len(cores_list):
+        raise ValueError(f"core counts must not repeat a value, got {tuple(cores_list)!r}")
     rows: list[ResultRow] = []
-    summaries: list[SweepSummary] = []
+    ties: dict[int, tuple[int, ...]] = {}
     for cores in cores_list:
         metric = f"per-work({cores})"
         step = record.sweep_step(cores)
@@ -382,9 +375,10 @@ def run_parallel_sweep(
         values = [record.per_work(p, d, cores) for p in grid]
         rows += [ResultRow(variant, d, p, METHOD_EXACT, metric, v) for p, v in zip(grid, values)]
         top = max(values)
-        tied = tuple(p for p, v in zip(grid, values) if v >= top - max(1e-12, 1e-12 * abs(top)))
-        summaries.append(SweepSummary(cores, tied[0], top, tied))
-    return rows, summaries
+        ties[cores] = tuple(
+            p for p, v in zip(grid, values) if v >= top - max(1e-12, 1e-12 * abs(top))
+        )
+    return rows, ties
 
 
 def make_objective(name: str, d: int, rng: RngStream) -> tuple[ObjectiveHandle, np.ndarray]:
@@ -512,21 +506,17 @@ def gate_quadrature_constants(
     p = 3, 4 decrease-to-dimension-factor constants."""
     level2 = abs(polling_factor(2) - math.sqrt(2.0 / math.pi))
     ok = level2 <= 1e-10
-    worst3 = 0.0
-    worst4 = 0.0
-    for d in (3, 8, 64, 512, 4096):
-        ratio = expected_decrease_ds(3, d) / gamma_half_ratio(d)
-        worst3 = max(worst3, abs(ratio - DS_RATIO_P3))
-    for d in (4, 8, 64, 512, 4096):
-        ratio = expected_decrease_ds(4, d) / gamma_half_ratio(d)
-        worst4 = max(worst4, abs(ratio - DS_RATIO_P4))
-    ok = ok and worst3 <= 1e-3 and worst4 <= 1e-3
+    worst = {}
+    for p, constant in ((3, DS_RATIO_P3), (4, DS_RATIO_P4)):
+        ratios = (expected_decrease_ds(p, d) / gamma_half_ratio(d) for d in (p, 8, 64, 512, 4096))
+        worst[p] = max(abs(ratio - constant) for ratio in ratios)
+    ok = ok and all(w <= 1e-3 for w in worst.values())
     return GateResult(
         3,
         "quadrature-constants",
         ok,
-        f"|pf2 - sqrt(2/pi)| = {_fmt(level2)}; |ratio3 - {DS_RATIO_P3}| = {_fmt(worst3)}; "
-        f"|ratio4 - {DS_RATIO_P4}| = {_fmt(worst4)}",
+        f"|pf2 - sqrt(2/pi)| = {_fmt(level2)}; |ratio3 - {DS_RATIO_P3}| = {_fmt(worst[3])}; "
+        f"|ratio4 - {DS_RATIO_P4}| = {_fmt(worst[4])}",
     )
 
 
@@ -671,24 +661,24 @@ def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) 
     documented two-way tie for the model at c = 2."""
     ok = True
     notes = []
-    ties = []
+    tie_cells = []
     for variant in VARIANTS:
         record = Variant.named(variant)
-        _, summaries = run_parallel_sweep(variant, record.sweep_d, record.sweep_cores)
-        for s in summaries:
-            ok = ok and s.argmax_p == record.sweep_step(s.cores)
-            notes.append(f"{variant} c={s.cores} argmax p={s.argmax_p}")
-            if len(s.tied_p) > 1:
+        _, ties = run_parallel_sweep(variant, record.sweep_d, record.sweep_cores)
+        for cores, tied in ties.items():
+            ok = ok and tied[0] == record.sweep_step(cores)
+            notes.append(f"{variant} c={cores} argmax p={tied[0]}")
+            if len(tied) > 1:
                 tie_gap = abs(
-                    record.per_work(s.tied_p[0], record.sweep_d, s.cores)
-                    - record.per_work(s.tied_p[1], record.sweep_d, s.cores)
+                    record.per_work(tied[0], record.sweep_d, cores)
+                    - record.per_work(tied[1], record.sweep_d, cores)
                 )
                 ok = ok and tie_gap <= 1e-12
-                ties.append((variant, s.cores, s.tied_p))
+                tie_cells.append((variant, cores, tied))
                 notes.append(f"tie gap = {_fmt(tie_gap)}")
     # The one documented tie: the model's p = 2 and p = 4 at c = 2, both
     # sqrt(pi)/4 times the dimension factor.
-    ok = ok and ties == [("mb", 2, (2, 4))]
+    ok = ok and tie_cells == [("mb", 2, (2, 4))]
     return GateResult(9, "parallel-sweeps", ok, "; ".join(notes))
 
 

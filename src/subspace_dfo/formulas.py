@@ -18,13 +18,15 @@ both variants times a p-factor pf(p) that tells them apart:
   coordinates, which collapses to pf(p) = 1/``gamma_half_ratio(p)``.
 
 One frozen ``Variant`` record per variant, looked up by name with
-``Variant.named``, holds every difference between the two and is the one way
-to ask for a variant's numbers: ``exact(p, d)`` per iteration,
-``per_work(p, d, cores)`` per evaluation round on ``cores`` cores (at one
-core, per new objective evaluation) and ``asymptotic(p, d)`` for the large-d
-limit.  Every value is a plain float; each exact and asymptotic decrease is
-checked to lie in (0, 1].  Opportunistic polling, whose per-evaluation value
-no record holds, has ``per_evaluation_opportunistic``.
+``Variant.named``, holds every difference between the two and gives a
+variant's numbers by its name: ``exact(p, d)`` per iteration (this is
+``expected_decrease_ds`` or ``expected_decrease_mb``, both public and called
+directly where the variant is fixed), ``per_work(p, d, cores)`` per
+evaluation round on ``cores`` cores (at one core, per new objective
+evaluation) and ``asymptotic(p, d)`` for the large-d limit.  Every value is a
+plain float; each exact and asymptotic decrease is checked to lie in (0, 1].
+Opportunistic polling, whose per-evaluation value no record holds, has
+``per_evaluation_opportunistic``.
 """
 
 from __future__ import annotations

@@ -144,6 +144,15 @@ def test_figure_parallel_sweep_reports_argmax(tmp_path):
     assert "n_sims" not in manifest["spec"] and "seed" not in manifest["spec"]
 
 
+def test_figure_grid_refuses_cores_model(tmp_path, capsys):
+    # --cores-model sets only the sweep's core counts; a grid refuses it
+    # rather than run as if it were absent.
+    out = tmp_path / "out"
+    assert main(["figure", "ds-vary-d", "--cores-model", "4", "--out", str(out)]) == 2
+    assert "--cores-model" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_figure_parallel_sweep_notes_ignored_flags(tmp_path, capsys):
     # The sweep is exact: --nsims and --seed are accepted, named on stderr
     # as ignored, and leave the CSV as it is without them.

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import threading
 import time
 
@@ -28,6 +29,7 @@ from subspace_dfo import (
     split_stream,
 )
 from subspace_dfo import montecarlo
+from subspace_dfo.cli import main
 from subspace_dfo.experiments import (
     cell_stream,
     default_figure_spec,
@@ -337,19 +339,20 @@ class TestCsvSerialization:
 
 class TestParallelSweep:
     def test_polling_argmax_at_half_cores(self):
-        rows, summaries = run_parallel_sweep("ds", 64, (2, 4, 8))
-        for s in summaries:
-            assert s.argmax_p == s.cores // 2
+        rows, ties = run_parallel_sweep("ds", 64, (2, 4, 8))
+        assert list(ties) == [2, 4, 8]
+        for cores, tied in ties.items():
+            assert tied[0] == cores // 2
         # Grid steps by c/2 and is capped by d.
         c2 = sorted({r.p for r in rows if r.metric == "per-work(2)"})
         assert c2 == list(range(1, 65))
 
     def test_model_argmax_at_cores_with_tie(self):
-        rows, summaries = run_parallel_sweep("mb", 128, (1, 2, 4, 8))
-        for s in summaries:
-            assert s.argmax_p == s.cores
-        tie = next(s for s in summaries if s.cores == 2)
-        assert tie.tied_p == (2, 4)
+        rows, ties = run_parallel_sweep("mb", 128, (1, 2, 4, 8))
+        assert list(ties) == [1, 2, 4, 8]
+        for cores, tied in ties.items():
+            assert tied[0] == cores
+        assert ties[2] == (2, 4)
         assert all(r.method == "exact" for r in rows)
 
     def test_polling_sweep_is_exact_at_every_p(self):
@@ -371,6 +374,15 @@ class TestParallelSweep:
     def test_non_integer_inputs_are_named(self, d, cores, error, message):
         with pytest.raises(error, match=message):
             run_parallel_sweep("ds", d, cores)
+
+    def test_repeated_core_count_is_refused(self, tmp_path, capsys):
+        # A repeated core count would emit each of its rows twice.
+        with pytest.raises(ValueError, match=re.escape("got (2, 2)")):
+            run_parallel_sweep("ds", 64, (2, 2))
+        out = tmp_path / "out"
+        assert main(["figure", "parallel-sweep", "--cores-model", "2,2", "--out", str(out)]) == 2
+        assert "(2, 2)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("d", [0, -3])
     def test_non_positive_dimension_is_named(self, d):

@@ -1,8 +1,11 @@
 """Script tests: the figure reproduction and optimizer demo scripts end to end."""
 
+import json
 import runpy
 import sys
 from pathlib import Path
+
+from subspace_dfo import VARIANTS, Variant, run_parallel_sweep
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -17,6 +20,14 @@ def test_reproduce_figures_rerun_is_byte_identical(tmp_path, monkeypatch, capsys
     assert len(csvs) == 10
     for path in csvs:
         assert (tmp_path / "a" / path).read_bytes() == (tmp_path / "b" / path).read_bytes(), path
+    # Each sweep manifest records the argmax and ties of the library sweep.
+    for variant in VARIANTS:
+        record = Variant.named(variant)
+        _, ties = run_parallel_sweep(variant, record.sweep_d, record.sweep_cores)
+        path = tmp_path / "a" / f"parallel-sweep-{variant}" / "parallel-sweep.manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["argmax"] == {str(c): tied[0] for c, tied in ties.items()}
+        assert manifest["ties"] == {str(c): list(tied) for c, tied in ties.items()}
 
 
 def test_optimizer_demo_runs_every_kind_at_three_dimensions(monkeypatch, capsys):
