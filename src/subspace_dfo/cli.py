@@ -31,17 +31,16 @@ from .experiments import (
     OBJECTIVE_NAMES,
     ResultRow,
     default_figure_spec,
-    rows_to_csv,
     run_named_figure,
     run_optimizer_experiment,
     run_parallel_sweep,
     run_verify,
-    trace_to_csv,
+    to_csv,
     write_manifest,
 )
 from .formulas import VARIANTS, Variant
 from .montecarlo import REDUCTIONS, estimate
-from .optimizer import ITERATION_KINDS, DriverConfig
+from .optimizer import ITERATION_KINDS, DriverConfig, TraceRecord
 from .rng import RngStream
 
 ENV_OUTDIR = "SUBSPACE_DFO_OUTDIR"
@@ -63,7 +62,7 @@ def _emit_rows(rows: list[ResultRow], fmt: str, out: str | None) -> None:
     if fmt == "json":
         payload = json.dumps([asdict(r) for r in rows], indent=2) + "\n"
     elif fmt == "csv":
-        payload = rows_to_csv(rows)
+        payload = to_csv(ResultRow, rows)
     else:
         payload = "".join(map(_text_line, rows))
     if out:
@@ -172,7 +171,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         iteration_kind=args.iteration,
     )
     trace, objective = run_optimizer_experiment(args.function, args.d, config, args.seed)
-    payload = trace_to_csv(trace)
+    payload = to_csv(TraceRecord, trace.records)
     if args.out:
         Path(args.out).write_text(payload, encoding="ascii", newline="\n")
         print(f"wrote {args.out}")

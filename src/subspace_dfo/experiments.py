@@ -1,12 +1,15 @@
 """Reproduction grids, parallel-cost sweeps, named objectives, and the gate suite.
 
-Everything here is deterministic given a seed: CSV serialization uses a
-fixed header and 17 significant digits, and re-running any experiment with
-the same spec and seed produces byte-identical output.  A figure row, every
-p of one (variant, d), is scored on one draw from a child stream keyed by
-(variant, d), so its values depend on (variant, d) and on the row's p set:
-for polling only on the largest p, for the model step on every cut point.
-A gate cell draws its own stream, keyed by (variant, p, d).
+Everything here is deterministic given a seed: re-running any experiment with
+the same spec and seed produces byte-identical output.  ``to_csv`` writes
+every table (``ResultRow``, ``optimizer.TraceRecord``, ``GateResult``) under a
+header of its record type's field names; a cell is empty for None, ``pass`` or
+``FAIL`` for a bool, a float at 17 significant digits, and otherwise ``str``
+with ``,`` written ``;``.  A figure row, every p of one (variant, d), is
+scored on one draw from a child stream keyed by (variant, d), so its values
+depend on (variant, d) and on the row's p set: for polling only on the
+largest p, for the model step on every cut point.  A gate cell draws its own
+stream, keyed by (variant, p, d).
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .errors import _check_cores, _check_positive, _is_int
+from .errors import InvalidDimensionError, _check_cores, _check_positive, _is_int
 from .formulas import (
     VARIANTS,
     Variant,
@@ -63,8 +67,6 @@ METRIC_EVALUATION = "per-evaluation"
 METHOD_MC = "mc"
 METHOD_EXACT = "exact"
 METHOD_ASYMPTOTIC = "asymptotic"
-
-CSV_HEADER = "variant,d,p,method,metric,value,std_error,n_sims,seed"
 
 FIGURE_NAMES = (
     "ds-vary-d",
@@ -115,16 +117,20 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def rows_to_csv(rows: list[ResultRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        se = _fmt(r.std_error) if r.std_error is not None else ""
-        n = str(r.n_sims) if r.n_sims is not None else ""
-        seed = str(r.seed) if r.seed is not None else ""
-        lines.append(
-            f"{r.variant},{r.d},{r.p},{r.method},{r.metric},{_fmt(r.value)},{se},{n},{seed}"
-        )
-    return "\n".join(lines) + "\n"
+def _cell(value: object) -> str:
+    if isinstance(value, bool):
+        return "pass" if value else "FAIL"
+    if isinstance(value, float):
+        return _fmt(value)
+    return "" if value is None else str(value).replace(",", ";")
+
+
+def to_csv(kind: type, records: Iterable) -> str:
+    """``records``, instances of the dataclass ``kind``, one CSV line each under
+    a header of ``kind``'s field names; the module docstring gives the cells."""
+    names = [field.name for field in dataclasses.fields(kind)]
+    lines = [",".join([_cell(getattr(r, name)) for name in names]) for r in records]
+    return "\n".join([",".join(names), *lines, ""])
 
 
 def write_manifest(path: str | Path, payload: dict) -> None:
@@ -345,7 +351,7 @@ SWEEP_MULTIPLES = 100
 
 
 def run_parallel_sweep(
-    variant: str, d: int, cores_list: tuple[int, ...]
+    variant: str, d: int, cores_list: Iterable[int]
 ) -> tuple[list[ResultRow], dict[int, tuple[int, ...]]]:
     """Exact expected decrease per batched evaluation round over a p grid, per
     core count: the first ``SWEEP_MULTIPLES`` multiples of the variant's
@@ -353,14 +359,18 @@ def run_parallel_sweep(
 
     Returns the rows and ``ties``: ``ties[c]`` holds, in grid order, every
     grid point within 1e-12 of the largest value at c cores, so ``ties[c][0]``
-    is the argmax.  A repeated core count is refused.
+    is the argmax.  ``cores_list`` is read once, so an iterator works; an
+    empty or repeated core count list is refused.
     """
     record = Variant.named(variant)
     _check_positive(d, "dimension")
+    cores_list = tuple(cores_list)
+    if not cores_list:
+        raise ValueError("core counts must name at least one count, got ()")
     for cores in cores_list:
         _check_cores(cores)
     if len(set(cores_list)) < len(cores_list):
-        raise ValueError(f"core counts must not repeat a value, got {tuple(cores_list)!r}")
+        raise ValueError(f"core counts must not repeat a value, got {cores_list!r}")
     rows: list[ResultRow] = []
     ties: dict[int, tuple[int, ...]] = {}
     for cores in cores_list:
@@ -387,9 +397,11 @@ def make_objective(name: str, d: int, rng: RngStream) -> tuple[ObjectiveHandle, 
     ``linear-random-g`` draws a uniformly random unit gradient from ``rng``
     and starts at the origin; ``sphere-quadratic`` is half the squared norm
     from the all-ones point; ``rosenbrock`` uses the classic alternating
-    start.
+    start and needs d >= 2: at d = 1 its sum over adjacent pairs is empty.
     """
     _check_positive(d, "dimension")
+    if name == "rosenbrock" and d < 2:
+        raise InvalidDimensionError(f"rosenbrock needs dimension d >= 2, got {d!r}")
     if name == "linear-random-g":
         g = sample_unit_vector(d, rng)
 
@@ -428,16 +440,6 @@ def run_optimizer_experiment(
     objective, x0 = make_objective(function_name, d, split_stream(base, 1))
     trace = run_driver(objective, x0, config, split_stream(base, 0))
     return trace, objective
-
-
-TRACE_HEADER = "iteration,eval_count,best_value,step_size"
-
-
-def trace_to_csv(trace: DriverTrace) -> str:
-    lines = [TRACE_HEADER]
-    for r in trace.records:
-        lines.append(f"{r.iteration},{r.eval_count},{_fmt(r.best_value)},{_fmt(r.step_size)}")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------------
@@ -747,17 +749,6 @@ ALL_GATES = (
     gate_optimizer_behavior,
 )
 
-VERIFY_CSV_HEADER = "criterion,name,passed,detail"
-
-
-def verify_results_to_csv(results: list[GateResult]) -> str:
-    lines = [VERIFY_CSV_HEADER]
-    for r in results:
-        detail = r.detail.replace(",", ";")
-        lines.append(f"{r.criterion},{r.name},{'pass' if r.passed else 'FAIL'},{detail}")
-    return "\n".join(lines) + "\n"
-
-
 def run_verify(
     seed: int = DEFAULT_SEED,
     n_sims: int = DEFAULT_NSIMS,
@@ -779,7 +770,7 @@ def run_verify(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "verify_gates.csv").write_text(
-            verify_results_to_csv(results), encoding="ascii", newline="\n"
+            to_csv(GateResult, results), encoding="ascii", newline="\n"
         )
         write_manifest(
             out / "verify_manifest.json",

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_pd, _is_int
+from .errors import DomainError, _check_pd, _is_int
 from .formulas import VARIANTS, Variant
 from .rng import RngStream, split_stream
 
@@ -344,7 +344,10 @@ def paired_ratio_gap(
     ``per_evaluation`` both sides are first divided by their evaluation costs.
     A target ratio of 1 gives the plain paired difference, whose common
     random numbers give it far lower variance than two independent estimates.
+    A non-finite ``target_ratio`` is refused before any draw.
     """
+    if not math.isfinite(target_ratio):
+        raise DomainError(f"target_ratio must be finite, got {target_ratio!r}")
     v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng)
     if per_evaluation:
         record = Variant.named(variant)

@@ -319,7 +319,7 @@ def run_driver(
 
     fx = objective(x)
     evaluations = 1
-    delta = config.initial_step
+    delta = float(config.initial_step)
     records = [TraceRecord(0, evaluations, fx, delta)]
 
     kind = config.iteration_kind

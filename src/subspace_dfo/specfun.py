@@ -9,7 +9,7 @@ finite up to astronomically large dimensions.
 from __future__ import annotations
 
 import math
-from .errors import DomainError, InvalidDimensionError
+from .errors import DomainError, InvalidDimensionError, _check_positive
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -41,9 +41,12 @@ def gamma_half_ratio(d: int) -> float:
     expansion 1/(4d) - 1/(24 d^3) + O(d^-5) instead (truncation below 1e-30
     at the switch point).  A d beyond the float range is refused, and every
     value is checked against the bracket sqrt(2/d) <= ratio <= sqrt(2(d+2))/d.
+    A float with an integer value, such as 1e100, stands for that integer;
+    any other non-integer, a bool included, is refused.
     """
-    if d < 1:
-        raise InvalidDimensionError(f"dimension must be positive, got {d}")
+    if isinstance(d, float) and d.is_integer():
+        d = int(d)
+    _check_positive(d, "dimension")
     try:
         x = float(d)
     except OverflowError:

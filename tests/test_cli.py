@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from subspace_dfo.cli import main
-from subspace_dfo.experiments import CSV_HEADER, TRACE_HEADER
+
+# The CSV schemas are a contract, so they are spelled out here: a reordered
+# record field must fail these tests.
+CSV_HEADER = "variant,d,p,method,metric,value,std_error,n_sims,seed"
+TRACE_HEADER = "iteration,eval_count,best_value,step_size"
 
 
 def test_formula_text_output(capsys):

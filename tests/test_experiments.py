@@ -14,9 +14,11 @@ from subspace_dfo import (
     DomainError,
     DriverConfig,
     ExperimentSpec,
+    GateResult,
     InvalidDimensionError,
     ResultRow,
     RngStream,
+    TraceRecord,
     Variant,
     estimates,
     expected_decrease_ds,
@@ -36,10 +38,8 @@ from subspace_dfo.experiments import (
     gate_basis_invariance,
     p_values_for,
     row_stream,
-    rows_to_csv,
     run_named_figure,
-    trace_to_csv,
-    verify_results_to_csv,
+    to_csv,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -295,7 +295,7 @@ class TestFigureRowDraws:
         texts = {}
         for cpus in (1, 2):
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
-            texts[cpus] = rows_to_csv(run_named_figure(spec))
+            texts[cpus] = to_csv(ResultRow, run_named_figure(spec))
         assert texts[1] == texts[2]
         assert [on_main for _, _, on_main in calls] == [True, True, False, False]
 
@@ -303,20 +303,50 @@ class TestFigureRowDraws:
 class TestCsvSerialization:
     def test_header_and_order(self):
         rows = [ResultRow("ds", 8, 1, "exact", "per-iteration", 0.25)]
-        text = rows_to_csv(rows)
+        text = to_csv(ResultRow, rows)
         lines = text.splitlines()
         assert lines[0] == "variant,d,p,method,metric,value,std_error,n_sims,seed"
         assert lines[1] == "ds,8,1,exact,per-iteration,0.25,,,"
 
+    # The schemas are a contract: a reordered record field must fail here.
+    @pytest.mark.parametrize(
+        "kind, header",
+        [
+            (ResultRow, "variant,d,p,method,metric,value,std_error,n_sims,seed"),
+            (TraceRecord, "iteration,eval_count,best_value,step_size"),
+            (GateResult, "criterion,name,passed,detail"),
+        ],
+        ids=["figure", "trace", "verify"],
+    )
+    def test_a_table_with_no_records_is_its_header(self, kind, header):
+        assert to_csv(kind, []) == header + "\n"
+
+    def test_cells_follow_the_value_type(self):
+        gates = [GateResult(3, "name", True, "a, b,c"), GateResult(10, "other", False, "")]
+        lines = to_csv(GateResult, gates).splitlines()
+        assert lines[1:] == ["3,name,pass,a; b;c", "10,other,FAIL,"]
+        row = ResultRow("mb", 8, 2, "mc", "per-iteration", 0.1, 1.0 / 3.0, 500, 2**64 - 1)
+        assert to_csv(ResultRow, [row]).splitlines()[1] == (
+            "mb,8,2,mc,per-iteration,0.10000000000000001,0.33333333333333331,500,"
+            "18446744073709551615"
+        )
+
+    @pytest.mark.parametrize("step, cell", [(2, "2"), (10**17, "1e+17"), (10**17 + 1, "1e+17")])
+    def test_an_integer_initial_step_is_written_as_its_float(self, step, cell):
+        config = DriverConfig(p=1, max_evaluations=0, initial_step=step)
+        trace, _ = run_optimizer_experiment("sphere-quadratic", 3, config)
+        assert trace.records[0].step_size == float(step)
+        assert to_csv(TraceRecord, trace.records).splitlines()[1] == f"0,1,1.5,{cell}"
+
     def test_seventeen_digit_round_trip(self):
         rows = run_named_figure(small_vary_d_spec("ds"))
-        text = rows_to_csv(rows)
+        text = to_csv(ResultRow, rows)
         for line, row in zip(text.splitlines()[1:], rows):
             assert float(line.split(",")[5]) == row.value
 
     def test_byte_identical_rerun(self):
-        a = rows_to_csv(run_named_figure(small_vary_d_spec("mb")))
-        b = rows_to_csv(run_named_figure(small_vary_d_spec("mb")))
+        a = to_csv(ResultRow, run_named_figure(small_vary_d_spec("mb")))
+        b = to_csv(ResultRow, run_named_figure(small_vary_d_spec("mb")))
         assert a == b
 
     def test_seed_changes_mc_rows_only(self):
@@ -384,6 +414,14 @@ class TestParallelSweep:
         assert "(2, 2)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_core_counts_are_read_once(self):
+        assert run_parallel_sweep("ds", 64, iter((2, 4))) == run_parallel_sweep("ds", 64, (2, 4))
+        with pytest.raises(ValueError, match=re.escape("at least one count, got ()")):
+            run_parallel_sweep("ds", 64, ())
+        # A bad count is named before a repeat is.
+        with pytest.raises(DomainError, match="core count must be a positive integer, got 0"):
+            run_parallel_sweep("ds", 64, iter((0, 0)))
+
     @pytest.mark.parametrize("d", [0, -3])
     def test_non_positive_dimension_is_named(self, d):
         # A dimension below 1 is the dimension's fault, not the core count's.
@@ -394,7 +432,7 @@ class TestParallelSweep:
     def test_deterministic(self):
         a = run_parallel_sweep("ds", 32, (4,))
         b = run_parallel_sweep("ds", 32, (4,))
-        assert rows_to_csv(a[0]) == rows_to_csv(b[0])
+        assert to_csv(ResultRow, a[0]) == to_csv(ResultRow, b[0])
 
 
 class TestObjectives:
@@ -425,12 +463,25 @@ class TestObjectives:
         with pytest.raises(ValueError, match=f"dimension must be a positive integer, got {d!r}"):
             make_objective("sphere-quadratic", d, RngStream(0))
 
+    def test_rosenbrock_needs_two_coordinates(self, tmp_path, capsys):
+        # At d = 1 the sum over adjacent pairs is empty: the constant 0.
+        with pytest.raises(InvalidDimensionError, match="rosenbrock needs dimension d >= 2, got 1"):
+            make_objective("rosenbrock", 1, RngStream(0))
+        obj, _ = make_objective("rosenbrock", 2, RngStream(0))
+        assert obj(np.zeros(2)) == 1.0
+        out = tmp_path / "trace.csv"
+        args = ["optimize", "--function", "rosenbrock", "--d", "1", "--p", "1",
+                "--budget", "10", "--out", str(out)]
+        assert main(args) == 2
+        assert "rosenbrock needs dimension d >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_optimizer_experiment_trace(self):
         config = DriverConfig(p=1, max_evaluations=60, iteration_kind="ds-complete")
         trace, objective = run_optimizer_experiment("linear-random-g", 25, config, seed=9)
         best = trace.best_values()
         assert np.all(np.diff(best) < 0.0)
-        text = trace_to_csv(trace)
+        text = to_csv(TraceRecord, trace.records)
         lines = text.splitlines()
         assert lines[0] == "iteration,eval_count,best_value,step_size"
         assert len(lines) == len(trace.records) + 1
@@ -439,7 +490,7 @@ class TestObjectives:
         config = DriverConfig(p=2, max_evaluations=80, iteration_kind="mb")
         a, _ = run_optimizer_experiment("rosenbrock", 6, config, seed=3)
         b, _ = run_optimizer_experiment("rosenbrock", 6, config, seed=3)
-        assert trace_to_csv(a) == trace_to_csv(b)
+        assert to_csv(TraceRecord, a.records) == to_csv(TraceRecord, b.records)
 
     def test_sphere_smoke_reaches_target(self):
         config = DriverConfig(p=2, max_evaluations=2000, iteration_kind="ds-complete")
@@ -456,7 +507,7 @@ class TestVerifyRunner:
         assert (tmp_path / "a" / "verify_gates.csv").read_bytes() == (
             tmp_path / "b" / "verify_gates.csv"
         ).read_bytes()
-        text = verify_results_to_csv(results)
+        text = to_csv(GateResult, results)
         assert text.splitlines()[0] == "criterion,name,passed,detail"
         manifest = json.loads((tmp_path / "a" / "verify_manifest.json").read_text())
         assert manifest["seed"] == 0 and manifest["n_sims"] == 400
@@ -471,7 +522,7 @@ class TestVerifyRunner:
         assert all(s > 0.0 for s in seconds.values())
         assert sum(seconds.values()) <= wall
         # Timings stay out of the byte-stable CSV.
-        assert (tmp_path / "verify_gates.csv").read_text() == verify_results_to_csv(results)
+        assert (tmp_path / "verify_gates.csv").read_text() == to_csv(GateResult, results)
 
 
 class TestBasisInvarianceGate:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subspace_dfo import (
+    DomainError,
     InvalidDimensionError,
     RngStream,
     estimate,
@@ -296,6 +297,15 @@ class TestPairing:
     def test_ratio_gap_rejects_false_ratio(self):
         gap = paired_ratio_gap("ds", 1, 2, 1000, 1.1 * math.sqrt(2.0), 10_000, RngStream(13))
         assert abs(gap.delta_mean) > 3.0 * gap.delta_std_error
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_ratio_is_refused_before_any_draw(self, monkeypatch, target):
+        def no_draw(*args):
+            raise AssertionError("drew replicates")
+
+        monkeypatch.setattr(montecarlo, "_replicates", no_draw)
+        with pytest.raises(DomainError, match=f"target_ratio must be finite, got {target!r}"):
+            paired_ratio_gap("ds", 1, 2, 100, target, 1000, RngStream(0))
 
     def test_per_evaluation_ratio_gap(self):
         gap = paired_ratio_gap(

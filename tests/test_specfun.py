@@ -1,6 +1,7 @@
 """Gamma-kernel tests against the factorial and half-integer lattice."""
 
 import math
+import re
 
 import pytest
 
@@ -101,6 +102,12 @@ class TestGammaHalfRatio:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
             gamma_half_ratio(0)
+
+    @pytest.mark.parametrize("d", [2.5, True, False, math.nan, math.inf, "3"])
+    def test_non_integer_dimension_is_named(self, d):
+        message = f"dimension must be a positive integer, got {d!r}"
+        with pytest.raises(InvalidDimensionError, match=re.escape(message)):
+            gamma_half_ratio(d)
 
     def test_ratio_rejects_out_of_bracket(self, monkeypatch):
         # A log-gamma kernel that returns 0 makes the ratio exp(0) = 1, far
