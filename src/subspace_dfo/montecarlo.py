@@ -14,11 +14,13 @@ alike.  Two sampling modes exist:
   only the two squared norms, draws one chi-square each (O(1)).  At p = d
   the tail is exactly zero.
 * ``full-basis`` draws the basis as well and scores the projected gradient,
-  reproducing the raw two-sample definition at O(d p^2) per replicate.  It
-  exists to validate the reduction.  The draw does not depend on the
-  variant: one draw fixes the projection Q^T g, and both variants' scores
-  (its max-norm and its 2-norm) are read from it, so ``full_basis_estimates``
-  scores a cell for both variants at the cost of one.
+  reproducing the raw two-sample definition.  The basis enters only through
+  its p Householder reflections, each drawn fresh and applied to the
+  gradient, at O(d p) per replicate.  It exists to validate the reduction.
+  The draw does not depend on the variant: one draw fixes the projection
+  Q^T g, and both variants' scores (its max-norm and its 2-norm) are read
+  from it, so ``full_basis_estimates`` scores a cell for both variants at
+  the cost of one.
 
 Replicates are generated in fixed-size blocks, each from its own child
 stream, and each block writes its own slice of the result, so the values are
@@ -26,11 +28,12 @@ bit-identical however the blocks are scheduled.  A cell whose blocks each
 draw at least 2^16 values runs them on a thread pool with one worker per
 usable CPU (numpy releases the interpreter lock while it draws and reduces);
 smaller cells, which threads would only slow, run serially.  Within a block
-the normals are drawn in row chunks, in stream order, of at most 2^18 values
-(2 MB) or one replicate's row if that is more: p values when polling, and
-d (p + 1) for a full-basis replicate.  A full-basis worker holds about three
-such chunks (24 MB at d = p = 1024) and its block's unit gradients, at most
-2 * 10^6 values or one row of d.
+the normals are drawn in row chunks, in stream order.  A reduced chunk holds
+at most 2^18 values (2 MB), or one row of p if that is more.  A full-basis
+chunk holds 2^15 // d replicates (at least one): their gradients, then one
+reflection's normals at a time, each at most 2^15 values (256 KB) or one row
+of d.  A full-basis worker holds a few such arrays and its block's
+projections, at most 2 * 10^6 / d values: about 1 MB in all while d <= 2^15.
 """
 
 from __future__ import annotations
@@ -50,15 +53,18 @@ REDUCTIONS = ("reduced", "full-basis")
 # How each path draws a replicate; recorded in every run manifest.
 SAMPLER = (
     "reduced: ds p normals + chi-square tail, mb chi-square head + tail; "
-    "full-basis: R of QR([A, g])"
+    "full-basis: g reflected by p fresh Householder reflections"
 )
 
-# Replicates per block in reduced mode; full-basis blocks shrink so the
-# stacked basis array stays within a fixed memory budget.
+# Replicates per block in reduced mode.  Full-basis blocks shrink so each
+# holds at most _FULL_BASIS_BUDGET / (d p) replicates, which spreads a costly
+# cell over enough blocks to keep every worker busy.
 _BLOCK = 4096
 _FULL_BASIS_BUDGET = 2_000_000
-# Most values drawn at once within a block: 2 MB of float64.
+# Most values drawn at once within a block: 2 MB of float64 in reduced mode,
+# 256 KB per array (one row of d if that is more) in full-basis mode.
 _CHUNK = 2**18
+_FULL_BASIS_CHUNK = 2**15
 # Fewest values one block must draw before blocks go to worker threads.
 _PARALLEL_DRAWS = 2**16
 
@@ -98,6 +104,11 @@ def _check_cell(p: int, d: int, n_sims: int) -> None:
         raise ValueError(f"n_sims must be an integer, got {n_sims!r}")
     if n_sims < 1:
         raise ValueError(f"need at least one replicate, got {n_sims}")
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # einsum sums the row products without an x * x temporary.
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
@@ -156,25 +167,36 @@ def _full_basis_scores(gen: np.random.Generator, m: int, ps: tuple[int], d: int)
     """Each variant's norm of the unit gradient g projected on a Haar-random
     basis, one row per variant in ``VARIANTS`` order.
 
-    The basis is the Q factor of a Gaussian d-by-p draw A.  Q is never
-    formed: the R factor of [A, g] holds Q^T g in the top p entries of its
-    last column.  QR fixes each basis vector's sign by convention, which
-    neither score can see (both read |Q^T g| only).  g is drawn for the whole
-    block first, then A and the QR run in replicate chunks of at most
-    ``_CHUNK`` values.  Rounding can push a norm of the unit projection past
-    1 (at p = d it is 1 up to rounding), so scores are capped at 1.
+    The basis Q is never formed.  It is H_1 ... H_p [I_p; 0], a product of
+    Householder reflections, and Q^T g is the first p entries of
+    H_p ... H_1 g, so the sampler reflects g p times (Stewart 1980).
+    Householder QR of a Gaussian d-by-p draw A builds Q the same way, and
+    after reflection k the part of A it has not yet touched is again a
+    Gaussian matrix, independent of the reflections before it.  So
+    reflection k + 1 is drawn fresh from d - k normals x, as the unit
+    vector along x + sign(x_1) ||x|| e_1 (LAPACK's sign), acting on
+    coordinates k + 1 ... d.  This is Q's law up to the sign of each
+    column, which neither score can see (both read |Q^T g| only), at
+    O(d p) work and d + p d - p (p - 1) / 2 normals per replicate.
+
+    Replicates run in chunks of ``_FULL_BASIS_CHUNK // d`` rows (at least
+    one).  Each chunk draws its rows of g, then each reflection's normals
+    in order.  Rounding can push a norm of the unit projection past 1 (at
+    p = d it is 1 up to rounding), so scores are capped at 1.
     """
     (p,) = ps
-    g = gen.standard_normal((m, d))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
     proj = np.empty((m, p))
-    rows = max(1, _CHUNK // (d * (p + 1)))
+    rows = max(1, _FULL_BASIS_CHUNK // d)
     for lo in range(0, m, rows):
-        a = gen.standard_normal((min(rows, m - lo), d, p))
-        ag = np.concatenate((a, g[lo : lo + rows, :, None]), axis=2)
-        # Raw QR factors a copy of [A, g] and returns it transposed, R_k[i, j]
-        # at [k, j, i] for i <= j, without the triangular copy of mode "r".
-        proj[lo : lo + rows] = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
+        y = gen.standard_normal((min(rows, m - lo), d))
+        y /= _row_norms(y)[:, None]
+        for k in range(p):
+            v = gen.standard_normal((len(y), d - k))
+            v[:, 0] += np.copysign(_row_norms(v), v[:, 0])
+            v /= _row_norms(v)[:, None]
+            tail = y[:, k:]
+            tail -= 2.0 * np.einsum("ij,ij->i", v, tail)[:, None] * v
+        proj[lo : lo + rows] = y[:, :p]
     scores = np.array([np.linalg.norm(proj, ord=Variant.named(v).norm, axis=1) for v in VARIANTS])
     return np.minimum(scores, 1.0, out=scores)
 
@@ -226,11 +248,11 @@ def _full_basis_replicates(p: int, d: int, n_sims: int, rng: RngStream) -> np.nd
     """Full-basis replicate values of one (p, d) cell, one row per variant in
     ``VARIANTS`` order, scored on the same draws.
 
-    Blocks shrink so the stacked basis draws stay within a fixed budget.
+    Blocks shrink as d p grows, so a costly cell spans several blocks.
     """
     _check_cell(p, d, n_sims)
     block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * p)))
-    draws = block * d * (p + 1)
+    draws = block * (d + p * d - p * (p - 1) // 2)
     return _run_blocks(_full_basis_scores, len(VARIANTS), (p,), d, n_sims, rng, block, draws)
 
 

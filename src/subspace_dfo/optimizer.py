@@ -236,7 +236,7 @@ def mb_iteration(
     poll_values = np.array([objective(point) for point in points])
     evaluations = p
     grad = (poll_values - fx) / delta
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = math.sqrt(grad @ grad)
     if grad_norm < _GRADIENT_FLOOR:
         return x, fx, evaluations
     if p == 1 and grad[0] < 0.0:

@@ -234,7 +234,7 @@ def test_manifests_record_sampler(tmp_path):
         manifest = json.loads((tmp_path / name).read_text())
         assert manifest["sampler"] == (
             "reduced: ds p normals + chi-square tail, mb chi-square head + tail; "
-            "full-basis: R of QR([A, g])"
+            "full-basis: g reflected by p fresh Householder reflections"
         )
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,11 +368,13 @@ class TestChiSquareTailOracle:
         assert gap <= 3.0 * math.hypot(new.delta_std_error, se_old)
 
 
-def _q_forming_values(variant, p, d, n, rng):
-    """Reference full-basis sampler: form the sign-fixed Q, project g onto it.
+def _q_forming_values(p, d, n, rng):
+    """Sign-corrected QR sampler: form the sign-fixed Q of a Gaussian d-by-p
+    draw A, project g onto it, and score it for ds and mb, one row each.
 
-    Draws g, then the d-by-p Gaussian A, in blocks of the same size and from
-    the same child streams as the package's full-basis mode.
+    Draws g, then A, in blocks of the same size and from the same child
+    streams as the package's full-basis mode.  It is the package's earlier
+    sampler, kept as a reference in law: its values are not the package's.
     """
     block = max(1, min(4096, 2_000_000 // (d * p)))
     out = []
@@ -385,13 +388,54 @@ def _q_forming_values(variant, p, d, n, rng):
         signs[signs == 0.0] = 1.0
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         proj = np.einsum("kdp,kd->kp", q * signs[:, None, :], g)
-        score = np.max(np.abs(proj), axis=1) if variant == "ds" else np.linalg.norm(proj, axis=1)
-        out.append(score)
+        out.append([_score(variant, proj) for variant in ("ds", "mb")])
+    return np.concatenate(out, axis=1)
+
+
+def _full_basis_chunks(p, d, n, rng):
+    """Each full-basis chunk's generator and row count, in the package's
+    documented order: blocks of max(1, min(4096, 2 * 10^6 // (d p)))
+    replicates, block j drawing from child stream j, in chunks of
+    max(1, 2^15 // d) rows."""
+    block = max(1, min(4096, 2_000_000 // (d * p)))
+    rows = max(1, 2**15 // d)
+    for j, start in enumerate(range(0, n, block)):
+        m = min(block, n - start)
+        gen = split_stream(rng, j).generator()
+        for lo in range(0, m, rows):
+            yield gen, min(rows, m - lo)
+
+
+def _score(variant, proj):
+    score = np.max(np.abs(proj), axis=1) if variant == "ds" else np.linalg.norm(proj, axis=1)
+    return np.minimum(score, 1.0)
+
+
+def _householder_q_values(variant, p, d, n, rng):
+    """Reference full-basis sampler that forms Q = H_1 ... H_p [I_p; 0] from
+    the package's draws, checks that it is orthonormal, and projects g on it."""
+    out = []
+    for gen, r in _full_basis_chunks(p, d, n, rng):
+        g = gen.standard_normal((r, d))
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        # u[k] is reflection k's unit vector, zero on its first k coordinates.
+        u = np.zeros((p, r, d))
+        for k in range(p):
+            x = gen.standard_normal((r, d - k))
+            x[:, 0] += np.copysign(np.linalg.norm(x, axis=1), x[:, 0])
+            u[k, :, k:] = x / np.linalg.norm(x, axis=1, keepdims=True)
+        q = np.zeros((r, d, p))
+        q[:, np.arange(p), np.arange(p)] = 1.0
+        for k in reversed(range(p)):
+            q -= 2.0 * u[k][:, :, None] * np.einsum("rd,rdp->rp", u[k], q)[:, None, :]
+        gram = np.einsum("rdi,rdj->rij", q, q)
+        assert np.max(np.abs(gram - np.eye(p))) <= 1e-12
+        out.append(_score(variant, np.einsum("rdp,rd->rp", q, g)))
     return np.concatenate(out)
 
 
 class TestFullBasisOracle:
-    """The R-only full-basis sampler against the one that forms Q."""
+    """The projection-only full-basis sampler against samplers that form Q."""
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     @pytest.mark.parametrize("p,d", [(1, 16), (32, 64), (16, 16)])
@@ -399,30 +443,51 @@ class TestFullBasisOracle:
         # 2000 replicates span three blocks at (32, 64).
         rng = RngStream(17)
         new = replicate_decreases(variant, p, d, 2000, rng, "full-basis")
-        old = _q_forming_values(variant, p, d, 2000, rng)
+        old = _householder_q_values(variant, p, d, 2000, rng)
         assert np.max(np.abs(new - old)) <= 1e-10
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
-    def test_chunked_qr_is_one_qr_per_block_bitwise(self, variant):
-        # The package factors each block's [A, g] in replicate chunks; one
-        # unchunked raw QR per block must give the same floats.
+    def test_draw_order_is_pinned(self, variant):
+        # g's chunk rows, then each reflection's normals in turn, reflected
+        # with the package's arithmetic, give its floats bit for bit.
         p, d, n = 32, 64, 2000
         rng = RngStream(18)
-        block = 2_000_000 // (d * p)
         expected = []
-        for j, start in enumerate(range(0, n, block)):
-            m = min(block, n - start)
-            gen = split_stream(rng, j).generator()
-            g = gen.standard_normal((m, d))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            ag = np.concatenate((gen.standard_normal((m, d, p)), g[:, :, None]), axis=2)
-            proj = np.linalg.qr(ag, mode="raw")[0][:, p, :p]
-            if variant == "ds":
-                expected.append(np.maximum(proj.max(axis=1), -proj.min(axis=1)))
-            else:
-                expected.append(np.linalg.norm(proj, axis=1))
+        for gen, r in _full_basis_chunks(p, d, n, rng):
+            y = gen.standard_normal((r, d))
+            y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
+            for k in range(p):
+                v = gen.standard_normal((r, d - k))
+                v[:, 0] += np.copysign(np.sqrt(np.einsum("ij,ij->i", v, v)), v[:, 0])
+                v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+                y[:, k:] -= 2.0 * np.einsum("ij,ij->i", v, y[:, k:])[:, None] * v
+            expected.append(_score(variant, y[:, :p]))
         new = replicate_decreases(variant, p, d, n, rng, "full-basis")
         assert np.array_equal(new, np.concatenate(expected))
+
+    @pytest.mark.parametrize("p,d", [(4, 16), (8, 64), (32, 64)])
+    def test_mean_matches_sign_corrected_qr_sampler(self, p, d):
+        # The reflections have the law of the sign-corrected QR basis; the
+        # two samplers draw from independent child streams.
+        n = 20_000
+        base = RngStream(29)
+        news = full_basis_estimates(p, d, n, split_stream(base, 0))
+        olds = _q_forming_values(p, d, n, split_stream(base, 1))
+        for new, old in zip(news, olds):
+            m_old, se_old = _mean_se(old)
+            gap = abs(new.mean - m_old)
+            assert gap <= 3.0 * math.hypot(new.std_error, se_old), new.variant
+
+    @pytest.mark.parametrize("p,d,m", [(32, 64, 976), (8, 64, 3906), (1, 1024, 1953)])
+    def test_one_block_peaks_under_2_mib(self, p, d, m):
+        gen = RngStream(31).generator()
+        tracemalloc.start()
+        try:
+            montecarlo._full_basis_scores(gen, m, (p,), d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestFullBasisSharedDraw:
