@@ -29,11 +29,12 @@ draw at least 2^16 values runs them on a thread pool with one worker per
 usable CPU (numpy releases the interpreter lock while it draws and reduces);
 smaller cells, which threads would only slow, run serially.  Within a block
 the normals are drawn in row chunks, in stream order.  A reduced chunk holds
-at most 2^18 values (2 MB), or one row of p if that is more.  A full-basis
-chunk holds 2^15 // d replicates (at least one): their gradients, then one
-reflection's normals at a time, each at most 2^15 values (256 KB) or one row
-of d.  A full-basis worker holds a few such arrays and its block's
-projections, at most 2 * 10^6 / d values: about 1 MB in all while d <= 2^15.
+at most 2^15 values (256 KB), or one row of p if that is more, and every
+chunk of a block is drawn into one buffer.  A full-basis chunk holds
+2^15 // d replicates (at least one): their gradients, then one reflection's
+normals at a time, each at most 2^15 values or one row of d.  A full-basis
+worker holds a few such arrays and its block's projections, at most
+2 * 10^6 / d values: about 1 MB in all while d <= 2^15.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ SAMPLER = (
 # cell over enough blocks to keep every worker busy.
 _BLOCK = 4096
 _FULL_BASIS_BUDGET = 2_000_000
-# Most values drawn at once within a block: 2 MB of float64 in reduced mode,
-# 256 KB per array (one row of d if that is more) in full-basis mode.
-_CHUNK = 2**18
-_FULL_BASIS_CHUNK = 2**15
+# Most values one array of a block holds: 256 KB, or one row if that is more.
+_CHUNK = 2**15
 # Fewest values one block must draw before blocks go to worker threads.
 _PARALLEL_DRAWS = 2**16
 
@@ -111,37 +110,37 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def _max_abs(x: np.ndarray) -> np.ndarray:
-    # Row-wise largest |x| without an |x| copy of the array.
-    return np.maximum(x.max(axis=1), -x.min(axis=1))
-
-
 def _polling_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
     """Largest |z_i| over i <= p, over ||z||, for each p in ps on the same draws.
 
-    Draws the first max(ps) coordinates of z, in row chunks of at most
-    ``_CHUNK`` values, then the squared norm of the rest as one chi-square
-    with d - max(ps) degrees of freedom: twice a Gamma((d - max(ps))/2) draw,
-    which numpy returns as exactly 0 for shape 0.
+    Draws the first max(ps) coordinates of z in row chunks of at most
+    ``_CHUNK`` values (or one row), all into one buffer, then the squared
+    norm of the rest as one chi-square with d - max(ps) degrees of freedom:
+    twice a Gamma((d - max(ps))/2) draw, which numpy returns as exactly 0
+    for shape 0.  Chunks end on whole rows and the buffer fills with the
+    values a fresh array would hold, so the chunk size changes no value.
     """
     cuts = sorted(set(ps))
     top = cuts[-1]
     head_sq = np.empty(m)
-    peaks = {p: np.empty(m) for p in cuts}
-    rows = max(1, _CHUNK // top)
+    peaks = np.empty((len(cuts), m))
+    rows = min(m, max(1, _CHUNK // top))
+    buf = np.empty((rows, top))
     for lo in range(0, m, rows):
-        head = gen.standard_normal((min(rows, m - lo), top))
-        # einsum sums the row products without an (m, top) temporary.
+        head = buf[: min(rows, m - lo)]
+        gen.standard_normal(out=head)
+        # einsum sums the row products without a head * head temporary.
         head_sq[lo : lo + rows] = np.einsum("ij,ij->i", head, head)
+        np.abs(head, out=head)
         # A running max over the sorted cut points reads each column once;
-        # max is exact, so each peak is the float a direct max would give.
-        peak = None
-        for start, stop in zip([0] + cuts, cuts):
-            part = _max_abs(head[:, start:stop])
-            peak = part if peak is None else np.maximum(peak, part, out=part)
-            peaks[stop][lo : lo + rows] = peak
+        # |x| and max are exact, so each peak is the float a direct max gives.
+        for j, (start, stop) in enumerate(zip([0] + cuts, cuts)):
+            peak = peaks[j, lo : lo + rows]
+            head[:, start:stop].max(axis=1, out=peak)
+            if j:
+                np.maximum(peak, peaks[j - 1, lo : lo + rows], out=peak)
     norm = np.sqrt(head_sq + 2.0 * gen.standard_gamma((d - top) / 2.0, m))
-    return [peaks[p] / norm for p in ps]
+    return [peaks[cuts.index(p)] / norm for p in ps]
 
 
 def _model_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
@@ -179,14 +178,14 @@ def _full_basis_scores(gen: np.random.Generator, m: int, ps: tuple[int], d: int)
     column, which neither score can see (both read |Q^T g| only), at
     O(d p) work and d + p d - p (p - 1) / 2 normals per replicate.
 
-    Replicates run in chunks of ``_FULL_BASIS_CHUNK // d`` rows (at least
+    Replicates run in chunks of ``_CHUNK // d`` rows (at least
     one).  Each chunk draws its rows of g, then each reflection's normals
     in order.  Rounding can push a norm of the unit projection past 1 (at
     p = d it is 1 up to rounding), so scores are capped at 1.
     """
     (p,) = ps
     proj = np.empty((m, p))
-    rows = max(1, _FULL_BASIS_CHUNK // d)
+    rows = max(1, _CHUNK // d)
     for lo in range(0, m, rows):
         y = gen.standard_normal((min(rows, m - lo), d))
         y /= _row_norms(y)[:, None]

@@ -27,6 +27,7 @@ from subspace_dfo import (
 )
 from subspace_dfo import montecarlo
 from subspace_dfo.cli import main
+from subspace_dfo.experiments import D_VARY_P, P_LIST_VARY_P
 from subspace_dfo.montecarlo import (
     _BLOCK,
     _full_basis_replicates,
@@ -239,6 +240,30 @@ class TestEstimates:
         got = _polling_scores(np.random.default_rng(3), m, ps, d)
         want = direct(np.random.default_rng(3), m, ps, d)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    POLLING_CELLS = [((1, 2, 512, 1024), 1024), ((10, 2, 5), 30), ((3, 3, 1), 5), ((40,), 40)]
+
+    @pytest.mark.parametrize("ps,d", POLLING_CELLS)
+    def test_chunk_size_does_not_change_values(self, monkeypatch, ps, d):
+        # Chunks end on whole rows, so the draw order is the same at any
+        # chunk size; at 7 values every row is a chunk of its own.
+        values = []
+        for chunk in (2**18, 2**15, 7):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            values.append(_replicates("ds", ps, d, _BLOCK + 300, RngStream(16)))
+        assert all(v.tobytes() == values[0].tobytes() for v in values[1:])
+
+    @pytest.mark.parametrize("ps,d", [POLLING_CELLS[0], (P_LIST_VARY_P, D_VARY_P)])
+    def test_one_polling_block_peaks_under_1_5_mib(self, ps, d):
+        # The buffer is 256 KB and the block's peaks 32 KB per cut point.
+        gen = RngStream(32).generator()
+        tracemalloc.start()
+        try:
+            _polling_scores(gen, _BLOCK, ps, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, peak
 
 
 def _mc_per_evaluation(capsys, variant, p, d, n_sims, seed):
