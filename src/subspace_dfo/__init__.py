@@ -49,8 +49,7 @@ from .optimizer import (
     run_driver,
 )
 from .montecarlo import (
-    DecreaseEstimate,
-    PairedDelta,
+    Estimate,
     estimate,
     estimates,
     paired_ratio_gap,
@@ -92,8 +91,7 @@ __all__ = [
     "ds_iteration",
     "mb_iteration",
     "run_driver",
-    "DecreaseEstimate",
-    "PairedDelta",
+    "Estimate",
     "estimate",
     "estimates",
     "paired_ratio_gap",

@@ -88,17 +88,15 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     est = estimate(args.variant, args.p, args.d, args.nsims, RngStream(args.seed), args.mode)
-    metric, mean, std_error = "per-iteration", est.mean, est.std_error
+    metric, scale = "per-iteration", 1.0
     if args.per_evaluation:
         # Per-evaluation values divide by the evaluations of one iteration.
-        cost = Variant.named(args.variant).rounds(args.p, 1)
-        metric, mean, std_error = "per-evaluation", mean / cost, std_error / cost
-    rows = [
-        ResultRow(
-            args.variant, args.d, args.p, "mc", metric, mean, std_error, est.n_sims, est.seed
-        )
-    ]
-    _emit_rows(rows, args.format, args.out)
+        metric, scale = "per-evaluation", Variant.named(args.variant).rounds(args.p, 1)
+    row = ResultRow(
+        args.variant, args.d, args.p, "mc", metric, est.mean / scale, est.std_error / scale,
+        args.nsims, args.seed,
+    )
+    _emit_rows([row], args.format, args.out)
     return 0
 
 

@@ -206,6 +206,7 @@ class ExperimentSpec:
         for key in ("n_sims", "seed"):
             if not _is_int(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        RngStream(self.seed)  # refuses an out-of-range seed before any draw
         if self.n_sims < 2:
             raise ValueError(
                 f"n_sims must be at least 2 for a standard error, got {self.n_sims}"
@@ -303,7 +304,7 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
                 rows.append(
                     ResultRow(
                         spec.variant, d, p, METHOD_MC, metric, est.mean / scale,
-                        est.std_error / scale, est.n_sims, est.seed,
+                        est.std_error / scale, spec.n_sims, spec.seed,
                     )
                 )
             values = {}
@@ -548,7 +549,7 @@ def gate_ratio_identities(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
         gap = paired_ratio_gap(
             variant, 1, 2, 1000, target, n_sims, split_stream(base, i), per_evaluation=per_eval
         )
-        z = abs(gap.delta_mean) / gap.delta_std_error
+        z = abs(gap.mean) / gap.std_error
         worst_mc = max(worst_mc, z)
         ok = ok and z <= 3.0
     return GateResult(
@@ -584,9 +585,9 @@ def gate_per_evaluation_monotonicity(
                 per_evaluation=True,
             )
             cell += 1
-            z = delta.delta_mean / delta.delta_std_error
+            z = delta.mean / delta.std_error
             min_z = min(min_z, z)
-            ok = ok and delta.delta_mean > 0.0 and z > 3.0
+            ok = ok and delta.mean > 0.0 and z > 3.0
     return GateResult(
         5,
         "per-evaluation-monotonicity",
@@ -645,8 +646,8 @@ def gate_basis_invariance(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
     ok = True
     for i, (p, d) in enumerate(((1, 16), (4, 16), (8, 64), (32, 64))):
         fulls = full_basis_estimates(p, d, n_sims, split_stream(base, 2 * i))
-        for j, full in enumerate(fulls):
-            reduced = estimate(full.variant, p, d, n_sims, split_stream(base, 8 * j + 2 * i + 1))
+        for j, (variant, full) in enumerate(zip(VARIANTS, fulls)):
+            reduced = estimate(variant, p, d, n_sims, split_stream(base, 8 * j + 2 * i + 1))
             z = abs(full.mean - reduced.mean) / math.hypot(full.std_error, reduced.std_error)
             worst = max(worst, z)
             ok = ok and z <= 3.0

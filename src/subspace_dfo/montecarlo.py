@@ -69,32 +69,14 @@ _PARALLEL_DRAWS = 2**16
 
 
 @dataclass(frozen=True)
-class DecreaseEstimate:
-    """Monte Carlo mean with its standard error for one (variant, p, d) cell."""
+class Estimate:
+    """Sample mean of Monte Carlo replicate values with its standard error.
+
+    The cell it describes is the arguments of the call that returned it.
+    """
 
     mean: float
     std_error: float
-    n_sims: int
-    p: int
-    d: int
-    variant: str
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n_sims < 1:
-            raise ValueError("need at least one replicate")
-        if not (0.0 <= self.mean <= 1.0):
-            raise ValueError(f"decrease estimate must lie in [0, 1], got {self.mean!r}")
-        if self.std_error < 0.0:
-            raise ValueError("standard error cannot be negative")
-
-
-@dataclass(frozen=True)
-class PairedDelta:
-    """Difference of two estimates built from common random numbers."""
-
-    delta_mean: float
-    delta_std_error: float
 
 
 def _check_cell(p: int, d: int, n_sims: int) -> None:
@@ -261,6 +243,7 @@ def _replicates(
     """Reduced-mode replicate values, one row per cut point in ps, scored on
     common draws."""
     norm = Variant.named(variant).norm
+    ps = tuple(ps)
     if not ps:
         raise ValueError("need at least one subspace dimension p, got none")
     for p in ps:
@@ -294,10 +277,10 @@ def replicate_decreases(
     return _replicates(variant, (p,), d, n_sims, rng)[0]
 
 
-def _summarize(values: np.ndarray) -> tuple[float, float]:
+def _summarize(values: np.ndarray) -> Estimate:
     if values.size < 2:
         raise ValueError(f"a standard error needs at least 2 replicates, got n = {values.size}")
-    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size))
+    return Estimate(float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size)))
 
 
 def estimate(
@@ -307,15 +290,14 @@ def estimate(
     n_sims: int,
     rng: RngStream,
     reduction: str = "reduced",
-) -> DecreaseEstimate:
+) -> Estimate:
     """Estimate the expected per-iteration decrease with its standard error."""
-    mean, std_error = _summarize(replicate_decreases(variant, p, d, n_sims, rng, reduction))
-    return DecreaseEstimate(mean, std_error, n_sims, p, d, variant, rng.seed)
+    return _summarize(replicate_decreases(variant, p, d, n_sims, rng, reduction))
 
 
 def estimates(
     variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream
-) -> tuple[DecreaseEstimate, ...]:
+) -> tuple[Estimate, ...]:
     """Reduced-mode estimates for each p in ps, in ps order, all scored on
     one draw from ``rng``.
 
@@ -325,26 +307,16 @@ def estimates(
     ``estimate(v, p, d, n_sims, rng)`` bit for bit: both are one
     ``_replicates`` call on ps = (p,).
     """
-    values = _replicates(variant, ps, d, n_sims, rng)
-    return tuple(
-        DecreaseEstimate(*_summarize(v), n_sims, p, d, variant, rng.seed)
-        for p, v in zip(ps, values)
-    )
+    return tuple(map(_summarize, _replicates(variant, ps, d, n_sims, rng)))
 
 
-def full_basis_estimates(
-    p: int, d: int, n_sims: int, rng: RngStream
-) -> tuple[DecreaseEstimate, ...]:
+def full_basis_estimates(p: int, d: int, n_sims: int, rng: RngStream) -> tuple[Estimate, ...]:
     """Full-basis estimates of one (p, d) cell for every variant, in
     ``VARIANTS`` order, all scored on one draw.
 
     Each equals ``estimate(v, p, d, n_sims, rng, "full-basis")`` bit for bit.
     """
-    values = _full_basis_replicates(p, d, n_sims, rng)
-    return tuple(
-        DecreaseEstimate(*_summarize(v), n_sims, p, d, variant, rng.seed)
-        for variant, v in zip(VARIANTS, values)
-    )
+    return tuple(map(_summarize, _full_basis_replicates(p, d, n_sims, rng)))
 
 
 def paired_ratio_gap(
@@ -356,7 +328,7 @@ def paired_ratio_gap(
     n_sims: int,
     rng: RngStream,
     per_evaluation: bool = False,
-) -> PairedDelta:
+) -> Estimate:
     """Test statistic for a claimed ratio E[p2, d] / E[p1, d] = target_ratio.
 
     Scores (value at p2) - target_ratio * (value at p1) on common random
@@ -374,4 +346,4 @@ def paired_ratio_gap(
         record = Variant.named(variant)
         v1 = v1 / record.rounds(p1, 1)
         v2 = v2 / record.rounds(p2, 1)
-    return PairedDelta(*_summarize(v2 - target_ratio * v1))
+    return _summarize(v2 - target_ratio * v1)

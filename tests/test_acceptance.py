@@ -109,7 +109,7 @@ def test_criterion_5_per_evaluation_monotonicity():
                 variant, p + 1, p, 1000, 1.0, NSIMS, split_stream(base, 10 * i + p),
                 per_evaluation=True,
             )
-            drops_ok &= delta.delta_mean > 3.0 * delta.delta_std_error
+            drops_ok &= delta.mean > 3.0 * delta.std_error
     _report(5, gate.passed and chains_ok and drops_ok, gate.detail)
 
 

@@ -294,6 +294,8 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
         ({**SPEC, "include": []}, "include must name at least one method"),
         ({**SPEC, "d_values": [8, 8]}, "d_values must not repeat a value, got [8, 8]"),
         ({**SPEC, "p_rule": [1, 2, 1]}, "p_rule must not repeat a value, got [1, 2, 1]"),
+        ({**SPEC, "seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
+        ({**SPEC, "seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
     ],
 )
 def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):

@@ -98,6 +98,11 @@ class TestSpec:
         spec = ExperimentSpec(name="x", variant="ds", d_values=(4, 8), p_rule=(2, 6, 9))
         assert [p_values_for(d, spec.p_rule) for d in spec.d_values] == [(2,), (2, 6)]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_refused_when_built(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
+            ExperimentSpec(name="x", variant="ds", d_values=(8,), seed=seed)
+
 
 class TestGridRows:
     def test_vary_d_row_population(self):
@@ -246,10 +251,12 @@ class TestFigureRowDraws:
         for d in spec.d_values:
             ps = p_values_for(d, spec.p_rule)
             row = row_stream(RngStream(4), variant, d)
-            for est in estimates(variant, ps, d, 700, row):
-                mc = [r for r in rows if r.method == "mc" and (r.d, r.p) == (d, est.p)]
-                assert [(r.metric, r.value, r.std_error, r.seed) for r in mc] == [
-                    ("per-iteration", est.mean, est.std_error, 4)
+            ests = estimates(variant, ps, d, 700, row)
+            assert len(ests) == len(ps)
+            for p, est in zip(ps, ests):
+                mc = [r for r in rows if r.method == "mc" and (r.d, r.p) == (d, p)]
+                assert [(r.metric, r.value, r.std_error, r.n_sims, r.seed) for r in mc] == [
+                    ("per-iteration", est.mean, est.std_error, 700, 4)
                 ]
 
     @pytest.mark.parametrize("variant,n_blocks", [("ds", 1), ("mb", 1), ("ds", 2)])

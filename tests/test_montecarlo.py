@@ -20,6 +20,7 @@ from subspace_dfo import (
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
+    VARIANTS,
     Variant,
     paired_ratio_gap,
     replicate_decreases,
@@ -56,14 +57,20 @@ class TestReplicates:
     @given(
         st.sampled_from(["ds", "mb"]),
         st.integers(min_value=1, max_value=24),
+        st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=4),
         st.integers(min_value=0, max_value=24),
         st.integers(min_value=0, max_value=100),
     )
     @settings(max_examples=40, deadline=None)
-    def test_values_lie_in_unit_interval(self, variant, p, extra, seed):
-        d = p + extra
+    def test_values_lie_in_unit_interval(self, variant, p, cuts, extra, seed):
+        # One cut point, then a set of them scored on common draws.
+        d = max(p, *cuts) + extra
         values = replicate_decreases(variant, p, d, 500, RngStream(seed))
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
+        rows = _replicates(variant, tuple(cuts), d, 500, RngStream(seed))
+        assert len(rows) == len(cuts)
+        for cut, row in zip(cuts, rows):
+            assert np.all(row >= 0.0) and np.all(row <= 1.0), cut
 
     def test_full_dimension_model_values_are_exactly_one(self):
         values = replicate_decreases("mb", 17, 17, 2000, RngStream(1))
@@ -207,8 +214,9 @@ class TestEstimates:
         ps = (10, 2, 5)
         rng = RngStream(15)
         values = _replicates(variant, ps, 30, 500, rng)
-        for est, p, v in zip(estimates(variant, ps, 30, 500, rng), ps, values):
-            assert (est.p, est.d, est.variant, est.seed) == (p, 30, variant, 15)
+        ests = estimates(variant, ps, 30, 500, rng)
+        assert len(ests) == len(values) == len(ps)
+        for est, v in zip(ests, values):
             assert est.mean == float(np.mean(v))
             assert est.std_error == float(np.std(v, ddof=1) / np.sqrt(500))
 
@@ -219,6 +227,16 @@ class TestEstimates:
     def test_rejects_an_empty_p_set(self):
         with pytest.raises(ValueError, match="at least one subspace dimension"):
             estimates("ds", (), 8, 100, RngStream(0))
+        with pytest.raises(ValueError, match="at least one subspace dimension"):
+            estimates("ds", iter(()), 8, 100, RngStream(0))
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_an_iterator_of_ps_gives_the_tuple_values(self, variant):
+        # The cut points are read once, so checking them does not use them up.
+        ps = (1, 2)
+        assert estimates(variant, iter(ps), 8, 10, RngStream(0)) == estimates(
+            variant, ps, 8, 10, RngStream(0)
+        )
 
     @pytest.mark.parametrize("ps", [(10, 2, 5), (3, 3, 1), (1000,), (1, 2, 3, 500, 20, 1000)])
     def test_running_max_equals_direct_max(self, ps):
@@ -296,12 +314,12 @@ class TestPerEvaluationEstimate:
 class TestPairing:
     def test_identical_levels_give_zero(self):
         delta = paired_ratio_gap("ds", 3, 3, 50, 1.0, 2000, RngStream(10), per_evaluation=True)
-        assert delta.delta_mean == 0.0 and delta.delta_std_error == 0.0
+        assert delta.mean == 0.0 and delta.std_error == 0.0
 
     def test_identical_model_levels_give_zero(self):
         # The gap between equal cut points is a Gamma(0) piece, exactly 0.
         delta = paired_ratio_gap("mb", 4, 4, 50, 1.0, 5000, RngStream(15), per_evaluation=True)
-        assert delta.delta_mean == 0.0 and delta.delta_std_error == 0.0
+        assert delta.mean == 0.0 and delta.std_error == 0.0
 
     def test_model_full_dimension_level_is_exactly_one(self):
         v1, v2 = _replicates("mb", (30, 7), 30, 5000, RngStream(16))
@@ -310,19 +328,19 @@ class TestPairing:
 
     def test_polling_drop_is_significant(self):
         delta = paired_ratio_gap("ds", 2, 1, 1000, 1.0, 10_000, RngStream(11), per_evaluation=True)
-        assert delta.delta_mean > 3.0 * delta.delta_std_error
+        assert delta.mean > 3.0 * delta.std_error
 
     def test_model_drop_is_significant(self):
         delta = paired_ratio_gap("mb", 3, 2, 1000, 1.0, 10_000, RngStream(12), per_evaluation=True)
-        assert delta.delta_mean > 3.0 * delta.delta_std_error
+        assert delta.mean > 3.0 * delta.std_error
 
     def test_ratio_gap_detects_true_ratio(self):
         gap = paired_ratio_gap("ds", 1, 2, 1000, math.sqrt(2.0), 10_000, RngStream(13))
-        assert abs(gap.delta_mean) <= 3.0 * gap.delta_std_error
+        assert abs(gap.mean) <= 3.0 * gap.std_error
 
     def test_ratio_gap_rejects_false_ratio(self):
         gap = paired_ratio_gap("ds", 1, 2, 1000, 1.1 * math.sqrt(2.0), 10_000, RngStream(13))
-        assert abs(gap.delta_mean) > 3.0 * gap.delta_std_error
+        assert abs(gap.mean) > 3.0 * gap.std_error
 
     @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
     def test_non_finite_target_ratio_is_refused_before_any_draw(self, monkeypatch, target):
@@ -337,7 +355,7 @@ class TestPairing:
         gap = paired_ratio_gap(
             "mb", 1, 2, 1000, math.pi / 4.0, 10_000, RngStream(14), per_evaluation=True
         )
-        assert abs(gap.delta_mean) <= 3.0 * gap.delta_std_error
+        assert abs(gap.mean) <= 3.0 * gap.std_error
 
 
 def _d_normal_values(variant, ps, d, n, rng):
@@ -389,8 +407,8 @@ class TestChiSquareTailOracle:
         record = Variant.named(variant)
         diffs = v1 / record.rounds(p1, 1) - v2 / record.rounds(p2, 1)
         m_old, se_old = _mean_se(diffs)
-        gap = abs(new.delta_mean - m_old)
-        assert gap <= 3.0 * math.hypot(new.delta_std_error, se_old)
+        gap = abs(new.mean - m_old)
+        assert gap <= 3.0 * math.hypot(new.std_error, se_old)
 
 
 def _q_forming_values(p, d, n, rng):
@@ -498,10 +516,10 @@ class TestFullBasisOracle:
         base = RngStream(29)
         news = full_basis_estimates(p, d, n, split_stream(base, 0))
         olds = _q_forming_values(p, d, n, split_stream(base, 1))
-        for new, old in zip(news, olds):
+        for variant, new, old in zip(VARIANTS, news, olds):
             m_old, se_old = _mean_se(old)
             gap = abs(new.mean - m_old)
-            assert gap <= 3.0 * math.hypot(new.std_error, se_old), new.variant
+            assert gap <= 3.0 * math.hypot(new.std_error, se_old), variant
 
     @pytest.mark.parametrize("p,d,m", [(32, 64, 976), (8, 64, 3906), (1, 1024, 1953)])
     def test_one_block_peaks_under_2_mib(self, p, d, m):
@@ -523,9 +541,8 @@ class TestFullBasisSharedDraw:
         rng = RngStream(19)
         values = _full_basis_replicates(p, d, 2000, rng)
         estimates = full_basis_estimates(p, d, 2000, rng)
-        assert [e.variant for e in estimates] == ["ds", "mb"]
-        for row, shared in zip(values, estimates):
-            variant = shared.variant
+        assert len(values) == len(estimates) == len(VARIANTS)
+        for variant, row, shared in zip(VARIANTS, values, estimates):
             assert np.array_equal(replicate_decreases(variant, p, d, 2000, rng, "full-basis"), row)
             assert estimate(variant, p, d, 2000, rng, "full-basis") == shared
 
