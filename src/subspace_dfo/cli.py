@@ -184,19 +184,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_nsims(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = None
-    if n is None or n < 2:
-        raise argparse.ArgumentTypeError(
-            "verify needs an integer count of at least 2 replicates per cell "
-            f"for a standard error, got {text!r}"
-        )
-    return n
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     out_dir = Path(args.out) if args.out else None
     results, exit_code = run_verify(seed=args.seed, n_sims=args.nsims, out_dir=out_dir)
@@ -265,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(fn=_cmd_optimize)
 
     p_verify = sub.add_parser("verify", help="run the full gate suite")
-    p_verify.add_argument("--nsims", type=_verify_nsims, default=DEFAULT_NSIMS)
+    p_verify.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.set_defaults(fn=_cmd_verify)

@@ -1,4 +1,4 @@
-"""Exception types and the dimension and core-count checks shared across the package."""
+"""Exception types and the input checks shared across the package."""
 
 import numbers
 
@@ -23,6 +23,15 @@ def _check_cores(cores: object) -> None:
     """Raise a ``DomainError`` unless the core count ``cores`` is an integer >= 1."""
     if not _is_int(cores) or cores < 1:
         raise DomainError(f"core count must be a positive integer, got {cores!r}")
+
+
+def _check_nsims(n_sims: object) -> None:
+    """Raise unless the replicate count ``n_sims`` is an integer >= 2, the
+    fewest that give a standard error."""
+    if not _is_int(n_sims):
+        raise ValueError(f"n_sims must be an integer, got {n_sims!r}")
+    if n_sims < 2:
+        raise ValueError(f"n_sims must be at least 2 for a standard error, got {n_sims}")
 
 
 class InvalidDimensionError(ValueError):

@@ -27,10 +27,11 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .errors import InvalidDimensionError, _check_cores, _check_positive, _is_int
+from .errors import InvalidDimensionError, _check_cores, _check_nsims, _check_positive, _is_int
 from .formulas import (
     VARIANTS,
     Variant,
+    _checked,
     expected_decrease_ds,
     expected_decrease_mb,
     polling_factor,
@@ -107,8 +108,7 @@ class ResultRow:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.value <= 1.0):
-            raise ValueError(f"expected decrease must lie in (0, 1], got {self.value!r}")
+        _checked(self.value)
         if (self.std_error is not None) != (self.method == METHOD_MC):
             raise ValueError("std_error is present exactly for Monte Carlo rows")
 
@@ -172,10 +172,11 @@ class ExperimentSpec:
 
     ``p_rule`` is either an explicit tuple of subspace dimensions or the
     string ``"standard"`` meaning {1, 2, d/2, d} per ambient dimension (integer
-    division; duplicates collapse).  ``outputs`` selects per-iteration rows
-    ("decrease") or per-evaluation rows; ``include`` selects which methods to emit.
-    ``d_values`` and an explicit ``p_rule`` repeat no value, and ``include``
-    names at least one method, so every row of a grid is emitted once.
+    division; duplicates collapse).  ``outputs`` is the rows' metric,
+    ``METRIC_ITERATION`` or ``METRIC_EVALUATION``; ``include`` selects methods.
+    ``d_values`` (not empty) and an explicit ``p_rule`` repeat no value, and
+    ``include`` names at least one method, so every row of a grid is emitted
+    once.  ``n_sims`` (>= 2) and ``seed`` are checked when the spec is built.
     """
 
     name: str
@@ -184,13 +185,15 @@ class ExperimentSpec:
     p_rule: tuple[int, ...] | str = "standard"
     n_sims: int = DEFAULT_NSIMS
     seed: int = DEFAULT_SEED
-    outputs: str = "decrease"
+    outputs: str = METRIC_ITERATION
     include: tuple[str, ...] = ("formula", "monte-carlo", "asymptotic")
 
     def __post_init__(self) -> None:
         Variant.named(self.variant)
         self.d_values = _int_tuple("d_values", self.d_values)
-        if not self.d_values or any(d < 1 for d in self.d_values):
+        if not self.d_values:
+            raise ValueError("d_values must name at least one dimension, got none")
+        if any(d < 1 for d in self.d_values):
             raise ValueError(f"d_values must be positive, got {self.d_values}")
         if isinstance(self.p_rule, str):
             if self.p_rule != "standard":
@@ -203,15 +206,9 @@ class ExperimentSpec:
             top = max(self.d_values)
             if all(p > top for p in self.p_rule):
                 raise ValueError(f"no p value is at most max(d) = {top}, got {self.p_rule}")
-        for key in ("n_sims", "seed"):
-            if not _is_int(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        RngStream(self.seed)  # refuses an out-of-range seed before any draw
-        if self.n_sims < 2:
-            raise ValueError(
-                f"n_sims must be at least 2 for a standard error, got {self.n_sims}"
-            )
-        if self.outputs not in ("decrease", "per-evaluation"):
+        _check_nsims(self.n_sims)
+        RngStream(self.seed)  # refuses a bad seed before any draw
+        if self.outputs not in (METRIC_ITERATION, METRIC_EVALUATION):
             raise ValueError(f"unknown outputs selector {self.outputs!r}")
         if not isinstance(self.include, (list, tuple)) or not all(
             isinstance(flag, str) for flag in self.include
@@ -280,7 +277,7 @@ def row_stream(base: RngStream, variant: str, d: int) -> RngStream:
 
 def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """Rows of a vary-d or vary-p grid: per cell, the methods ``spec.include``
-    selects, in the metric ``spec.outputs`` selects.
+    selects, in the metric ``spec.outputs``.
 
     The Monte Carlo rows of one d are scored on one draw from that row's
     stream under RngStream(spec.seed) (see ``row_stream``), so reruns with
@@ -288,7 +285,7 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """
     record = Variant.named(spec.variant)
     base = RngStream(spec.seed)
-    metric = METRIC_EVALUATION if spec.outputs == "per-evaluation" else METRIC_ITERATION
+    metric = spec.outputs
     rows: list[ResultRow] = []
     for d in spec.d_values:
         ps = p_values_for(d, spec.p_rule)
@@ -342,7 +339,7 @@ def default_figure_spec(
         p_rule=p_rule,
         n_sims=n_sims,
         seed=seed,
-        outputs="per-evaluation" if perfev else "decrease",
+        outputs=METRIC_EVALUATION if perfev else METRIC_ITERATION,
         include=include,
     )
 
@@ -690,6 +687,7 @@ def gate_optimizer_behavior(
 ) -> GateResult:
     """Driver decreases match the projected-gradient norms exactly and the
     evaluation accounting matches the cost model."""
+    _check_nsims(n_sims)
     base = _gate_stream(seed, 10)
     d, p = 50, 3
     g = sample_unit_vector(d, split_stream(base, 0))
@@ -759,8 +757,9 @@ def run_verify(
 
     With ``out_dir`` set, writes ``verify_gates.csv`` (deterministic bytes for
     a given seed) and a JSON manifest alongside, which also holds the seconds
-    each gate took.
+    each gate took.  A bad ``n_sims`` is refused before the first gate.
     """
+    _check_nsims(n_sims)
     results, seconds = [], []
     for gate in ALL_GATES:
         start = perf_counter()

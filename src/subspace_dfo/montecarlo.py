@@ -22,6 +22,7 @@ alike.  Two sampling modes exist:
   from it, so ``full_basis_estimates`` scores a cell for both variants at
   the cost of one.
 
+Every entry point checks 1 <= p <= d and an integer n_sims >= 2 before any draw.
 Replicates are generated in fixed-size blocks, each from its own child
 stream, and each block writes its own slice of the result, so the values are
 bit-identical however the blocks are scheduled.  A cell whose blocks each
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_pd, _is_int
+from .errors import DomainError, _check_nsims, _check_pd
 from .formulas import VARIANTS, Variant
 from .rng import RngStream, split_stream
 
@@ -81,10 +82,7 @@ class Estimate:
 
 def _check_cell(p: int, d: int, n_sims: int) -> None:
     _check_pd(p, d)
-    if not _is_int(n_sims):
-        raise ValueError(f"n_sims must be an integer, got {n_sims!r}")
-    if n_sims < 1:
-        raise ValueError(f"need at least one replicate, got {n_sims}")
+    _check_nsims(n_sims)
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -278,8 +276,6 @@ def replicate_decreases(
 
 
 def _summarize(values: np.ndarray) -> Estimate:
-    if values.size < 2:
-        raise ValueError(f"a standard error needs at least 2 replicates, got n = {values.size}")
     return Estimate(float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size)))
 
 

@@ -31,9 +31,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError, InvalidDimensionError, NonFiniteObjectiveError, _check_positive, _is_int
-)
+from .errors import (DomainError, InvalidDimensionError, NonFiniteObjectiveError,
+                     _check_pd, _check_positive, _is_int)
 from .formulas import Variant
 from .rng import RngStream, _bases, _orthonormal_extension, _unit_directions
 
@@ -314,8 +313,7 @@ def run_driver(
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise DomainError(f"x0 must be finite, got {x[bad[0]]} at coordinate {bad[0]}")
-    if config.p > d:
-        raise InvalidDimensionError(f"subspace dimension {config.p} exceeds ambient {d}")
+    _check_pd(config.p, d)
 
     fx = objective(x)
     evaluations = 1

@@ -241,7 +241,7 @@ def test_manifests_record_sampler(tmp_path):
 def test_mc_refuses_single_replicate(capsys):
     code = main(["mc", "--variant", "ds", "--d", "8", "--p", "1", "--nsims", "1"])
     assert code == 2
-    assert "at least 2 replicates, got n = 1" in capsys.readouterr().err
+    assert "n_sims must be at least 2 for a standard error, got 1" in capsys.readouterr().err
 
 
 def test_figure_refuses_single_replicate(tmp_path, capsys):
@@ -252,10 +252,9 @@ def test_figure_refuses_single_replicate(tmp_path, capsys):
 
 
 def test_verify_rejects_single_replicate(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--nsims", "1"])
-    assert exc.value.code == 2
-    assert "at least 2 replicates" in capsys.readouterr().err
+    code = main(["verify", "--nsims", "1"])
+    assert code == 2
+    assert "n_sims must be at least 2 for a standard error, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nsims", ["x", "2.5"])
@@ -263,12 +262,7 @@ def test_verify_names_a_non_integer_replicate_count(capsys, nsims):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--nsims", nsims])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert (
-        "an integer count of at least 2 replicates per cell for a standard error, "
-        f"got '{nsims}'"
-    ) in err
-    assert "_verify_nsims" not in err
+    assert f"argument --nsims: invalid int value: '{nsims}'" in capsys.readouterr().err
 
 
 SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
@@ -288,7 +282,7 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
         ({**SPEC, "p_rule": [True]}, "p_rule must be a list of integers, got [True]"),
         ({**SPEC, "n_sims": "100"}, "n_sims must be an integer, got '100'"),
         ({**SPEC, "n_sims": True}, "n_sims must be an integer, got True"),
-        ({**SPEC, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({**SPEC, "seed": 1.5}, "seed must be a 64-bit unsigned integer, got 1.5"),
         ({**SPEC, "include": "formula"},
          "include must be a list of method names, got 'formula'"),
         ({**SPEC, "include": []}, "include must name at least one method"),
@@ -296,6 +290,10 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
         ({**SPEC, "p_rule": [1, 2, 1]}, "p_rule must not repeat a value, got [1, 2, 1]"),
         ({**SPEC, "seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
         ({**SPEC, "seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
+        ({**SPEC, "d_values": []}, "d_values must name at least one dimension, got none"),
+        ({**SPEC, "outputs": "decrease"},
+         "config outputs 'decrease' disagrees with figure ds-vary-d, "
+         "whose outputs is per-iteration"),
     ],
 )
 def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):

@@ -36,6 +36,7 @@ from subspace_dfo.experiments import (
     cell_stream,
     default_figure_spec,
     gate_basis_invariance,
+    gate_optimizer_behavior,
     p_values_for,
     row_stream,
     run_named_figure,
@@ -47,7 +48,7 @@ SQRT_PI = math.sqrt(math.pi)
 
 def small_vary_d_spec(variant: str, **overrides) -> ExperimentSpec:
     """A two-d grid; ``outputs="per-evaluation"`` names its perfev figure."""
-    outputs = overrides.get("outputs", "decrease")
+    outputs = overrides.get("outputs", "per-iteration")
     perfev = "perfev-" if outputs == "per-evaluation" else ""
     spec = ExperimentSpec(
         name=f"{variant}-{perfev}vary-d",
@@ -94,6 +95,8 @@ class TestSpec:
             ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(9,))
         with pytest.raises(ValueError, match="p values must be positive"):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(0, 2))
+        with pytest.raises(ValueError, match="d_values must name at least one dimension, got none"):
+            ExperimentSpec(name="x", variant="ds", d_values=())
         # Entries above max(d) are dropped per d, as p_values_for does.
         spec = ExperimentSpec(name="x", variant="ds", d_values=(4, 8), p_rule=(2, 6, 9))
         assert [p_values_for(d, spec.p_rule) for d in spec.d_values] == [(2,), (2, 6)]
@@ -102,6 +105,40 @@ class TestSpec:
     def test_out_of_range_seed_is_refused_when_built(self, seed):
         with pytest.raises(ValueError, match=f"seed must be a 64-bit unsigned integer, got {seed}"):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), seed=seed)
+
+
+# Every public entry point that takes a replicate count, called with n_sims.
+REPLICATE_COUNT_ENTRY_POINTS = {
+    "estimate-reduced": lambda n: montecarlo.estimate("ds", 2, 8, n, RngStream(0)),
+    "estimate-full-basis": lambda n: montecarlo.estimate(
+        "ds", 2, 8, n, RngStream(0), "full-basis"
+    ),
+    "estimates": lambda n: estimates("mb", (1, 2), 8, n, RngStream(0)),
+    "full_basis_estimates": lambda n: montecarlo.full_basis_estimates(2, 8, n, RngStream(0)),
+    "paired_ratio_gap": lambda n: montecarlo.paired_ratio_gap(
+        "ds", 1, 2, 8, 1.0, n, RngStream(0)
+    ),
+    "replicate_decreases": lambda n: montecarlo.replicate_decreases("mb", 2, 8, n, RngStream(0)),
+    "ExperimentSpec": lambda n: ExperimentSpec(
+        name="ds-vary-d", variant="ds", d_values=(8,), n_sims=n
+    ),
+    "run_verify": lambda n: run_verify(n_sims=n),
+    "gate_optimizer_behavior": lambda n: gate_optimizer_behavior(n_sims=n),
+}
+
+
+@pytest.mark.parametrize("n_sims", [True, 1.5, 0, 1, -1])
+@pytest.mark.parametrize("entry", list(REPLICATE_COUNT_ENTRY_POINTS))
+def test_bad_replicate_count_is_refused_before_any_draw(monkeypatch, entry, n_sims):
+    # A standard error needs two replicates, so every entry point refuses a
+    # count below 2, or one that is not an integer, before it makes a generator.
+    made = []
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: made.append(self) or generator(self))
+    message = rf"n_sims must be .*, got {re.escape(repr(n_sims))}$"
+    with pytest.raises(ValueError, match=message):
+        REPLICATE_COUNT_ENTRY_POINTS[entry](n_sims)
+    assert made == []
 
 
 class TestGridRows:

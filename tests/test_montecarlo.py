@@ -107,7 +107,8 @@ class TestReplicates:
             paired_ratio_gap("ds", 1, 2, 10, 1.0, n_sims, RngStream(0))
 
     def test_zero_replicates_keep_their_message(self):
-        with pytest.raises(ValueError, match="need at least one replicate, got 0"):
+        message = "n_sims must be at least 2 for a standard error, got 0"
+        with pytest.raises(ValueError, match=message):
             estimate("ds", 2, 10, 0, RngStream(0))
 
 

@@ -717,7 +717,7 @@ class TestDriver:
             run_driver(
                 linear_objective(g), np.zeros(5), DriverConfig(p=1, max_evaluations=10), RngStream(0)
             )
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(InvalidDimensionError, match="need 1 <= p <= d, got p=5, d=4"):
             run_driver(
                 linear_objective(g), np.zeros(4), DriverConfig(p=5, max_evaluations=10), RngStream(0)
             )
