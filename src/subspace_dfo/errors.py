@@ -1,6 +1,7 @@
 """Exception types and the input checks shared across the package."""
 
 import numbers
+from collections.abc import Iterable
 
 
 def _is_int(value: object) -> bool:
@@ -23,6 +24,23 @@ def _check_cores(cores: object) -> None:
     """Raise a ``DomainError`` unless the core count ``cores`` is an integer >= 1."""
     if not _is_int(cores) or cores < 1:
         raise DomainError(f"core count must be a positive integer, got {cores!r}")
+
+
+def _int_list(values: object, what: str) -> tuple[int, ...]:
+    """``values``, any iterable but a string, read once as a tuple of distinct
+    positive ints, or a ValueError naming ``what`` that shows a list or tuple
+    as given and an iterator as the tuple read from it."""
+    read = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else None
+    shown = values if read is None or isinstance(values, (list, tuple)) else read
+    if read is None or not all(_is_int(v) for v in read):
+        raise ValueError(f"{what} must be a list of integers, got {shown!r}")
+    if not read:
+        raise ValueError(f"{what} must name at least one value, got none")
+    if min(read) < 1:
+        raise ValueError(f"{what} must be positive, got {read}")
+    if len(set(read)) < len(read):
+        raise ValueError(f"{what} must not repeat a value, got {shown!r}")
+    return tuple(int(v) for v in read)
 
 
 def _check_nsims(n_sims: object) -> None:

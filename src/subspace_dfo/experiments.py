@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from . import __version__
-from .errors import InvalidDimensionError, _check_cores, _check_nsims, _check_positive, _is_int
+from .errors import InvalidDimensionError, _check_nsims, _check_positive, _int_list
 from .formulas import (
     VARIANTS,
     Variant,
@@ -68,6 +68,8 @@ METRIC_EVALUATION = "per-evaluation"
 METHOD_MC = "mc"
 METHOD_EXACT = "exact"
 METHOD_ASYMPTOTIC = "asymptotic"
+# The methods a grid's ``ExperimentSpec.include`` may select.
+METHODS = (METHOD_EXACT, METHOD_MC, METHOD_ASYMPTOTIC)
 
 FIGURE_NAMES = (
     "ds-vary-d",
@@ -157,15 +159,6 @@ def write_manifest(path: str | Path, payload: dict) -> None:
     )
 
 
-def _int_tuple(key: str, values: object) -> tuple[int, ...]:
-    """``values`` as a tuple of distinct ints, or a ValueError that names ``key``."""
-    if not isinstance(values, (list, tuple)) or not all(_is_int(v) for v in values):
-        raise ValueError(f"{key} must be a list of integers, got {values!r}")
-    if len(set(values)) < len(values):
-        raise ValueError(f"{key} must not repeat a value, got {values!r}")
-    return tuple(int(v) for v in values)
-
-
 @dataclass
 class ExperimentSpec:
     """Declarative description of a reproduction grid.
@@ -173,9 +166,9 @@ class ExperimentSpec:
     ``p_rule`` is either an explicit tuple of subspace dimensions or the
     string ``"standard"`` meaning {1, 2, d/2, d} per ambient dimension (integer
     division; duplicates collapse).  ``outputs`` is the rows' metric,
-    ``METRIC_ITERATION`` or ``METRIC_EVALUATION``; ``include`` selects methods.
-    ``d_values`` (not empty) and an explicit ``p_rule`` repeat no value, and
-    ``include`` names at least one method, so every row of a grid is emitted
+    ``METRIC_ITERATION`` or ``METRIC_EVALUATION``; ``include`` names at least
+    one of the ``METHODS`` (a repeat selects its rows once).  ``d_values`` and
+    an explicit ``p_rule`` follow ``errors._int_list``, so every row is emitted
     once.  ``n_sims`` (>= 2) and ``seed`` are checked when the spec is built.
     """
 
@@ -186,22 +179,16 @@ class ExperimentSpec:
     n_sims: int = DEFAULT_NSIMS
     seed: int = DEFAULT_SEED
     outputs: str = METRIC_ITERATION
-    include: tuple[str, ...] = ("formula", "monte-carlo", "asymptotic")
+    include: tuple[str, ...] = METHODS
 
     def __post_init__(self) -> None:
         Variant.named(self.variant)
-        self.d_values = _int_tuple("d_values", self.d_values)
-        if not self.d_values:
-            raise ValueError("d_values must name at least one dimension, got none")
-        if any(d < 1 for d in self.d_values):
-            raise ValueError(f"d_values must be positive, got {self.d_values}")
+        self.d_values = _int_list(self.d_values, "d_values")
         if isinstance(self.p_rule, str):
             if self.p_rule != "standard":
                 raise ValueError(f"unknown p rule {self.p_rule!r}")
         else:
-            self.p_rule = _int_tuple("p_rule", self.p_rule)
-            if any(p < 1 for p in self.p_rule):
-                raise ValueError(f"p values must be positive, got {self.p_rule}")
+            self.p_rule = _int_list(self.p_rule, "p_rule")
             # Each d runs the p values up to d (see p_values_for).
             top = max(self.d_values)
             if all(p > top for p in self.p_rule):
@@ -211,15 +198,15 @@ class ExperimentSpec:
         if self.outputs not in (METRIC_ITERATION, METRIC_EVALUATION):
             raise ValueError(f"unknown outputs selector {self.outputs!r}")
         if not isinstance(self.include, (list, tuple)) or not all(
-            isinstance(flag, str) for flag in self.include
+            isinstance(method, str) for method in self.include
         ):
             raise ValueError(f"include must be a list of method names, got {self.include!r}")
         self.include = tuple(self.include)
         if not self.include:
             raise ValueError("include must name at least one method, got none")
-        unknown = set(self.include) - {"formula", "monte-carlo", "asymptotic"}
+        unknown = set(self.include) - set(METHODS)
         if unknown:
-            raise ValueError(f"unknown include flags {sorted(unknown)}")
+            raise ValueError(f"unknown include methods {sorted(unknown)}; methods are {METHODS}")
 
     def merged(self, config: object, **flags) -> "ExperimentSpec":
         """This spec with the keys of ``config``, then the ``flags`` that are
@@ -286,11 +273,12 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     record = Variant.named(spec.variant)
     base = RngStream(spec.seed)
     metric = spec.outputs
+    formula_of = {METHOD_EXACT: record.exact, METHOD_ASYMPTOTIC: record.asymptotic}
     rows: list[ResultRow] = []
     for d in spec.d_values:
         ps = p_values_for(d, spec.p_rule)
         mc = {}
-        if ps and "monte-carlo" in spec.include:
+        if ps and METHOD_MC in spec.include:
             row = row_stream(base, spec.variant, d)
             mc = dict(zip(ps, estimates(spec.variant, ps, d, spec.n_sims, row)))
         for p in ps:
@@ -304,14 +292,10 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
                         est.std_error / scale, spec.n_sims, spec.seed,
                     )
                 )
-            values = {}
-            if "formula" in spec.include:
-                values[METHOD_EXACT] = record.exact(p, d)
-            if "asymptotic" in spec.include:
-                values[METHOD_ASYMPTOTIC] = record.asymptotic(p, d)
             rows += [
-                ResultRow(spec.variant, d, p, method, metric, value / scale)
-                for method, value in values.items()
+                ResultRow(spec.variant, d, p, method, metric, formula(p, d) / scale)
+                for method, formula in formula_of.items()
+                if method in spec.include
             ]
     return rows
 
@@ -327,11 +311,11 @@ def default_figure_spec(
     if vary_p:
         d_values: tuple[int, ...] = (D_VARY_P,)
         p_rule: tuple[int, ...] | str = P_LIST_VARY_P
-        include: tuple[str, ...] = ("formula", "monte-carlo")
+        include: tuple[str, ...] = (METHOD_EXACT, METHOD_MC)
     else:
         d_values = D_GRID
         p_rule = "standard"
-        include = ("formula", "monte-carlo", "asymptotic")
+        include = METHODS
     return ExperimentSpec(
         name=name,
         variant=variant,
@@ -357,18 +341,12 @@ def run_parallel_sweep(
 
     Returns the rows and ``ties``: ``ties[c]`` holds, in grid order, every
     grid point within 1e-12 of the largest value at c cores, so ``ties[c][0]``
-    is the argmax.  ``cores_list`` is read once, so an iterator works; an
-    empty or repeated core count list is refused.
+    is the argmax.  ``cores_list`` is read once, so an iterator works, and
+    follows ``errors._int_list``: not empty, positive, no repeat.
     """
     record = Variant.named(variant)
     _check_positive(d, "dimension")
-    cores_list = tuple(cores_list)
-    if not cores_list:
-        raise ValueError("core counts must name at least one count, got ()")
-    for cores in cores_list:
-        _check_cores(cores)
-    if len(set(cores_list)) < len(cores_list):
-        raise ValueError(f"core counts must not repeat a value, got {cores_list!r}")
+    cores_list = _int_list(cores_list, "core counts")
     rows: list[ResultRow] = []
     ties: dict[int, tuple[int, ...]] = {}
     for cores in cores_list:

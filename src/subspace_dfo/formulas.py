@@ -194,6 +194,7 @@ class Variant:
 
     def sweep_step(self, cores: int) -> int:
         """Spacing of the sweep's p grid: the directions one round covers."""
+        _check_cores(cores)
         return max(cores // self.points, 1)
 
 

@@ -294,8 +294,9 @@ def estimate(
 def estimates(
     variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream
 ) -> tuple[Estimate, ...]:
-    """Reduced-mode estimates for each p in ps, in ps order, all scored on
-    one draw from ``rng``.
+    """Reduced-mode estimates for each p in ps (read once, so an iterator
+    works; a repeated p gets the same estimate twice), in ps order, all
+    scored on one draw from ``rng``.
 
     The draw depends on d and on ps: polling draws the first max(ps)
     coordinates, the model step one chi-square per gap between sorted cut

@@ -113,15 +113,15 @@ class DriverConfig:
         if self.p < 1:
             raise InvalidDimensionError(f"subspace dimension must be positive, got {self.p}")
         if self.max_evaluations < 0:
-            raise ValueError("evaluation budget cannot be negative")
+            raise ValueError(f"max_evaluations cannot be negative, got {self.max_evaluations}")
         for key in ("initial_step", "expand_factor", "contract_factor", "min_step"):
             value = getattr(self, key)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{key} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise DomainError(f"{key} must be finite, got {value!r}")
-        if self.initial_step <= 0.0 or self.min_step <= 0.0:
-            raise DomainError("step sizes must be positive")
+            if key in ("initial_step", "min_step") and value <= 0.0:
+                raise DomainError(f"{key} must be positive, got {value!r}")
         if not (0.0 < self.contract_factor < 1.0):
             raise DomainError(f"contract factor must be in (0, 1), got {self.contract_factor}")
         if self.expand_factor < 1.0:
@@ -308,11 +308,9 @@ def run_driver(
     """
     x = np.asarray(x0, dtype=float)
     d = objective.dimension
-    if x.shape != (d,):
-        raise InvalidDimensionError(f"x0 has shape {x.shape}, objective expects ({d},)")
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
-        raise DomainError(f"x0 must be finite, got {x[bad[0]]} at coordinate {bad[0]}")
+        raise DomainError(f"x0 must be finite, got {x.flat[bad[0]]} at coordinate {bad[0]}")
     _check_pd(config.p, d)
 
     fx = objective(x)

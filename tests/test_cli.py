@@ -116,7 +116,7 @@ def test_figure_config_file_with_flag_override(tmp_path):
         "d_values": [8],
         "p_rule": [1, 2],
         "n_sims": 150,
-        "include": ["formula", "monte-carlo"],
+        "include": ["exact", "mc"],
     }
     cfg_path = tmp_path / "spec.json"
     cfg_path.write_text(json.dumps(config))
@@ -130,6 +130,7 @@ def test_figure_config_file_with_flag_override(tmp_path):
     manifest = json.loads((tmp_path / "ds-vary-d.manifest.json").read_text())
     assert manifest["spec"]["n_sims"] == 150
     assert manifest["spec"]["seed"] == 7
+    assert manifest["spec"]["include"] == ["exact", "mc"]
 
 
 def test_figure_parallel_sweep_reports_argmax(tmp_path):
@@ -290,10 +291,13 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
         ({**SPEC, "p_rule": [1, 2, 1]}, "p_rule must not repeat a value, got [1, 2, 1]"),
         ({**SPEC, "seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
         ({**SPEC, "seed": 2**64}, f"seed must be a 64-bit unsigned integer, got {2**64}"),
-        ({**SPEC, "d_values": []}, "d_values must name at least one dimension, got none"),
+        ({**SPEC, "d_values": []}, "d_values must name at least one value, got none"),
         ({**SPEC, "outputs": "decrease"},
          "config outputs 'decrease' disagrees with figure ds-vary-d, "
          "whose outputs is per-iteration"),
+        ({**SPEC, "p_rule": []}, "p_rule must name at least one value, got none"),
+        ({**SPEC, "include": ["formula"]},
+         "unknown include methods ['formula']; methods are ('exact', 'mc', 'asymptotic')"),
     ],
 )
 def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):
@@ -344,12 +348,25 @@ def test_figure_unreadable_config_file_is_named(tmp_path, capsys, content, reaso
     assert f"cannot read --config {path}: " in err and reason in err
 
 
-@pytest.mark.parametrize("cores", ["0", "x", "2,-1"])
-def test_parallel_sweep_bad_core_count_names_flag(tmp_path, capsys, cores):
-    with pytest.raises(SystemExit) as exc:
-        main(["figure", "parallel-sweep", "--cores-model", cores, "--out", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "argument --cores-model: expected core counts >= 1" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "cores,message",
+    [
+        ("0", "error: core counts must be positive, got (0,)"),
+        ("x", "argument --cores-model: expected integers such as 2,4,8, got 'x'"),
+        ("2,-1", "error: core counts must be positive, got (2, -1)"),
+        ("2,,4", "argument --cores-model: expected integers such as 2,4,8, got '2,,4'"),
+    ],
+    ids=["0", "x", "2,-1", "2,,4"],
+)
+def test_parallel_sweep_bad_core_count_names_flag(tmp_path, capsys, cores, message):
+    # argparse refuses a token that is not an integer; the sweep refuses the list.
+    try:
+        code = main(["figure", "parallel-sweep", "--cores-model", cores, "--out", str(tmp_path)])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "parallel-sweep.csv").exists()
 
 
 @pytest.mark.parametrize(

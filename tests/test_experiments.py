@@ -93,10 +93,11 @@ class TestSpec:
                 ExperimentSpec(name="x", variant="ds", d_values=(8,), outputs=outputs)
         with pytest.raises(ValueError, match="no p value is at most max"):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(9,))
-        with pytest.raises(ValueError, match="p values must be positive"):
+        with pytest.raises(ValueError, match=re.escape("p_rule must be positive, got (0, 2)")):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(0, 2))
-        with pytest.raises(ValueError, match="d_values must name at least one dimension, got none"):
-            ExperimentSpec(name="x", variant="ds", d_values=())
+        for key in ("d_values", "p_rule"):
+            with pytest.raises(ValueError, match=f"{key} must name at least one value, got none"):
+                ExperimentSpec(**{"name": "x", "variant": "ds", "d_values": (8,), key: ()})
         # Entries above max(d) are dropped per d, as p_values_for does.
         spec = ExperimentSpec(name="x", variant="ds", d_values=(4, 8), p_rule=(2, 6, 9))
         assert [p_values_for(d, spec.p_rule) for d in spec.d_values] == [(2,), (2, 6)]
@@ -197,7 +198,7 @@ class TestGridRows:
             p_rule=(1, 2, 3, 10, 64),
             n_sims=2000,
             seed=1,
-            include=("formula", "monte-carlo"),
+            include=("exact", "mc"),
         )
         rows = run_named_figure(spec)
         exact = {r.p: r.value for r in rows if r.method == "exact"}
@@ -214,7 +215,7 @@ class TestGridRows:
             p_rule=(1, 200),
             n_sims=1000,
             seed=0,
-            include=("monte-carlo",),
+            include=("mc",),
         )
         rows = run_named_figure(spec)
         top = [r for r in rows if r.p == 200]
@@ -230,7 +231,7 @@ class TestGridRows:
             p_rule=(1, 2),
             n_sims=10_000,
             seed=0,
-            include=("monte-carlo",),
+            include=("mc",),
         )
         rows = run_named_figure(spec)
         by_p = {r.p: r for r in rows}
@@ -247,7 +248,7 @@ class TestGridRows:
             p_rule="standard",
             n_sims=500,
             seed=0,
-            include=("monte-carlo",),
+            include=("mc",),
         )
         rows = run_named_figure(spec)
         top = next(r for r in rows if r.p == 1024)
@@ -258,8 +259,9 @@ class TestGridRows:
         spec = default_figure_spec("mb-perfev-vary-d")
         assert spec.variant == "mb" and spec.outputs == "per-evaluation"
         assert spec.d_values == (8, 16, 32, 64, 128, 256, 512, 1024)
+        assert spec.include == ("exact", "mc", "asymptotic")
         spec = default_figure_spec("ds-vary-p")
-        assert spec.d_values == (1000,)
+        assert spec.d_values == (1000,) and spec.include == ("exact", "mc")
         with pytest.raises(ValueError):
             default_figure_spec("parallel-sweep")
 
@@ -333,7 +335,7 @@ class TestFigureRowDraws:
         # blocks go to worker threads when two CPUs are usable.
         spec = ExperimentSpec(
             name="ds-vary-p", variant="ds", d_values=(200,), p_rule=(20, 1, 200, 5),
-            n_sims=montecarlo._BLOCK + 100, seed=2, include=("monte-carlo",),
+            n_sims=montecarlo._BLOCK + 100, seed=2, include=("mc",),
         )
         calls = self._spy_scores(monkeypatch)
         texts = {}
@@ -441,12 +443,12 @@ class TestParallelSweep:
         "d, cores, error, message",
         [
             (16.5, (2,), InvalidDimensionError, "dimension must be a positive integer, got 16.5"),
-            (16, (2.5,), DomainError, "core count must be a positive integer, got 2.5"),
-            (16, (4, True), DomainError, "core count must be a positive integer, got True"),
+            (16, (2.5,), ValueError, "core counts must be a list of integers, got (2.5,)"),
+            (16, (4, True), ValueError, "core counts must be a list of integers, got (4, True)"),
         ],
     )
     def test_non_integer_inputs_are_named(self, d, cores, error, message):
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=re.escape(message)):
             run_parallel_sweep("ds", d, cores)
 
     def test_repeated_core_count_is_refused(self, tmp_path, capsys):
@@ -460,11 +462,13 @@ class TestParallelSweep:
 
     def test_core_counts_are_read_once(self):
         assert run_parallel_sweep("ds", 64, iter((2, 4))) == run_parallel_sweep("ds", 64, (2, 4))
-        with pytest.raises(ValueError, match=re.escape("at least one count, got ()")):
+        with pytest.raises(ValueError, match="core counts must name at least one value, got none"):
             run_parallel_sweep("ds", 64, ())
-        # A bad count is named before a repeat is.
-        with pytest.raises(DomainError, match="core count must be a positive integer, got 0"):
+        # A bad count is named before a repeat is, and an iterator as the tuple read.
+        with pytest.raises(ValueError, match=re.escape("core counts must be positive, got (0, 0)")):
             run_parallel_sweep("ds", 64, iter((0, 0)))
+        with pytest.raises(ValueError, match=re.escape("must not repeat a value, got (2, 2)")):
+            run_parallel_sweep("ds", 64, iter((2, 2)))
 
     @pytest.mark.parametrize("d", [0, -3])
     def test_non_positive_dimension_is_named(self, d):

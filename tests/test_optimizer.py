@@ -4,6 +4,7 @@ driver behavior."""
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -713,10 +714,11 @@ class TestDriver:
 
     def test_dimension_mismatch(self):
         g = sample_unit_vector(4, RngStream(0))
-        with pytest.raises(InvalidDimensionError):
-            run_driver(
-                linear_objective(g), np.zeros(5), DriverConfig(p=1, max_evaluations=10), RngStream(0)
-            )
+        objective = linear_objective(g)
+        # The handle refuses the point before it calls the function or counts it.
+        with pytest.raises(InvalidDimensionError, match=re.escape("length 4, got shape (5,)")):
+            run_driver(objective, np.zeros(5), DriverConfig(p=1, max_evaluations=10), RngStream(0))
+        assert objective.eval_count == 0
         with pytest.raises(InvalidDimensionError, match="need 1 <= p <= d, got p=5, d=4"):
             run_driver(
                 linear_objective(g), np.zeros(4), DriverConfig(p=5, max_evaluations=10), RngStream(0)
