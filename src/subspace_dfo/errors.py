@@ -1,7 +1,7 @@
 """Exception types and the input checks shared across the package."""
 
 import numbers
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 
 def _is_int(value: object) -> bool:
@@ -26,12 +26,18 @@ def _check_cores(cores: object) -> None:
         raise DomainError(f"core count must be a positive integer, got {cores!r}")
 
 
-def _int_list(values: object, what: str) -> tuple[int, ...]:
+def _int_list(
+    values: object, what: str, check: Callable[[object], None] | None = None
+) -> tuple[int, ...]:
     """``values``, any iterable but a string, read once as a tuple of distinct
     positive ints, or a ValueError naming ``what`` that shows a list or tuple
-    as given and an iterator as the tuple read from it."""
+    as given and an iterator as the tuple read from it.  A ``check`` given,
+    a rule for one value with its own error, runs on each value first."""
     read = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else None
     shown = values if read is None or isinstance(values, (list, tuple)) else read
+    if check is not None:
+        for value in read or ():
+            check(value)
     if read is None or not all(_is_int(v) for v in read):
         raise ValueError(f"{what} must be a list of integers, got {shown!r}")
     if not read:

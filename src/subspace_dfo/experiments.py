@@ -5,11 +5,11 @@ the same spec and seed produces byte-identical output.  ``to_csv`` writes
 every table (``ResultRow``, ``optimizer.TraceRecord``, ``GateResult``) under a
 header of its record type's field names; a cell is empty for None, ``pass`` or
 ``FAIL`` for a bool, a float at 17 significant digits, and otherwise ``str``
-with ``,`` written ``;``.  A figure row, every p of one (variant, d), is
-scored on one draw from a child stream keyed by (variant, d), so its values
-depend on (variant, d) and on the row's p set: for polling only on the
-largest p, for the model step on every cut point.  A gate cell draws its own
-stream, keyed by (variant, p, d).
+with ``,`` written ``;``.  A figure's Monte Carlo cells, every (p, d) of one
+variant, are scored on one draw from a child stream keyed by (variant,
+max d): a cell at d reads the draw's first d coordinates.  So a cell's value
+depends on the whole grid, not on its (p, d) alone.  A gate cell draws its
+own stream, keyed by (variant, p, d).
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
-from .errors import InvalidDimensionError, _check_nsims, _check_positive, _int_list
+from .errors import InvalidDimensionError, _check_cores, _check_nsims, _check_positive, _int_list
 from .formulas import (
     VARIANTS,
     Variant,
@@ -167,9 +167,10 @@ class ExperimentSpec:
     string ``"standard"`` meaning {1, 2, d/2, d} per ambient dimension (integer
     division; duplicates collapse).  ``outputs`` is the rows' metric,
     ``METRIC_ITERATION`` or ``METRIC_EVALUATION``; ``include`` names at least
-    one of the ``METHODS`` (a repeat selects its rows once).  ``d_values`` and
-    an explicit ``p_rule`` follow ``errors._int_list``, so every row is emitted
-    once.  ``n_sims`` (>= 2) and ``seed`` are checked when the spec is built.
+    one of the ``METHODS``, none twice.  ``d_values``, an explicit ``p_rule``
+    and ``include`` are read once, so an iterator works; ``d_values`` and
+    ``p_rule`` follow ``errors._int_list``, so every row is emitted once.
+    ``n_sims`` (>= 2) and ``seed`` are checked when the spec is built.
     """
 
     name: str
@@ -197,16 +198,19 @@ class ExperimentSpec:
         RngStream(self.seed)  # refuses a bad seed before any draw
         if self.outputs not in (METRIC_ITERATION, METRIC_EVALUATION):
             raise ValueError(f"unknown outputs selector {self.outputs!r}")
-        if not isinstance(self.include, (list, tuple)) or not all(
-            isinstance(method, str) for method in self.include
-        ):
-            raise ValueError(f"include must be a list of method names, got {self.include!r}")
-        self.include = tuple(self.include)
-        if not self.include:
+        if isinstance(self.include, Iterator):
+            self.include = tuple(self.include)  # read once, and shown as read
+        include = self.include
+        if not isinstance(include, (list, tuple)) or not all(isinstance(m, str) for m in include):
+            raise ValueError(f"include must be a list of method names, got {include!r}")
+        if not include:
             raise ValueError("include must name at least one method, got none")
-        unknown = set(self.include) - set(METHODS)
+        unknown = set(include) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown include methods {sorted(unknown)}; methods are {METHODS}")
+        if len(set(include)) < len(include):
+            raise ValueError(f"include must not repeat a method, got {include!r}")
+        self.include = tuple(include)
 
     def merged(self, config: object, **flags) -> "ExperimentSpec":
         """This spec with the keys of ``config``, then the ``flags`` that are
@@ -249,15 +253,18 @@ def cell_stream(base: RngStream, variant: str, p: int, d: int) -> RngStream:
 
 
 # How a figure draws its Monte Carlo rows; recorded in every figure manifest.
-FIGURE_MC_DRAWS = "one draw per (variant, d) row, scored at every p"
+FIGURE_MC_DRAWS = (
+    "one draw per figure, from the row stream of its largest d; a cell at d reads its first d "
+    "coordinates"
+)
 
 
 def row_stream(base: RngStream, variant: str, d: int) -> RngStream:
-    """Child stream for one figure row, every p of (variant, d) on one draw.
+    """Child stream keyed by (variant, d); a figure draws all its cells from
+    the one at its largest d.
 
     It is the cell stream at p = 0, which is never a cell, so it differs from
-    every cell stream.  The row's values also depend on its p set: for
-    polling only on the largest p, for the model step on every cut point.
+    every cell stream.
     """
     return cell_stream(base, variant, 0, d)
 
@@ -266,37 +273,36 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """Rows of a vary-d or vary-p grid: per cell, the methods ``spec.include``
     selects, in the metric ``spec.outputs``.
 
-    The Monte Carlo rows of one d are scored on one draw from that row's
-    stream under RngStream(spec.seed) (see ``row_stream``), so reruns with
-    the same spec are bit-identical.  A d with no p draws nothing.
+    Every Monte Carlo cell is scored by one ``estimates`` call on the row
+    stream of the largest d under RngStream(spec.seed) (see ``row_stream``),
+    so reruns with the same spec are bit-identical.  A d with no p draws
+    nothing.
     """
     record = Variant.named(spec.variant)
-    base = RngStream(spec.seed)
     metric = spec.outputs
     formula_of = {METHOD_EXACT: record.exact, METHOD_ASYMPTOTIC: record.asymptotic}
+    cells = [(p, d) for d in spec.d_values for p in p_values_for(d, spec.p_rule)]
+    mc = {}
+    if METHOD_MC in spec.include:
+        stream = row_stream(RngStream(spec.seed), spec.variant, max(spec.d_values))
+        mc = dict(zip(cells, estimates(spec.variant, cells, spec.n_sims, stream)))
     rows: list[ResultRow] = []
-    for d in spec.d_values:
-        ps = p_values_for(d, spec.p_rule)
-        mc = {}
-        if ps and METHOD_MC in spec.include:
-            row = row_stream(base, spec.variant, d)
-            mc = dict(zip(ps, estimates(spec.variant, ps, d, spec.n_sims, row)))
-        for p in ps:
-            # Per-evaluation rows divide by the evaluations of one iteration.
-            scale = 1.0 if metric == METRIC_ITERATION else record.rounds(p, 1)
-            if p in mc:
-                est = mc[p]
-                rows.append(
-                    ResultRow(
-                        spec.variant, d, p, METHOD_MC, metric, est.mean / scale,
-                        est.std_error / scale, spec.n_sims, spec.seed,
-                    )
+    for p, d in cells:
+        # Per-evaluation rows divide by the evaluations of one iteration.
+        scale = 1.0 if metric == METRIC_ITERATION else record.rounds(p, 1)
+        if (p, d) in mc:
+            est = mc[p, d]
+            rows.append(
+                ResultRow(
+                    spec.variant, d, p, METHOD_MC, metric, est.mean / scale,
+                    est.std_error / scale, spec.n_sims, spec.seed,
                 )
-            rows += [
-                ResultRow(spec.variant, d, p, method, metric, formula(p, d) / scale)
-                for method, formula in formula_of.items()
-                if method in spec.include
-            ]
+            )
+        rows += [
+            ResultRow(spec.variant, d, p, method, metric, formula(p, d) / scale)
+            for method, formula in formula_of.items()
+            if method in spec.include
+        ]
     return rows
 
 
@@ -342,11 +348,12 @@ def run_parallel_sweep(
     Returns the rows and ``ties``: ``ties[c]`` holds, in grid order, every
     grid point within 1e-12 of the largest value at c cores, so ``ties[c][0]``
     is the argmax.  ``cores_list`` is read once, so an iterator works, and
-    follows ``errors._int_list``: not empty, positive, no repeat.
+    follows ``errors._int_list``: not empty and no repeat, with each count
+    refused as ``Variant.rounds`` refuses it.
     """
     record = Variant.named(variant)
     _check_positive(d, "dimension")
-    cores_list = _int_list(cores_list, "core counts")
+    cores_list = _int_list(cores_list, "core counts", _check_cores)
     rows: list[ResultRow] = []
     ties: dict[int, tuple[int, ...]] = {}
     for cores in cores_list:

@@ -12,7 +12,8 @@ alike.  Two sampling modes exist:
   with independent chi-square parts, polling draws p normals plus one
   chi-square tail (O(p) per replicate), and the model step, which reads
   only the two squared norms, draws one chi-square each (O(1)).  At p = d
-  the tail is exactly zero.
+  the tail is exactly zero.  Many (p, d) cells can share one draw: a
+  Gaussian z in R^max(d), whose first d coordinates are a Gaussian in R^d.
 * ``full-basis`` draws the basis as well and scores the projected gradient,
   reproducing the raw two-sample definition.  The basis enters only through
   its p Householder reflections, each drawn fresh and applied to the
@@ -43,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -80,29 +82,30 @@ class Estimate:
     std_error: float
 
 
-def _check_cell(p: int, d: int, n_sims: int) -> None:
-    _check_pd(p, d)
-    _check_nsims(n_sims)
-
-
 def _row_norms(x: np.ndarray) -> np.ndarray:
     # einsum sums the row products without an x * x temporary.
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
-def _polling_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
-    """Largest |z_i| over i <= p, over ||z||, for each p in ps on the same draws.
+def _polling_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) -> None:
+    """Largest |z_i| over i <= p, over ||z_{1:d}||, for each (p, d) cell, into
+    the rows of ``out`` (one column per replicate), all on one draw of z.
 
-    Draws the first max(ps) coordinates of z in row chunks of at most
-    ``_CHUNK`` values (or one row), all into one buffer, then the squared
-    norm of the rest as one chi-square with d - max(ps) degrees of freedom:
-    twice a Gamma((d - max(ps))/2) draw, which numpy returns as exactly 0
-    for shape 0.  Chunks end on whole rows and the buffer fills with the
-    values a fresh array would hold, so the chunk size changes no value.
+    Draws the first max(p) coordinates of z in row chunks of at most
+    ``_CHUNK`` values (or one row), all into one buffer.  A d below that
+    head width reads its squared norm off the head's first d columns.  The
+    d at or above it add, in increasing order, one chi-square piece per gap
+    from the head width: twice a Gamma(gap/2) draw, which numpy returns as
+    exactly 0, drawing nothing, for shape 0.  Chunks end on whole rows and
+    the buffer fills with the values a fresh array would hold, so the chunk
+    size changes no value.
     """
-    cuts = sorted(set(ps))
+    m = out.shape[1]
+    cuts = sorted({p for p, _ in cells})
+    dims = sorted({d for _, d in cells})
     top = cuts[-1]
-    head_sq = np.empty(m)
+    widths = [d for d in dims if d < top] + [top]
+    head_sq = np.empty((len(widths), m))
     peaks = np.empty((len(cuts), m))
     rows = min(m, max(1, _CHUNK // top))
     buf = np.empty((rows, top))
@@ -110,7 +113,8 @@ def _polling_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: in
         head = buf[: min(rows, m - lo)]
         gen.standard_normal(out=head)
         # einsum sums the row products without a head * head temporary.
-        head_sq[lo : lo + rows] = np.einsum("ij,ij->i", head, head)
+        for sq, width in zip(head_sq, widths):
+            sq[lo : lo + rows] = np.einsum("ij,ij->i", head[:, :width], head[:, :width])
         np.abs(head, out=head)
         # A running max over the sorted cut points reads each column once;
         # |x| and max are exact, so each peak is the float a direct max gives.
@@ -119,32 +123,36 @@ def _polling_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: in
             head[:, start:stop].max(axis=1, out=peak)
             if j:
                 np.maximum(peak, peaks[j - 1, lo : lo + rows], out=peak)
-    norm = np.sqrt(head_sq + 2.0 * gen.standard_gamma((d - top) / 2.0, m))
-    return [peaks[cuts.index(p)] / norm for p in ps]
+    norm_sq = dict(zip(widths, head_sq))
+    above = [d for d in dims if d >= top]
+    for lo, hi in zip([top] + above, above):
+        norm_sq[hi] = norm_sq[lo] + 2.0 * gen.standard_gamma((hi - lo) / 2.0, m)
+    for row, (p, d) in zip(out, cells):
+        np.divide(peaks[cuts.index(p)], np.sqrt(norm_sq[d]), out=row)
 
 
-def _model_scores(gen: np.random.Generator, m: int, ps: tuple[int, ...], d: int) -> list:
-    """||z_{1:p}|| / ||z|| for each p in ps on the same draws.
+def _model_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) -> None:
+    """||z_{1:p}|| / ||z_{1:d}|| for each (p, d) cell, into the rows of
+    ``out``, all on one draw of z.
 
     The score reads z only through squared norms, so each replicate draws
-    one chi-square piece per gap between sorted cut points (in increasing
-    order) and one chi-square tail for the d - max(ps) coordinates beyond.
-    A zero-width piece or tail is exactly 0, so p = d scores exactly 1 and
-    equal cut points score the same float.
+    one chi-square piece per gap between the sorted points of every p and
+    d, in increasing order.  Equal points draw nothing (numpy returns
+    exactly 0 for shape 0), so p = d scores exactly 1.
     """
-    cuts = sorted(ps)
-    head_sq = {}
-    total = np.zeros(m)
-    for lo, hi in zip([0] + cuts, cuts):
-        total = total + 2.0 * gen.standard_gamma((hi - lo) / 2.0, m)
-        head_sq[hi] = total
-    norm_sq = total + 2.0 * gen.standard_gamma((d - max(ps)) / 2.0, m)
-    return [np.sqrt(head_sq[p] / norm_sq) for p in ps]
+    m = out.shape[1]
+    points = sorted({n for cell in cells for n in cell})
+    norm_sq = {0: np.zeros(m)}
+    for lo, hi in zip([0] + points, points):
+        norm_sq[hi] = norm_sq[lo] + 2.0 * gen.standard_gamma((hi - lo) / 2.0, m)
+    for row, (p, d) in zip(out, cells):
+        np.sqrt(norm_sq[p] / norm_sq[d], out=row)
 
 
-def _full_basis_scores(gen: np.random.Generator, m: int, ps: tuple[int], d: int) -> np.ndarray:
+def _full_basis_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) -> None:
     """Each variant's norm of the unit gradient g projected on a Haar-random
-    basis, one row per variant in ``VARIANTS`` order.
+    basis at the one (p, d) cell, into the rows of ``out`` in ``VARIANTS``
+    order.
 
     The basis Q is never formed.  It is H_1 ... H_p [I_p; 0], a product of
     Householder reflections, and Q^T g is the first p entries of
@@ -163,7 +171,8 @@ def _full_basis_scores(gen: np.random.Generator, m: int, ps: tuple[int], d: int)
     in order.  Rounding can push a norm of the unit projection past 1 (at
     p = d it is 1 up to rounding), so scores are capped at 1.
     """
-    (p,) = ps
+    ((p, d),) = cells
+    m = out.shape[1]
     proj = np.empty((m, p))
     rows = max(1, _CHUNK // d)
     for lo in range(0, m, rows):
@@ -176,8 +185,8 @@ def _full_basis_scores(gen: np.random.Generator, m: int, ps: tuple[int], d: int)
             tail = y[:, k:]
             tail -= 2.0 * np.einsum("ij,ij->i", v, tail)[:, None] * v
         proj[lo : lo + rows] = y[:, :p]
-    scores = np.array([np.linalg.norm(proj, ord=Variant.named(v).norm, axis=1) for v in VARIANTS])
-    return np.minimum(scores, 1.0, out=scores)
+    for row, v in zip(out, VARIANTS):
+        np.minimum(np.linalg.norm(proj, ord=Variant.named(v).norm, axis=1), 1.0, out=row)
 
 
 def _usable_cpus() -> int:
@@ -187,26 +196,19 @@ def _usable_cpus() -> int:
 
 
 def _run_blocks(
-    scores,
-    rows: int,
-    ps: tuple[int, ...],
-    d: int,
-    n_sims: int,
-    rng: RngStream,
-    block: int,
-    draws: int,
+    scores, rows: int, cells: tuple, n_sims: int, rng: RngStream, block: int, draws: int
 ) -> np.ndarray:
     """The ``rows`` rows of scores of n_sims replicates, in blocks of ``block``.
 
-    Each block comes from its own child stream and fills its own columns, on
-    worker threads when the ``draws`` values one block draws repay them.
+    Each block comes from its own child stream and ``scores`` writes its
+    own columns, on worker threads when the ``draws`` values one block draws
+    repay them.
     """
     out = np.empty((rows, n_sims))
 
     def fill(j: int) -> None:
         start = j * block
-        m = min(block, n_sims - start)
-        out[:, start : start + m] = scores(split_stream(rng, j).generator(), m, ps, d)
+        scores(split_stream(rng, j).generator(), cells, out[:, start : start + block])
 
     blocks = -(-n_sims // block)
     workers = min(blocks, _usable_cpus())
@@ -229,30 +231,30 @@ def _full_basis_replicates(p: int, d: int, n_sims: int, rng: RngStream) -> np.nd
 
     Blocks shrink as d p grows, so a costly cell spans several blocks.
     """
-    _check_cell(p, d, n_sims)
+    _check_pd(p, d)
+    _check_nsims(n_sims)
     block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * p)))
     draws = block * (d + p * d - p * (p - 1) // 2)
-    return _run_blocks(_full_basis_scores, len(VARIANTS), (p,), d, n_sims, rng, block, draws)
+    return _run_blocks(_full_basis_scores, len(VARIANTS), ((p, d),), n_sims, rng, block, draws)
 
 
-def _replicates(
-    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream
-) -> np.ndarray:
-    """Reduced-mode replicate values, one row per cut point in ps, scored on
-    common draws."""
+def _replicates(variant: str, cells: Iterable, n_sims: int, rng: RngStream) -> np.ndarray:
+    """Reduced-mode replicate values, one row per (p, d) cell, scored on one
+    draw (see ``estimates``)."""
     norm = Variant.named(variant).norm
-    ps = tuple(ps)
-    if not ps:
-        raise ValueError("need at least one subspace dimension p, got none")
-    for p in ps:
-        _check_cell(p, d, n_sims)
+    cells = tuple(cells)
+    if not cells or not all(isinstance(cell, tuple) and len(cell) == 2 for cell in cells):
+        raise ValueError(f"cells must be a non-empty list of (p, d) pairs, got {cells!r}")
+    for p, d in cells:
+        _check_pd(p, d)
+    _check_nsims(n_sims)
     if norm == math.inf:
-        # The max-norm reads each of the first max(ps) coordinates.
-        draws = _BLOCK * (max(ps) + 1)
-        return _run_blocks(_polling_scores, len(ps), ps, d, n_sims, rng, _BLOCK, draws)
-    # The 2-norm reads squared norms only, one chi-square per cut point.
-    draws = _BLOCK * (len(ps) + 1)
-    return _run_blocks(_model_scores, len(ps), ps, d, n_sims, rng, _BLOCK, draws)
+        # The max-norm reads each of the first max(p) coordinates.
+        draws = _BLOCK * (max(p for p, _ in cells) + 1)
+        return _run_blocks(_polling_scores, len(cells), cells, n_sims, rng, _BLOCK, draws)
+    # The 2-norm reads squared norms only, one chi-square per gap between the p and d.
+    draws = _BLOCK * (len(cells) + 1)
+    return _run_blocks(_model_scores, len(cells), cells, n_sims, rng, _BLOCK, draws)
 
 
 def replicate_decreases(
@@ -272,7 +274,7 @@ def replicate_decreases(
     if reduction == "full-basis":
         Variant.named(variant)
         return _full_basis_replicates(p, d, n_sims, rng)[VARIANTS.index(variant)]
-    return _replicates(variant, (p,), d, n_sims, rng)[0]
+    return _replicates(variant, ((p, d),), n_sims, rng)[0]
 
 
 def _summarize(values: np.ndarray) -> Estimate:
@@ -292,19 +294,24 @@ def estimate(
 
 
 def estimates(
-    variant: str, ps: tuple[int, ...], d: int, n_sims: int, rng: RngStream
+    variant: str, cells: Iterable[tuple[int, int]], n_sims: int, rng: RngStream
 ) -> tuple[Estimate, ...]:
-    """Reduced-mode estimates for each p in ps (read once, so an iterator
-    works; a repeated p gets the same estimate twice), in ps order, all
+    """Reduced-mode estimates for each (p, d) cell, in ``cells`` order, all
     scored on one draw from ``rng``.
 
-    The draw depends on d and on ps: polling draws the first max(ps)
-    coordinates, the model step one chi-square per gap between sorted cut
-    points.  ``estimates(v, (p,), d, n_sims, rng)[0]`` equals
+    ``cells`` is read once, so an iterator works; an empty list, or a cell
+    that is not a pair of integers with 1 <= p <= d, is refused before any
+    draw, and a repeated cell gets the same estimate twice.  The draw is one
+    Gaussian z in R^max(d), and a cell at d reads z's first d coordinates,
+    which are a Gaussian in R^d, so each cell's law is exact.  The values
+    depend on the whole cell set: polling draws the first max(p) coordinates
+    and one chi-square per gap between the d at or above max(p), the model
+    step one chi-square per gap between the sorted p and d.
+    ``estimates(v, [(p, d)], n_sims, rng)[0]`` equals
     ``estimate(v, p, d, n_sims, rng)`` bit for bit: both are one
-    ``_replicates`` call on ps = (p,).
+    ``_replicates`` call on that one cell.
     """
-    return tuple(map(_summarize, _replicates(variant, ps, d, n_sims, rng)))
+    return tuple(map(_summarize, _replicates(variant, cells, n_sims, rng)))
 
 
 def full_basis_estimates(p: int, d: int, n_sims: int, rng: RngStream) -> tuple[Estimate, ...]:
@@ -338,7 +345,7 @@ def paired_ratio_gap(
     """
     if not math.isfinite(target_ratio):
         raise DomainError(f"target_ratio must be finite, got {target_ratio!r}")
-    v1, v2 = _replicates(variant, (p1, p2), d, n_sims, rng)
+    v1, v2 = _replicates(variant, ((p1, d), (p2, d)), n_sims, rng)
     if per_evaluation:
         record = Variant.named(variant)
         v1 = v1 / record.rounds(p1, 1)

@@ -93,7 +93,10 @@ def test_figure_writes_csv_and_manifest(tmp_path, capsys):
 def test_figure_manifest_records_draws_and_environment(tmp_path):
     assert main(["figure", "ds-vary-d", "--nsims", "100", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "ds-vary-d.manifest.json").read_text())
-    assert manifest["mc_draws"] == "one draw per (variant, d) row, scored at every p"
+    assert manifest["mc_draws"] == (
+        "one draw per figure, from the row stream of its largest d; a cell at d reads its first d "
+        "coordinates"
+    )
     env = manifest["environment"]
     assert env["numpy"] == np.__version__
     assert env["platform"] and env["python"]
@@ -351,9 +354,9 @@ def test_figure_unreadable_config_file_is_named(tmp_path, capsys, content, reaso
 @pytest.mark.parametrize(
     "cores,message",
     [
-        ("0", "error: core counts must be positive, got (0,)"),
+        ("0", "error: core count must be a positive integer, got 0"),
         ("x", "argument --cores-model: expected integers such as 2,4,8, got 'x'"),
-        ("2,-1", "error: core counts must be positive, got (2, -1)"),
+        ("2,-1", "error: core count must be a positive integer, got -1"),
         ("2,,4", "argument --cores-model: expected integers such as 2,4,8, got '2,,4'"),
     ],
     ids=["0", "x", "2,-1", "2,,4"],
@@ -367,6 +370,16 @@ def test_parallel_sweep_bad_core_count_names_flag(tmp_path, capsys, cores, messa
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "parallel-sweep.csv").exists()
+
+
+@pytest.mark.parametrize("cores", ["0", "-1"])
+def test_a_bad_core_count_gets_one_refusal_from_formula_and_sweep(tmp_path, capsys, cores):
+    formula = main(["formula", "--variant", "ds", "--d", "8", "--p", "2", "--cores-model", cores])
+    refusal = capsys.readouterr().err
+    sweep = main(["figure", "parallel-sweep", "--cores-model", cores, "--out", str(tmp_path)])
+    assert formula == sweep == 2
+    assert capsys.readouterr().err == refusal
+    assert f"core count must be a positive integer, got {cores}" in refusal
 
 
 @pytest.mark.parametrize(

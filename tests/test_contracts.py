@@ -51,9 +51,9 @@ def _optimize(d=4, seed=0, max_evaluations=10):
     return run_optimizer_experiment("sphere-quadratic", d, DriverConfig(1, max_evaluations), seed)
 
 
-def _estimates(ps):
-    values = estimates("ds", ps, 8, 100, RngStream(0))
-    if ps == (2, 2):
+def _estimates(cells):
+    values = estimates("ds", cells, 100, RngStream(0))
+    if cells == ((2, 8), (2, 8)):
         assert values[0] == values[1]
 
 
@@ -88,6 +88,8 @@ INT_ARGS = {
     "estimate-p": (lambda v: estimate("ds", v, 8, 100, RngStream(0)), ()),
     "estimate-d": (lambda v: estimate("ds", 2, v, 100, RngStream(0)), ()),
     "estimate-n_sims": (lambda v: estimate("ds", 2, 8, v, RngStream(0)), ()),
+    "estimates-p": (lambda v: estimates("ds", [(1, 8), (v, 8)], 100, RngStream(0)), ()),
+    "estimates-d": (lambda v: estimates("ds", [(1, 8), (2, v)], 100, RngStream(0)), ()),
     "paired_ratio_gap-p1": (lambda v: paired_ratio_gap("ds", v, 2, 8, 1.0, 100, RngStream(0)), ()),
     "default_figure_spec-n_sims": (lambda v: default_figure_spec("ds-vary-d", n_sims=v), ()),
     "default_figure_spec-seed": (lambda v: default_figure_spec("ds-vary-d", seed=v), {0}),
@@ -100,14 +102,13 @@ INT_ARGS = {
 }
 
 # Each list argument with an empty, a repeated and an iterator value, in that
-# order: the expected text of the refusal, or ACCEPT.  A repeated p in
-# ``estimates`` gives the same estimate twice, and a repeated ``include``
-# method selects its rows once.
+# order: the expected text of the refusal, or ACCEPT.  A repeated cell in
+# ``estimates`` gives the same estimate twice.
 LIST_ROWS = {
-    "estimates-ps": (
+    "estimates-cells": (
         _estimates,
-        [((), "need at least one subspace dimension p, got none"), ((2, 2), ACCEPT),
-         (iter((1, 2)), ACCEPT)],
+        [((), "cells must be a non-empty list of (p, d) pairs, got ()"),
+         (((2, 8), (2, 8)), ACCEPT), (iter(((1, 8), (2, 16))), ACCEPT)],
     ),
     "ExperimentSpec-d_values": (
         lambda v: _spec(d_values=v),
@@ -124,8 +125,8 @@ LIST_ROWS = {
     "ExperimentSpec-include": (
         lambda v: _spec(include=v),
         [((), "include must name at least one method, got none"),
-         (("mc", "mc"), ACCEPT),
-         (iter(("mc",)), "include must be a list of method names, got <tuple_iterator")],
+         (("mc", "mc"), "include must not repeat a method, got ('mc', 'mc')"),
+         (iter(("mc",)), ACCEPT)],
     ),
     "run_parallel_sweep-cores": (
         lambda v: run_parallel_sweep("ds", 64, v),

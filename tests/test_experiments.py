@@ -6,6 +6,7 @@ import math
 import re
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from subspace_dfo import (
 from subspace_dfo import montecarlo
 from subspace_dfo.cli import main
 from subspace_dfo.experiments import (
+    D_GRID,
     cell_stream,
     default_figure_spec,
     gate_basis_invariance,
@@ -114,7 +116,7 @@ REPLICATE_COUNT_ENTRY_POINTS = {
     "estimate-full-basis": lambda n: montecarlo.estimate(
         "ds", 2, 8, n, RngStream(0), "full-basis"
     ),
-    "estimates": lambda n: estimates("mb", (1, 2), 8, n, RngStream(0)),
+    "estimates": lambda n: estimates("mb", [(1, 8), (2, 16)], n, RngStream(0)),
     "full_basis_estimates": lambda n: montecarlo.full_basis_estimates(2, 8, n, RngStream(0)),
     "paired_ratio_gap": lambda n: montecarlo.paired_ratio_gap(
         "ds", 1, 2, 8, 1.0, n, RngStream(0)
@@ -267,7 +269,8 @@ class TestGridRows:
 
 
 class TestFigureRowDraws:
-    """Every p of one (variant, d) row is scored on one draw from its row stream."""
+    """Every cell of a figure is scored on one draw from the row stream of its
+    largest d; a cell at d reads that draw's first d coordinates."""
 
     @staticmethod
     def _spy_scores(monkeypatch):
@@ -275,37 +278,37 @@ class TestFigureRowDraws:
         for name in ("_polling_scores", "_model_scores"):
             scores = getattr(montecarlo, name)
 
-            def spy(gen, m, ps, d, scores=scores):
-                calls.append((ps, d, threading.current_thread() is threading.main_thread()))
-                return scores(gen, m, ps, d)
+            def spy(gen, cells, out, scores=scores):
+                calls.append((cells, threading.current_thread() is threading.main_thread()))
+                return scores(gen, cells, out)
 
             monkeypatch.setattr(montecarlo, name, spy)
         return calls
+
+    # The (p, d) cells of small_vary_d_spec, in row order.
+    SMALL_CELLS = ((1, 8), (2, 8), (4, 8), (8, 8), (1, 16), (2, 16), (8, 16), (16, 16))
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     def test_mc_rows_equal_estimates_on_the_row_stream(self, variant):
         # test_per_evaluation_outputs checks that perfev rows divide these.
         spec = small_vary_d_spec(variant, n_sims=700, seed=4)
         rows = run_named_figure(spec)
-        for d in spec.d_values:
-            ps = p_values_for(d, spec.p_rule)
-            row = row_stream(RngStream(4), variant, d)
-            ests = estimates(variant, ps, d, 700, row)
-            assert len(ests) == len(ps)
-            for p, est in zip(ps, ests):
-                mc = [r for r in rows if r.method == "mc" and (r.d, r.p) == (d, p)]
-                assert [(r.metric, r.value, r.std_error, r.n_sims, r.seed) for r in mc] == [
-                    ("per-iteration", est.mean, est.std_error, 700, 4)
-                ]
+        cells = [(p, d) for d in spec.d_values for p in p_values_for(d, spec.p_rule)]
+        assert tuple(cells) == self.SMALL_CELLS
+        ests = estimates(variant, cells, 700, row_stream(RngStream(4), variant, 16))
+        assert len(ests) == len(cells)
+        for (p, d), est in zip(cells, ests):
+            mc = [r for r in rows if r.method == "mc" and (r.d, r.p) == (d, p)]
+            assert [(r.metric, r.value, r.std_error, r.n_sims, r.seed) for r in mc] == [
+                ("per-iteration", est.mean, est.std_error, 700, 4)
+            ]
 
     @pytest.mark.parametrize("variant,n_blocks", [("ds", 1), ("mb", 1), ("ds", 2)])
-    def test_one_score_call_per_block_per_d(self, monkeypatch, variant, n_blocks):
+    def test_one_score_call_per_block_per_figure(self, monkeypatch, variant, n_blocks):
         calls = self._spy_scores(monkeypatch)
         n_sims = montecarlo._BLOCK * (n_blocks - 1) + 50
         run_named_figure(small_vary_d_spec(variant, n_sims=n_sims))
-        assert sorted((ps, d) for ps, d, _ in calls) == sorted(
-            [((1, 2, 4, 8), 8)] * n_blocks + [((1, 2, 8, 16), 16)] * n_blocks
-        )
+        assert [cells for cells, _ in calls] == [self.SMALL_CELLS] * n_blocks
 
     def test_a_d_without_p_draws_nothing_and_emits_no_rows(self, monkeypatch):
         calls = self._spy_scores(monkeypatch)
@@ -316,7 +319,70 @@ class TestFigureRowDraws:
         assert [(r.d, r.p, r.method) for r in rows] == [
             (8, 6, "mc"), (8, 6, "exact"), (8, 6, "asymptotic")
         ]
-        assert [(ps, d) for ps, d, _ in calls] == [((6,), 8)]
+        assert [cells for cells, _ in calls] == [((6, 8),)]
+
+    def test_smaller_d_reads_the_leading_coordinates_of_the_top_draw(self):
+        # One block of 500 replicates is one chunk of the d = 16 head, so the
+        # d = 8 cells score the first 8 of its 16 columns against their norm.
+        spec = small_vary_d_spec("ds", n_sims=500, seed=6, include=("mc",))
+        rows = {(r.d, r.p): r for r in run_named_figure(spec)}
+        gen = split_stream(row_stream(RngStream(6), "ds", 16), 0).generator()
+        head = gen.standard_normal((500, 16))[:, :8]
+        norm = np.sqrt(np.sum(head * head, axis=1))
+        for p in (1, 2, 4, 8):
+            scores = np.max(np.abs(head[:, :p]), axis=1) / norm
+            row = rows[8, p]
+            assert row.value == pytest.approx(np.mean(scores), rel=1e-13, abs=0.0)
+            se = np.std(scores, ddof=1) / np.sqrt(500)
+            assert row.std_error == pytest.approx(se, rel=1e-10, abs=0.0)
+
+    def test_model_cells_read_the_chi_square_pieces_in_order(self):
+        # The sorted points 1, 2, 4, 8, 16 of every p and d cut z into five
+        # pieces, drawn in that order; a cell scores sqrt(S_p / S_d).
+        spec = small_vary_d_spec("mb", n_sims=500, seed=6, include=("mc",))
+        rows = {(r.d, r.p): r for r in run_named_figure(spec)}
+        gen = split_stream(row_stream(RngStream(6), "mb", 16), 0).generator()
+        sums = {0: np.zeros(500)}
+        for lo, hi in ((0, 1), (1, 2), (2, 4), (4, 8), (8, 16)):
+            sums[hi] = sums[lo] + 2.0 * gen.standard_gamma((hi - lo) / 2.0, 500)
+        for p, d in self.SMALL_CELLS:
+            scores = np.sqrt(sums[p] / sums[d])
+            assert rows[d, p].value == np.mean(scores)
+
+    def test_a_vary_d_figure_draws_n_sims_normals_per_head_column(self, monkeypatch):
+        # The head is max(p) = 1024 columns wide, drawn once for all eight d.
+        drawn = []
+        generator = RngStream.generator
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, *args, **kwargs):
+                values = self.gen.standard_normal(*args, **kwargs)
+                drawn.append(values.size)
+                return values
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        monkeypatch.setattr(RngStream, "generator", lambda self: Counting(generator(self)))
+        n_sims = montecarlo._BLOCK + 100
+        run_named_figure(default_figure_spec("ds-vary-d", n_sims=n_sims))
+        assert sum(drawn) == n_sims * max(D_GRID)
+
+    def test_one_default_ds_vary_d_grid_peaks_under_6_mib(self, monkeypatch):
+        # Measured at 4.8 MiB on two workers: 2.4 MiB of (32 cells, 10^4)
+        # replicate values, and about 1 MiB per worker's block.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        spec = default_figure_spec("ds-vary-d")
+        tracemalloc.start()
+        try:
+            run_named_figure(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
 
     def test_row_stream_is_stable_and_no_cell_stream(self):
         def first_draws(stream):
@@ -331,10 +397,10 @@ class TestFigureRowDraws:
         assert first_draws(row_stream(base, "ds", 16)) != first_draws(row_stream(base, "mb", 16))
 
     def test_worker_threads_give_the_serial_bytes(self, monkeypatch):
-        # At d = 200 a polling block draws more than 2^16 values, so its two
-        # blocks go to worker threads when two CPUs are usable.
+        # A polling block draws more than 2^16 values at max(p) = 200, so the
+        # figure's two blocks go to worker threads when two CPUs are usable.
         spec = ExperimentSpec(
-            name="ds-vary-p", variant="ds", d_values=(200,), p_rule=(20, 1, 200, 5),
+            name="ds-vary-d", variant="ds", d_values=(100, 200), p_rule=(20, 1, 200, 5),
             n_sims=montecarlo._BLOCK + 100, seed=2, include=("mc",),
         )
         calls = self._spy_scores(monkeypatch)
@@ -343,7 +409,7 @@ class TestFigureRowDraws:
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
             texts[cpus] = to_csv(ResultRow, run_named_figure(spec))
         assert texts[1] == texts[2]
-        assert [on_main for _, _, on_main in calls] == [True, True, False, False]
+        assert [on_main for _, on_main in calls] == [True, True, False, False]
 
 
 class TestCsvSerialization:
@@ -443,13 +509,22 @@ class TestParallelSweep:
         "d, cores, error, message",
         [
             (16.5, (2,), InvalidDimensionError, "dimension must be a positive integer, got 16.5"),
-            (16, (2.5,), ValueError, "core counts must be a list of integers, got (2.5,)"),
-            (16, (4, True), ValueError, "core counts must be a list of integers, got (4, True)"),
+            (16, (2.5,), ValueError, "core count must be a positive integer, got 2.5"),
+            (16, (4, True), ValueError, "core count must be a positive integer, got True"),
         ],
     )
     def test_non_integer_inputs_are_named(self, d, cores, error, message):
         with pytest.raises(error, match=re.escape(message)):
             run_parallel_sweep("ds", d, cores)
+
+    @pytest.mark.parametrize("cores", [0, -1, 2.5, True])
+    def test_a_bad_count_is_refused_as_rounds_refuses_it(self, cores):
+        with pytest.raises(ValueError) as by_rounds:
+            Variant.named("ds").rounds(2, cores)
+        with pytest.raises(ValueError) as by_sweep:
+            run_parallel_sweep("ds", 64, (2, cores))
+        assert type(by_sweep.value) is type(by_rounds.value) is DomainError
+        assert str(by_sweep.value) == str(by_rounds.value)
 
     def test_repeated_core_count_is_refused(self, tmp_path, capsys):
         # A repeated core count would emit each of its rows twice.
@@ -465,7 +540,7 @@ class TestParallelSweep:
         with pytest.raises(ValueError, match="core counts must name at least one value, got none"):
             run_parallel_sweep("ds", 64, ())
         # A bad count is named before a repeat is, and an iterator as the tuple read.
-        with pytest.raises(ValueError, match=re.escape("core counts must be positive, got (0, 0)")):
+        with pytest.raises(DomainError, match="core count must be a positive integer, got 0"):
             run_parallel_sweep("ds", 64, iter((0, 0)))
         with pytest.raises(ValueError, match=re.escape("must not repeat a value, got (2, 2)")):
             run_parallel_sweep("ds", 64, iter((2, 2)))
@@ -579,12 +654,11 @@ class TestBasisInvarianceGate:
         drawn = {}
         scores = montecarlo._full_basis_scores
 
-        def spy(*args):
-            m, ps, d = args[-3:]
-            drawn[ps, d] = drawn.get((ps, d), 0) + m
-            return scores(*args)
+        def spy(gen, cells, out):
+            drawn[cells] = drawn.get(cells, 0) + out.shape[1]
+            return scores(gen, cells, out)
 
         monkeypatch.setattr(montecarlo, "_full_basis_scores", spy)
         gate = gate_basis_invariance(n_sims=300, seed=0)
         assert gate.criterion == 8
-        assert drawn == {((1,), 16): 300, ((4,), 16): 300, ((8,), 64): 300, ((32,), 64): 300}
+        assert drawn == {((1, 16),): 300, ((4, 16),): 300, ((8, 64),): 300, ((32, 64),): 300}

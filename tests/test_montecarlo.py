@@ -67,7 +67,7 @@ class TestReplicates:
         d = max(p, *cuts) + extra
         values = replicate_decreases(variant, p, d, 500, RngStream(seed))
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
-        rows = _replicates(variant, tuple(cuts), d, 500, RngStream(seed))
+        rows = _replicates(variant, [(cut, d) for cut in cuts], 500, RngStream(seed))
         assert len(rows) == len(cuts)
         for cut, row in zip(cuts, rows):
             assert np.all(row >= 0.0) and np.all(row <= 1.0), cut
@@ -207,36 +207,36 @@ class TestEstimates:
     @pytest.mark.parametrize("variant,p,d", [("ds", 3, 20), ("mb", 5, 40), ("ds", 700, 1024)])
     def test_single_cut_point_is_estimate_bitwise(self, variant, p, d):
         n = _BLOCK + 300
-        (est,) = estimates(variant, (p,), d, n, RngStream(14))
+        (est,) = estimates(variant, [(p, d)], n, RngStream(14))
         assert est == estimate(variant, p, d, n, RngStream(14))
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     def test_each_p_reads_its_row_of_one_draw(self, variant):
-        ps = (10, 2, 5)
+        cells = [(10, 30), (2, 30), (5, 30)]
         rng = RngStream(15)
-        values = _replicates(variant, ps, 30, 500, rng)
-        ests = estimates(variant, ps, 30, 500, rng)
-        assert len(ests) == len(values) == len(ps)
+        values = _replicates(variant, cells, 500, rng)
+        ests = estimates(variant, cells, 500, rng)
+        assert len(ests) == len(values) == len(cells)
         for est, v in zip(ests, values):
             assert est.mean == float(np.mean(v))
             assert est.std_error == float(np.std(v, ddof=1) / np.sqrt(500))
 
     def test_model_full_dimension_cut_is_exactly_one(self):
-        top = estimates("mb", (1, 6, 12), 12, 5000, RngStream(5))[-1]
+        top = estimates("mb", [(1, 12), (6, 12), (12, 12)], 5000, RngStream(5))[-1]
         assert top.mean == 1.0 and top.std_error == 0.0
 
     def test_rejects_an_empty_p_set(self):
-        with pytest.raises(ValueError, match="at least one subspace dimension"):
-            estimates("ds", (), 8, 100, RngStream(0))
-        with pytest.raises(ValueError, match="at least one subspace dimension"):
-            estimates("ds", iter(()), 8, 100, RngStream(0))
+        with pytest.raises(ValueError, match="cells must be a non-empty list"):
+            estimates("ds", (), 100, RngStream(0))
+        with pytest.raises(ValueError, match="cells must be a non-empty list"):
+            estimates("ds", iter(()), 100, RngStream(0))
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     def test_an_iterator_of_ps_gives_the_tuple_values(self, variant):
         # The cut points are read once, so checking them does not use them up.
-        ps = (1, 2)
-        assert estimates(variant, iter(ps), 8, 10, RngStream(0)) == estimates(
-            variant, ps, 8, 10, RngStream(0)
+        cells = ((1, 8), (2, 8))
+        assert estimates(variant, iter(cells), 10, RngStream(0)) == estimates(
+            variant, cells, 10, RngStream(0)
         )
 
     @pytest.mark.parametrize("ps", [(10, 2, 5), (3, 3, 1), (1000,), (1, 2, 3, 500, 20, 1000)])
@@ -256,7 +256,8 @@ class TestEstimates:
             return [peak / norm for peak in peaks]
 
         m, d = 700, 1000
-        got = _polling_scores(np.random.default_rng(3), m, ps, d)
+        got = np.empty((len(ps), m))
+        _polling_scores(np.random.default_rng(3), [(p, d) for p in ps], got)
         want = direct(np.random.default_rng(3), m, ps, d)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -269,7 +270,18 @@ class TestEstimates:
         values = []
         for chunk in (2**18, 2**15, 7):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            values.append(_replicates("ds", ps, d, _BLOCK + 300, RngStream(16)))
+            values.append(_replicates("ds", [(p, d) for p in ps], _BLOCK + 300, RngStream(16)))
+        assert all(v.tobytes() == values[0].tobytes() for v in values[1:])
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_chunk_size_does_not_change_values_across_d(self, monkeypatch, variant):
+        # d = 8 reads a prefix of the 40-wide head; 64, 100 and 1000 add
+        # chi-square pieces above it.
+        cells = [(1, 8), (8, 8), (2, 100), (40, 100), (40, 1000), (3, 64)]
+        values = []
+        for chunk in (2**18, 2**15, 7):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            values.append(_replicates(variant, cells, _BLOCK + 300, RngStream(17)))
         assert all(v.tobytes() == values[0].tobytes() for v in values[1:])
 
     @pytest.mark.parametrize("ps,d", [POLLING_CELLS[0], (P_LIST_VARY_P, D_VARY_P)])
@@ -278,7 +290,7 @@ class TestEstimates:
         gen = RngStream(32).generator()
         tracemalloc.start()
         try:
-            _polling_scores(gen, _BLOCK, ps, d)
+            _polling_scores(gen, [(p, d) for p in ps], np.empty((len(ps), _BLOCK)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -323,7 +335,7 @@ class TestPairing:
         assert delta.mean == 0.0 and delta.std_error == 0.0
 
     def test_model_full_dimension_level_is_exactly_one(self):
-        v1, v2 = _replicates("mb", (30, 7), 30, 5000, RngStream(16))
+        v1, v2 = _replicates("mb", [(30, 30), (7, 30)], 5000, RngStream(16))
         assert np.all(v1 == 1.0)
         assert np.all((v2 > 0.0) & (v2 < 1.0))
 
@@ -527,7 +539,7 @@ class TestFullBasisOracle:
         gen = RngStream(31).generator()
         tracemalloc.start()
         try:
-            montecarlo._full_basis_scores(gen, m, (p,), d)
+            montecarlo._full_basis_scores(gen, [(p, d)], np.empty((len(VARIANTS), m)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -582,7 +594,7 @@ class TestWorkerThreads:
         if reduction == "full-basis":
             (p,) = ps
             return _full_basis_replicates(p, d, n, RngStream(23))
-        return _replicates(variant, ps, d, n, RngStream(23))
+        return _replicates(variant, [(p, d) for p in ps], n, RngStream(23))
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]}")
     def test_any_worker_count_matches_serial(self, monkeypatch, cell):
@@ -620,10 +632,10 @@ class TestWorkerThreads:
     def test_failing_block_raises_and_leaves_no_thread(self, monkeypatch):
         scores = montecarlo._polling_scores
 
-        def last_block_fails(gen, m, ps, d):
-            if m < _BLOCK:
+        def last_block_fails(gen, cells, out):
+            if out.shape[1] < _BLOCK:
                 raise RuntimeError("block failed")
-            return scores(gen, m, ps, d)
+            return scores(gen, cells, out)
 
         monkeypatch.setattr(montecarlo, "_polling_scores", last_block_fails)
         before = threading.active_count()
