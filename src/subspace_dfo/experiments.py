@@ -22,12 +22,13 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from . import __version__
-from .errors import InvalidDimensionError, _check_cores, _check_nsims, _check_positive, _int_list
+from .errors import (InvalidDimensionError, _check_choice, _check_cores, _check_nsims,
+                     _check_positive, _read_list)
 from .formulas import (
     VARIANTS,
     Variant,
@@ -167,9 +168,9 @@ class ExperimentSpec:
     string ``"standard"`` meaning {1, 2, d/2, d} per ambient dimension (integer
     division; duplicates collapse).  ``outputs`` is the rows' metric,
     ``METRIC_ITERATION`` or ``METRIC_EVALUATION``; ``include`` names at least
-    one of the ``METHODS``, none twice.  ``d_values``, an explicit ``p_rule``
-    and ``include`` are read once, so an iterator works; ``d_values`` and
-    ``p_rule`` follow ``errors._int_list``, so every row is emitted once.
+    one of the ``METHODS``, kept in their order.  ``d_values``, an explicit
+    ``p_rule`` and ``include`` are read once by ``errors._read_list``, so any
+    iterable but a string works and no value repeats.
     ``n_sims`` (>= 2) and ``seed`` are checked when the spec is built.
     """
 
@@ -184,33 +185,19 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         Variant.named(self.variant)
-        self.d_values = _int_list(self.d_values, "d_values")
+        self.d_values = _read_list(self.d_values, "d_values")
         if isinstance(self.p_rule, str):
-            if self.p_rule != "standard":
-                raise ValueError(f"unknown p rule {self.p_rule!r}")
+            _check_choice(self.p_rule, ("standard",), "p_rule")
         else:
-            self.p_rule = _int_list(self.p_rule, "p_rule")
+            self.p_rule = _read_list(self.p_rule, "p_rule")
             # Each d runs the p values up to d (see p_values_for).
             top = max(self.d_values)
             if all(p > top for p in self.p_rule):
                 raise ValueError(f"no p value is at most max(d) = {top}, got {self.p_rule}")
         _check_nsims(self.n_sims)
         RngStream(self.seed)  # refuses a bad seed before any draw
-        if self.outputs not in (METRIC_ITERATION, METRIC_EVALUATION):
-            raise ValueError(f"unknown outputs selector {self.outputs!r}")
-        if isinstance(self.include, Iterator):
-            self.include = tuple(self.include)  # read once, and shown as read
-        include = self.include
-        if not isinstance(include, (list, tuple)) or not all(isinstance(m, str) for m in include):
-            raise ValueError(f"include must be a list of method names, got {include!r}")
-        if not include:
-            raise ValueError("include must name at least one method, got none")
-        unknown = set(include) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown include methods {sorted(unknown)}; methods are {METHODS}")
-        if len(set(include)) < len(include):
-            raise ValueError(f"include must not repeat a method, got {include!r}")
-        self.include = tuple(include)
+        _check_choice(self.outputs, (METRIC_ITERATION, METRIC_EVALUATION), "outputs")
+        self.include = _read_list(self.include, "include", choices=METHODS)
 
     def merged(self, config: object, **flags) -> "ExperimentSpec":
         """This spec with the keys of ``config``, then the ``flags`` that are
@@ -309,8 +296,7 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
 def default_figure_spec(
     name: str, n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
 ) -> ExperimentSpec:
-    if name not in FIGURE_NAMES or name == "parallel-sweep":
-        raise ValueError(f"no grid spec for figure {name!r}")
+    _check_choice(name, [n for n in FIGURE_NAMES if n != "parallel-sweep"], "grid")
     variant = name.split("-")[0]
     perfev = "-perfev-" in name
     vary_p = name.endswith("-vary-p")
@@ -348,12 +334,12 @@ def run_parallel_sweep(
     Returns the rows and ``ties``: ``ties[c]`` holds, in grid order, every
     grid point within 1e-12 of the largest value at c cores, so ``ties[c][0]``
     is the argmax.  ``cores_list`` is read once, so an iterator works, and
-    follows ``errors._int_list``: not empty and no repeat, with each count
+    follows ``errors._read_list``: not empty and no repeat, with each count
     refused as ``Variant.rounds`` refuses it.
     """
     record = Variant.named(variant)
     _check_positive(d, "dimension")
-    cores_list = _int_list(cores_list, "core counts", _check_cores)
+    cores_list = _read_list(cores_list, "core counts", _check_cores)
     rows: list[ResultRow] = []
     ties: dict[int, tuple[int, ...]] = {}
     for cores in cores_list:
@@ -382,6 +368,7 @@ def make_objective(name: str, d: int, rng: RngStream) -> tuple[ObjectiveHandle, 
     from the all-ones point; ``rosenbrock`` uses the classic alternating
     start and needs d >= 2: at d = 1 its sum over adjacent pairs is empty.
     """
+    _check_choice(name, OBJECTIVE_NAMES, "objective")
     _check_positive(d, "dimension")
     if name == "rosenbrock" and d < 2:
         raise InvalidDimensionError(f"rosenbrock needs dimension d >= 2, got {d!r}")
@@ -398,17 +385,13 @@ def make_objective(name: str, d: int, rng: RngStream) -> tuple[ObjectiveHandle, 
             return 0.5 * float(x @ x)
 
         return ObjectiveHandle(sphere, d, name=name), np.ones(d)
-    if name == "rosenbrock":
 
-        def rosen(x: np.ndarray) -> float:
-            return float(
-                np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
-            )
+    def rosen(x: np.ndarray) -> float:
+        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
-        x0 = np.ones(d)
-        x0[::2] = -1.2
-        return ObjectiveHandle(rosen, d, name=name), x0
-    raise ValueError(f"unknown objective {name!r}; choose from {OBJECTIVE_NAMES}")
+    x0 = np.ones(d)
+    x0[::2] = -1.2
+    return ObjectiveHandle(rosen, d, name=name), x0
 
 
 def run_optimizer_experiment(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from numpy.polynomial.legendre import leggauss
 
-from .errors import _check_cores, _check_pd, _check_positive
+from .errors import _check_choice, _check_cores, _check_pd, _check_positive
 from .specfun import SQRT_PI, gamma_half_ratio
 
 # Composite Gauss-Legendre rule for polling_factor: 20 nodes per panel.  One
@@ -159,8 +159,7 @@ class Variant:
     @classmethod
     def named(cls, name: str) -> Variant:
         """The record of the variant called ``name``."""
-        if name not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {name!r}")
+        _check_choice(name, VARIANTS, "variant")
         return _RECORDS[name]
 
     def rounds(self, p: int, cores: int) -> float:

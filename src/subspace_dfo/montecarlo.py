@@ -48,7 +48,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, _check_nsims, _check_pd
+from .errors import _check_choice, _check_nsims, _check_pd, _check_real
 from .formulas import VARIANTS, Variant
 from .rng import RngStream, split_stream
 
@@ -269,8 +269,7 @@ def replicate_decreases(
 
     Full-basis mode returns the variant's row of ``_full_basis_replicates``.
     """
-    if reduction not in REDUCTIONS:
-        raise ValueError(f"reduction must be one of {REDUCTIONS}, got {reduction!r}")
+    _check_choice(reduction, REDUCTIONS, "reduction")
     if reduction == "full-basis":
         Variant.named(variant)
         return _full_basis_replicates(p, d, n_sims, rng)[VARIANTS.index(variant)]
@@ -341,10 +340,9 @@ def paired_ratio_gap(
     ``per_evaluation`` both sides are first divided by their evaluation costs.
     A target ratio of 1 gives the plain paired difference, whose common
     random numbers give it far lower variance than two independent estimates.
-    A non-finite ``target_ratio`` is refused before any draw.
+    A ``target_ratio`` that is not a finite real is refused before any draw.
     """
-    if not math.isfinite(target_ratio):
-        raise DomainError(f"target_ratio must be finite, got {target_ratio!r}")
+    _check_real(target_ratio, "target_ratio")
     v1, v2 = _replicates(variant, ((p1, d), (p2, d)), n_sims, rng)
     if per_evaluation:
         record = Variant.named(variant)

@@ -25,14 +25,13 @@ once, even with a zero budget.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import (DomainError, InvalidDimensionError, NonFiniteObjectiveError,
-                     _check_pd, _check_positive, _is_int)
+                     _check_choice, _check_pd, _check_positive, _check_real, _is_int)
 from .formulas import Variant
 from .rng import RngStream, _bases, _orthonormal_extension, _unit_directions
 
@@ -107,30 +106,15 @@ class DriverConfig:
     iteration_kind: str = "ds-complete"
 
     def __post_init__(self) -> None:
-        for key in ("p", "max_evaluations"):
-            if not _is_int(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.p < 1:
-            raise InvalidDimensionError(f"subspace dimension must be positive, got {self.p}")
-        if self.max_evaluations < 0:
-            raise ValueError(f"max_evaluations cannot be negative, got {self.max_evaluations}")
-        for key in ("initial_step", "expand_factor", "contract_factor", "min_step"):
-            value = getattr(self, key)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise DomainError(f"{key} must be finite, got {value!r}")
-            if key in ("initial_step", "min_step") and value <= 0.0:
-                raise DomainError(f"{key} must be positive, got {value!r}")
-        if not (0.0 < self.contract_factor < 1.0):
-            raise DomainError(f"contract factor must be in (0, 1), got {self.contract_factor}")
-        if self.expand_factor < 1.0:
-            raise DomainError(f"expand factor must be >= 1, got {self.expand_factor}")
-        if self.iteration_kind not in ITERATION_KINDS:
-            raise ValueError(
-                f"iteration kind must be one of {tuple(ITERATION_KINDS)}, "
-                f"got {self.iteration_kind!r}"
-            )
+        _check_positive(self.p, "p")
+        budget = self.max_evaluations
+        if not _is_int(budget) or budget < 0:
+            raise ValueError(f"max_evaluations must be an integer >= 0, got {budget!r}")
+        _check_real(self.initial_step, "initial_step", "positive")
+        _check_real(self.expand_factor, "expand_factor", ">= 1")
+        _check_real(self.contract_factor, "contract_factor", "in (0, 1)")
+        _check_real(self.min_step, "min_step", "positive")
+        _check_choice(self.iteration_kind, ITERATION_KINDS, "iteration kind")
 
 
 @dataclass(frozen=True)
@@ -171,12 +155,6 @@ def _checked_basis(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _check_delta(delta: float) -> None:
-    # Written so that a NaN step fails; an infinite one reaches the objective.
-    if not delta > 0.0:
-        raise DomainError(f"delta must be positive, got {delta}")
-
-
 def ds_iteration(
     objective: ObjectiveHandle,
     x: np.ndarray,
@@ -194,9 +172,11 @@ def ds_iteration(
     evaluated in that order, and the iteration moves to the best, keeping
     the incumbent on ties (ties resolve to the lowest index, positive sign
     first).  Returns the point moved to, its value and the new evaluations;
-    ``fx`` is the known value at x and is not re-evaluated.
+    ``fx``, the known value at x, is not re-evaluated; a non-finite ``fx`` or a
+    non-positive ``delta``, or either not a real, is refused before any evaluation.
     """
-    _check_delta(delta)
+    _check_real(fx, "fx")
+    _check_real(delta, "delta", "positive")
     basis = _checked_basis(x, basis)
     # Built row by row C-contiguous: the objective then reads each point as
     # one contiguous vector, as it would a freshly computed x + delta b_i.
@@ -226,8 +206,10 @@ def mb_iteration(
     poll point, that value is reused instead of a new evaluation.  A
     numerically zero gradient keeps the incumbent (the step direction would be
     undefined).  Returns the point moved to, its value and the new evaluations.
+    ``fx`` and ``delta`` are refused as :func:`ds_iteration` refuses them.
     """
-    _check_delta(delta)
+    _check_real(fx, "fx")
+    _check_real(delta, "delta", "positive")
     basis = _checked_basis(x, basis)
     p = basis.shape[1]
     points = np.empty((p, len(x)))
@@ -265,8 +247,10 @@ def _opportunistic_iteration(
     when it has any; they have the joint law of a basis's columns.  The
     iteration polls x + delta b_j, then x - delta b_j, and stops at the
     first strict improvement, so it draws only the directions it polls.
-    Returns the point moved to, its value and the new evaluations.
+    Returns the point moved to, its value and the new evaluations.  ``delta``
+    is refused as :func:`ds_iteration` refuses it.
     """
+    _check_real(delta, "delta", "positive")
     earlier = np.empty((p, len(x)))
     evaluations = 0
     for j in range(p):
@@ -304,7 +288,7 @@ def run_driver(
     do not share a budget.  The trace starts with the initial record and
     gains one record per iteration, with best values nonincreasing by
     construction.  Its ``x`` is a copy of the final point, made once when
-    the run returns: the final best value is f(``trace.x``).
+    the run returns: the final best value is f(``trace.x``).  An infinite step is refused.
     """
     x = np.asarray(x0, dtype=float)
     d = objective.dimension

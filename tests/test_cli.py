@@ -287,9 +287,8 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
         ({**SPEC, "n_sims": "100"}, "n_sims must be an integer, got '100'"),
         ({**SPEC, "n_sims": True}, "n_sims must be an integer, got True"),
         ({**SPEC, "seed": 1.5}, "seed must be a 64-bit unsigned integer, got 1.5"),
-        ({**SPEC, "include": "formula"},
-         "include must be a list of method names, got 'formula'"),
-        ({**SPEC, "include": []}, "include must name at least one method"),
+        ({**SPEC, "include": "formula"}, "include must be a list of names, got 'formula'"),
+        ({**SPEC, "include": []}, "include must name at least one value, got none"),
         ({**SPEC, "d_values": [8, 8]}, "d_values must not repeat a value, got [8, 8]"),
         ({**SPEC, "p_rule": [1, 2, 1]}, "p_rule must not repeat a value, got [1, 2, 1]"),
         ({**SPEC, "seed": -1}, "seed must be a 64-bit unsigned integer, got -1"),
@@ -300,7 +299,7 @@ SPEC = {"name": "ds-vary-d", "variant": "ds", "d_values": [8], "n_sims": 100}
          "whose outputs is per-iteration"),
         ({**SPEC, "p_rule": []}, "p_rule must name at least one value, got none"),
         ({**SPEC, "include": ["formula"]},
-         "unknown include methods ['formula']; methods are ('exact', 'mc', 'asymptotic')"),
+         "include must be one of ('exact', 'mc', 'asymptotic'), got 'formula'"),
     ],
 )
 def test_figure_config_bad_key_is_named(tmp_path, capsys, config, message):

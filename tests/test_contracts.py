@@ -1,19 +1,24 @@
 """One contract table for the public inputs.
 
 Each integer argument of the public API gets a bool, a float, NaN, 0 and -1;
-each list argument an empty, a repeated and an iterator value; each integer
-flag of the CLI the same bad integers as text.  A library call must raise a
-ValueError (or a subclass) whose message shows the value, and a CLI call must
-exit 2 with a message naming the flag or the value, unless the row is an
-accept that the function's docstring documents.
+each real-valued argument a bool, a string, NaN, both infinities, 0.0 and
+-1.0; each named choice an unknown name, None and a list; each list argument
+an empty, a repeated and an iterator value; each integer flag of the CLI the
+same bad integers as text.  A library call must raise a ValueError (or a
+subclass) whose message shows the value, and a CLI call must exit 2 with a
+message naming the flag or the value, unless the row is an accept that the
+function's docstring documents.  Every parameter of every public callable
+has a row here or an exemption with its reason.
 """
 
+import inspect
 import math
 import re
 
 import numpy as np
 import pytest
 
+import subspace_dfo
 from subspace_dfo import (
     DriverConfig,
     ExperimentSpec,
@@ -21,17 +26,22 @@ from subspace_dfo import (
     RngStream,
     Variant,
     default_figure_spec,
+    ds_iteration,
     estimate,
     estimates,
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
+    log_gamma,
     make_objective,
+    mb_iteration,
     paired_ratio_gap,
     per_evaluation_opportunistic,
     polling_factor,
+    replicate_decreases,
     run_optimizer_experiment,
     run_parallel_sweep,
+    run_verify,
     sample_stiefel,
     sample_unit_vector,
     split_stream,
@@ -40,7 +50,10 @@ from subspace_dfo.cli import main
 
 ACCEPT = object()
 BAD_INTS = (True, 2.5, math.nan, 0, -1)
+BAD_REALS = (True, "1", math.nan, math.inf, -math.inf, 0.0, -1.0)
+BAD_NAMES = ("nope", None, ["nope"])
 DS = Variant.named("ds")
+BASIS = sample_stiefel(4, 2, RngStream(0))
 
 
 def _spec(**fields) -> ExperimentSpec:
@@ -55,6 +68,16 @@ def _estimates(cells):
     values = estimates("ds", cells, 100, RngStream(0))
     if cells == ((2, 8), (2, 8)):
         assert values[0] == values[1]
+
+
+def _iterate(iteration, fx=0.0, delta=0.5):
+    # A refusal must come before any evaluation.
+    objective = ObjectiveHandle(np.sum, 4)
+    try:
+        iteration(objective, np.zeros(4), fx, BASIS, delta)
+    except ValueError:
+        assert objective.eval_count == 0
+        raise
 
 
 # Each integer argument, called with the value in its place and good values
@@ -88,9 +111,20 @@ INT_ARGS = {
     "estimate-p": (lambda v: estimate("ds", v, 8, 100, RngStream(0)), ()),
     "estimate-d": (lambda v: estimate("ds", 2, v, 100, RngStream(0)), ()),
     "estimate-n_sims": (lambda v: estimate("ds", 2, 8, v, RngStream(0)), ()),
+    "replicate_decreases-p": (lambda v: replicate_decreases("ds", v, 8, 100, RngStream(0)), ()),
+    "replicate_decreases-d": (lambda v: replicate_decreases("ds", 2, v, 100, RngStream(0)), ()),
+    "replicate_decreases-n_sims": (
+        lambda v: replicate_decreases("ds", 2, 8, v, RngStream(0)), ()
+    ),
     "estimates-p": (lambda v: estimates("ds", [(1, 8), (v, 8)], 100, RngStream(0)), ()),
     "estimates-d": (lambda v: estimates("ds", [(1, 8), (2, v)], 100, RngStream(0)), ()),
+    "estimates-n_sims": (lambda v: estimates("ds", [(1, 8)], v, RngStream(0)), ()),
     "paired_ratio_gap-p1": (lambda v: paired_ratio_gap("ds", v, 2, 8, 1.0, 100, RngStream(0)), ()),
+    "paired_ratio_gap-p2": (lambda v: paired_ratio_gap("ds", 1, v, 8, 1.0, 100, RngStream(0)), ()),
+    "paired_ratio_gap-d": (lambda v: paired_ratio_gap("ds", 1, 2, v, 1.0, 100, RngStream(0)), ()),
+    "paired_ratio_gap-n_sims": (
+        lambda v: paired_ratio_gap("ds", 1, 2, 8, 1.0, v, RngStream(0)), ()
+    ),
     "default_figure_spec-n_sims": (lambda v: default_figure_spec("ds-vary-d", n_sims=v), ()),
     "default_figure_spec-seed": (lambda v: default_figure_spec("ds-vary-d", seed=v), {0}),
     "make_objective-d": (lambda v: make_objective("sphere-quadratic", v, RngStream(0)), ()),
@@ -99,6 +133,54 @@ INT_ARGS = {
     "run_parallel_sweep-d": (lambda v: run_parallel_sweep("ds", v, (2,)), ()),
     "ExperimentSpec-seed": (lambda v: _spec(seed=v), {0}),
     "ExperimentSpec-n_sims": (lambda v: _spec(n_sims=v), ()),
+    "run_verify-seed": (lambda v: run_verify(seed=v, n_sims=100), {0}),
+    "run_verify-n_sims": (lambda v: run_verify(n_sims=v), ()),
+}
+# Accepts that would run the whole gate suite: not a unit test.
+LIBRARY_SKIPPED = {("run_verify-seed", 0)}
+
+# Each real-valued argument, called with a value of BAD_REALS in its place,
+# and the values it accepts as documented: any finite claimed ratio or
+# incumbent value.
+FINITE = {0.0, -1.0}
+REAL_ARGS = {
+    "DriverConfig-initial_step": (lambda v: DriverConfig(1, 10, initial_step=v), ()),
+    "DriverConfig-expand_factor": (lambda v: DriverConfig(1, 10, expand_factor=v), ()),
+    "DriverConfig-contract_factor": (lambda v: DriverConfig(1, 10, contract_factor=v), ()),
+    "DriverConfig-min_step": (lambda v: DriverConfig(1, 10, min_step=v), ()),
+    "ds_iteration-delta": (lambda v: _iterate(ds_iteration, delta=v), ()),
+    "ds_iteration-fx": (lambda v: _iterate(ds_iteration, fx=v), FINITE),
+    "mb_iteration-delta": (lambda v: _iterate(mb_iteration, delta=v), ()),
+    "mb_iteration-fx": (lambda v: _iterate(mb_iteration, fx=v), FINITE),
+    "paired_ratio_gap-target_ratio": (
+        lambda v: paired_ratio_gap("ds", 1, 2, 8, v, 100, RngStream(0)), FINITE
+    ),
+    "log_gamma": (log_gamma, ()),
+}
+
+# Each named choice, called with a value of BAD_NAMES in its place; none is
+# accepted.  A string ``p_rule`` names a rule and a list is read as p values.
+NAME_ARGS = {
+    "named-name": Variant.named,
+    "estimate-variant": lambda v: estimate(v, 2, 8, 100, RngStream(0)),
+    "estimate-reduction": lambda v: estimate("ds", 2, 8, 100, RngStream(0), v),
+    "estimates-variant": lambda v: estimates(v, [(2, 8)], 100, RngStream(0)),
+    "paired_ratio_gap-variant": lambda v: paired_ratio_gap(v, 1, 2, 8, 1.0, 100, RngStream(0)),
+    "replicate_decreases-variant": lambda v: replicate_decreases(v, 2, 8, 100, RngStream(0)),
+    "replicate_decreases-reduction": (
+        lambda v: replicate_decreases("ds", 2, 8, 100, RngStream(0), v)
+    ),
+    "DriverConfig-iteration_kind": lambda v: DriverConfig(1, 10, iteration_kind=v),
+    "make_objective-name": lambda v: make_objective(v, 4, RngStream(0)),
+    "run_optimizer_experiment-function_name": (
+        lambda v: run_optimizer_experiment(v, 4, DriverConfig(1, 10))
+    ),
+    "run_parallel_sweep-variant": lambda v: run_parallel_sweep(v, 64, (2,)),
+    "ExperimentSpec-variant": lambda v: _spec(variant=v),
+    "ExperimentSpec-outputs": lambda v: _spec(outputs=v),
+    "ExperimentSpec-p_rule": lambda v: _spec(p_rule=v),
+    "ExperimentSpec-include": lambda v: _spec(include=[v]),
+    "default_figure_spec-name": default_figure_spec,
 }
 
 # Each list argument with an empty, a repeated and an iterator value, in that
@@ -124,8 +206,8 @@ LIST_ROWS = {
     ),
     "ExperimentSpec-include": (
         lambda v: _spec(include=v),
-        [((), "include must name at least one method, got none"),
-         (("mc", "mc"), "include must not repeat a method, got ('mc', 'mc')"),
+        [((), "include must name at least one value, got none"),
+         (("mc", "mc"), "include must not repeat a value, got ('mc', 'mc')"),
          (iter(("mc",)), ACCEPT)],
     ),
     "run_parallel_sweep-cores": (
@@ -148,10 +230,16 @@ def _shows(value_text: str) -> str:
 
 
 def _library_rows():
-    for name, (call, accepts) in INT_ARGS.items():
-        for value in BAD_INTS:
-            expected = ACCEPT if value in accepts else None
-            yield pytest.param(call, value, expected, id=f"{name}-{value!r}")
+    for table, values in ((INT_ARGS, BAD_INTS), (REAL_ARGS, BAD_REALS)):
+        for name, (call, accepts) in table.items():
+            for value in values:
+                if (name, value) in LIBRARY_SKIPPED:
+                    continue
+                expected = ACCEPT if value in accepts else None
+                yield pytest.param(call, value, expected, id=f"{name}-{value!r}")
+    for name, call in NAME_ARGS.items():
+        for value in BAD_NAMES:
+            yield pytest.param(call, value, None, id=f"{name}-{value!r}")
     for name, (call, cases) in LIST_ROWS.items():
         for kind, (value, expected) in zip(("empty", "repeat", "iterator"), cases):
             yield pytest.param(call, value, expected, id=f"{name}-{kind}")
@@ -169,6 +257,72 @@ def test_library_input_contract(call, value, expected):
         assert re.search(_shows(repr(value)), str(exc.value)), str(exc.value)
     else:
         assert expected in str(exc.value)
+
+
+# Keys that name their parameter differently; a key with no parameter covers
+# its callable's only one.
+ROW_PARAMS = {"run_parallel_sweep-cores": "run_parallel_sweep-cores_list"}
+_RECORD = "an output record the package builds"
+_STREAM = "a stream, which RngStream checks when it is built"
+# Parameters with no row, each with its reason.
+EXEMPT = {
+    "RngStream-stream": "the spawn path split_stream builds",
+    **{f"{owner}-{param}": _STREAM for owner, param in (
+        ("sample_stiefel", "rng"), ("sample_unit_vector", "rng"), ("split_stream", "rng"),
+        ("estimate", "rng"), ("estimates", "rng"), ("paired_ratio_gap", "rng"),
+        ("replicate_decreases", "rng"), ("make_objective", "rng"), ("run_driver", "rng"),
+    )},
+    **{f"Variant-{field}": "the two records are built once, in formulas" for field in (
+        "name", "exact", "p_factor", "points", "trial", "norm", "sweep_d", "sweep_cores"
+    )},
+    **{f"{record}-{field}": _RECORD for record, fields in (
+        ("DriverTrace", ("records", "x")),
+        ("TraceRecord", ("iteration", "eval_count", "best_value", "step_size")),
+        ("Estimate", ("mean", "std_error")),
+        ("GateResult", ("criterion", "name", "passed", "detail")),
+        ("ResultRow", ("variant", "d", "p", "method", "metric", "value", "std_error",
+                       "n_sims", "seed")),
+    ) for field in fields},
+    **{f"{owner}-{param}": "an array: its contract is not in the table yet" for owner, param in (
+        ("ds_iteration", "x"), ("ds_iteration", "basis"), ("mb_iteration", "x"),
+        ("mb_iteration", "basis"), ("run_driver", "x0"),
+    )},
+    **{f"{owner}-objective": "an ObjectiveHandle, whose dimension has a row"
+       for owner in ("ds_iteration", "mb_iteration", "run_driver")},
+    "ObjectiveHandle-fn": "a callable, whose values the handle checks",
+    "ObjectiveHandle-name": "a free label",
+    "ExperimentSpec-name": "a free label",
+    "run_driver-config": "a DriverConfig, whose fields have rows",
+    "run_optimizer_experiment-config": "a DriverConfig, whose fields have rows",
+    "run_named_figure-spec": "an ExperimentSpec, whose fields have rows",
+    "paired_ratio_gap-per_evaluation": "a flag, read for its truth value",
+    "run_verify-out_dir": "a path; a bad one fails as the file system fails it",
+}
+
+
+def _public_parameters():
+    """(owner, parameter names) for each public callable and Variant method."""
+    for name in subspace_dfo.__all__:
+        obj = getattr(subspace_dfo, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            yield name, list(inspect.signature(obj).parameters)
+    for name, method in inspect.getmembers(DS, inspect.ismethod):
+        if not name.startswith("_"):
+            yield name, list(inspect.signature(method).parameters)
+
+
+def test_every_public_parameter_has_a_row_or_an_exemption():
+    keys = {*INT_ARGS, *REAL_ARGS, *NAME_ARGS, *LIST_ROWS}
+    covered = {ROW_PARAMS.get(key, key) for key in keys}
+    missing = [
+        f"{owner}-{param}"
+        for owner, params in _public_parameters()
+        for param in params
+        if f"{owner}-{param}" not in covered | set(EXEMPT)
+        and not (len(params) == 1 and owner in covered)
+    ]
+    assert not missing, missing
+    assert not set(EXEMPT) & covered
 
 
 FORMULA = ["formula", "--variant", "ds", "--d", "8", "--p", "2"]

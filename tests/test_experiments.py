@@ -35,6 +35,7 @@ from subspace_dfo import montecarlo
 from subspace_dfo.cli import main
 from subspace_dfo.experiments import (
     D_GRID,
+    METHODS,
     cell_stream,
     default_figure_spec,
     gate_basis_invariance,
@@ -91,7 +92,8 @@ class TestSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(name="x", variant="zz", d_values=(8,))
         for outputs in ("sideways", "both"):
-            with pytest.raises(ValueError, match=f"unknown outputs selector '{outputs}'"):
+            message = f"outputs must be one of ('per-iteration', 'per-evaluation'), got '{outputs}'"
+            with pytest.raises(ValueError, match=re.escape(message)):
                 ExperimentSpec(name="x", variant="ds", d_values=(8,), outputs=outputs)
         with pytest.raises(ValueError, match="no p value is at most max"):
             ExperimentSpec(name="x", variant="ds", d_values=(8,), p_rule=(9,))
@@ -103,6 +105,13 @@ class TestSpec:
         # Entries above max(d) are dropped per d, as p_values_for does.
         spec = ExperimentSpec(name="x", variant="ds", d_values=(4, 8), p_rule=(2, 6, 9))
         assert [p_values_for(d, spec.p_rule) for d in spec.d_values] == [(2,), (2, 6)]
+
+    def test_include_takes_any_iterable_and_keeps_methods_order(self):
+        # A set reads as a list does, and the stored order does not depend
+        # on the set's iteration order.
+        for include in ({"mc", "exact"}, frozenset({"asymptotic", "mc"}), ["mc", "exact"]):
+            spec = ExperimentSpec(name="x", variant="ds", d_values=(8,), include=include)
+            assert spec.include == tuple(m for m in METHODS if m in include)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_out_of_range_seed_is_refused_when_built(self, seed):
