@@ -28,8 +28,14 @@ from .experiments import (
     DEFAULT_SEED,
     FIGURE_MC_DRAWS,
     FIGURE_NAMES,
+    METHOD_ASYMPTOTIC,
+    METHOD_EXACT,
+    METHOD_MC,
+    METRIC_EVALUATION,
+    METRIC_ITERATION,
     OBJECTIVE_NAMES,
     ResultRow,
+    _metric_divisor,
     default_figure_spec,
     run_named_figure,
     run_optimizer_experiment,
@@ -57,6 +63,14 @@ def _text_line(r: ResultRow) -> str:
             f"(n = {r.n_sims}, seed = {r.seed})\n")
 
 
+def _write(payload: str, out: str | None) -> None:
+    """Write ``payload`` to the file ``out``, or to stdout."""
+    if out:
+        Path(out).write_text(payload, encoding="ascii", newline="\n")
+    else:
+        sys.stdout.write(payload)
+
+
 def _emit_rows(rows: list[ResultRow], fmt: str, out: str | None) -> None:
     """Write ``rows`` as text, csv or json to the file ``out``, or to stdout."""
     if fmt == "json":
@@ -65,35 +79,32 @@ def _emit_rows(rows: list[ResultRow], fmt: str, out: str | None) -> None:
         payload = to_csv(ResultRow, rows)
     else:
         payload = "".join(map(_text_line, rows))
-    if out:
-        Path(out).write_text(payload, encoding="ascii", newline="\n")
-    else:
-        sys.stdout.write(payload)
+    _write(payload, out)
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
     variant, p, d = args.variant, args.p, args.d
     record = Variant.named(variant)
     rows = [
-        ResultRow(variant, d, p, "exact", "per-iteration", record.exact(p, d)),
-        ResultRow(variant, d, p, "exact", "per-evaluation", record.per_work(p, d, 1)),
-        ResultRow(variant, d, p, "asymptotic", "per-iteration", record.asymptotic(p, d)),
+        ResultRow(variant, d, p, METHOD_EXACT, METRIC_ITERATION, record.exact(p, d)),
+        ResultRow(variant, d, p, METHOD_EXACT, METRIC_EVALUATION, record.per_work(p, d, 1)),
+        ResultRow(variant, d, p, METHOD_ASYMPTOTIC, METRIC_ITERATION, record.asymptotic(p, d)),
     ]
     if args.cores_model is not None:
         c = args.cores_model
-        rows.append(ResultRow(variant, d, p, "exact", f"per-work({c})", record.per_work(p, d, c)))
+        rows.append(
+            ResultRow(variant, d, p, METHOD_EXACT, f"per-work({c})", record.per_work(p, d, c))
+        )
     _emit_rows(rows, args.format, args.out)
     return 0
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
     est = estimate(args.variant, args.p, args.d, args.nsims, RngStream(args.seed), args.mode)
-    metric, scale = "per-iteration", 1.0
-    if args.per_evaluation:
-        # Per-evaluation values divide by the evaluations of one iteration.
-        metric, scale = "per-evaluation", Variant.named(args.variant).rounds(args.p, 1)
+    metric = METRIC_EVALUATION if args.per_evaluation else METRIC_ITERATION
+    scale = _metric_divisor(Variant.named(args.variant), metric, args.p)
     row = ResultRow(
-        args.variant, args.d, args.p, "mc", metric, est.mean / scale, est.std_error / scale,
+        args.variant, args.d, args.p, METHOD_MC, metric, est.mean / scale, est.std_error / scale,
         args.nsims, args.seed,
     )
     _emit_rows([row], args.format, args.out)
@@ -169,12 +180,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         iteration_kind=args.iteration,
     )
     trace, objective = run_optimizer_experiment(args.function, args.d, config, args.seed)
-    payload = to_csv(TraceRecord, trace.records)
+    _write(to_csv(TraceRecord, trace.records), args.out)
     if args.out:
-        Path(args.out).write_text(payload, encoding="ascii", newline="\n")
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(payload)
     final = trace.final
     print(
         f"# final best = {final.best_value:.12g} after {final.eval_count} evaluations "

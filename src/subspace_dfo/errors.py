@@ -4,7 +4,7 @@ of input.  An integer is an ``Integral`` (``_check_positive`` and kin), a real
 number a finite ``Real`` in its caller's range (``_check_real``), neither a
 bool, and a named choice a string among its choices (``_check_choice``)."""
 
-import math
+import sys
 from collections.abc import Callable, Iterable
 from numbers import Integral, Real
 
@@ -45,7 +45,8 @@ def _check_real(value: object, what: str, within: str | None = None) -> None:
     # A float is tested first: the iterations check two values per call.
     if not isinstance(value, float) and (isinstance(value, bool) or not isinstance(value, Real)):
         raise DomainError(f"{what} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    # NaN, both infinities and an int too large for a float all fail this.
+    if not abs(value) <= sys.float_info.max:
         raise DomainError(f"{what} must be finite, got {value!r}")
     if within is not None and not _REAL_RANGES[within](value):
         raise DomainError(f"{what} must be {within}, got {value!r}")

@@ -39,6 +39,7 @@ from .formulas import (
 )
 from .montecarlo import (
     SAMPLER,
+    _summarize,
     _usable_cpus,
     estimate,
     estimates,
@@ -256,6 +257,12 @@ def row_stream(base: RngStream, variant: str, d: int) -> RngStream:
     return cell_stream(base, variant, 0, d)
 
 
+def _metric_divisor(record: Variant, metric: str, p: int) -> float:
+    """What a row in ``metric`` divides a per-iteration value at p by: 1, or
+    for per-evaluation rows the evaluations of one iteration."""
+    return 1.0 if metric == METRIC_ITERATION else record.rounds(p, 1)
+
+
 def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """Rows of a vary-d or vary-p grid: per cell, the methods ``spec.include``
     selects, in the metric ``spec.outputs``.
@@ -275,8 +282,7 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
         mc = dict(zip(cells, estimates(spec.variant, cells, spec.n_sims, stream)))
     rows: list[ResultRow] = []
     for p, d in cells:
-        # Per-evaluation rows divide by the evaluations of one iteration.
-        scale = 1.0 if metric == METRIC_ITERATION else record.rounds(p, 1)
+        scale = _metric_divisor(record, metric, p)
         if (p, d) in mc:
             est = mc[p, d]
             rows.append(
@@ -489,7 +495,9 @@ def gate_quadrature_constants(
 
 
 def gate_ratio_identities(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
-    """The four p = 1 to p = 2 ratios, by formula and by paired MC at d = 1000."""
+    """The four p = 1 to p = 2 ratios by formula, and the two per-iteration
+    ones by paired MC at d = 1000: an iteration at p = 2 costs exactly twice
+    one at p = 1, so a per-evaluation cell would retest a per-iteration claim."""
     base = _gate_stream(seed, 4)
     sqrt2 = math.sqrt(2.0)
     ds, mb = Variant.named("ds"), Variant.named("mb")
@@ -503,17 +511,9 @@ def gate_ratio_identities(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
         )
         worst_formula = max(worst_formula, max(abs(c) for c in checks))
     ok = worst_formula <= 1e-10
-    targets = (
-        ("ds", sqrt2, False),
-        ("mb", math.pi / 2, False),
-        ("ds", sqrt2 / 2, True),
-        ("mb", math.pi / 4, True),
-    )
     worst_mc = 0.0
-    for i, (variant, target, per_eval) in enumerate(targets):
-        gap = paired_ratio_gap(
-            variant, 1, 2, 1000, target, n_sims, split_stream(base, i), per_evaluation=per_eval
-        )
+    for i, (variant, target) in enumerate((("ds", sqrt2), ("mb", math.pi / 2))):
+        gap = paired_ratio_gap(variant, 1, 2, 1000, target, n_sims, split_stream(base, i))
         z = abs(gap.mean) / gap.std_error
         worst_mc = max(worst_mc, z)
         ok = ok and z <= 3.0
@@ -541,18 +541,17 @@ def gate_per_evaluation_monotonicity(
         ok = ok and all(a > b for a, b in zip(mb_seq, mb_seq[1:]))
         ok = ok and mb.per_work(1, d, 1) > mb.per_work(2, d, 1)
     min_z = math.inf
-    cell = 0
-    for variant in VARIANTS:
-        for p in range(1, 6):
-            # Per-evaluation value at p minus that at p + 1, on common draws.
-            delta = paired_ratio_gap(
-                variant, p + 1, p, 1000, 1.0, n_sims, split_stream(base, cell),
-                per_evaluation=True,
-            )
-            cell += 1
-            z = delta.mean / delta.std_error
-            min_z = min(min_z, z)
-            ok = ok and delta.mean > 0.0 and z > 3.0
+    for cell, (variant, p) in enumerate(itertools.product(VARIANTS, range(1, 6))):
+        # Value at p minus r(p) / r(p + 1) times that at p + 1 on common draws:
+        # r(p) times the per-evaluation gap, so z is the same.
+        rounds = Variant.named(variant).rounds
+        delta = paired_ratio_gap(
+            variant, p + 1, p, 1000, rounds(p, 1) / rounds(p + 1, 1), n_sims,
+            split_stream(base, cell),
+        )
+        z = delta.mean / delta.std_error
+        min_z = min(min_z, z)
+        ok = ok and delta.mean > 0.0 and z > 3.0
     return GateResult(
         5,
         "per-evaluation-monotonicity",
@@ -691,15 +690,14 @@ def gate_optimizer_behavior(
         _, _, evaluations = mb_iteration(objective1, np.zeros(d1), 0.0, basis, 1.0)
         counts[k] = evaluations
         ok = ok and evaluations in (1, 2)
-    mean_cost = float(np.mean(counts))
-    se_cost = float(np.std(counts, ddof=1) / math.sqrt(n_sims))
-    ok = ok and abs(mean_cost - 1.5) <= 3.0 * se_cost
+    est = _summarize(counts)
+    ok = ok and abs(est.mean - 1.5) <= 3.0 * est.std_error
     return GateResult(
         10,
         "optimizer-behavior",
         ok,
         f"max decrease gap = {_fmt(worst_gap)} (gate 1e-12); "
-        f"mean p=1 model cost = {_fmt(mean_cost)} +- {_fmt(se_cost)} (gate 1.5 within 3 se)",
+        f"mean p=1 model cost = {_fmt(est.mean)} +- {_fmt(est.std_error)} (gate 1.5 within 3 se)",
     )
 
 

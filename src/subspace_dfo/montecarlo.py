@@ -323,29 +323,19 @@ def full_basis_estimates(p: int, d: int, n_sims: int, rng: RngStream) -> tuple[E
 
 
 def paired_ratio_gap(
-    variant: str,
-    p1: int,
-    p2: int,
-    d: int,
-    target_ratio: float,
-    n_sims: int,
-    rng: RngStream,
-    per_evaluation: bool = False,
+    variant: str, p1: int, p2: int, d: int, target_ratio: float, n_sims: int, rng: RngStream
 ) -> Estimate:
     """Test statistic for a claimed ratio E[p2, d] / E[p1, d] = target_ratio.
 
     Scores (value at p2) - target_ratio * (value at p1) on common random
     numbers; if the claimed ratio is exact the mean is zero up to sampling
-    noise, and the returned standard error calibrates that noise.  With
-    ``per_evaluation`` both sides are first divided by their evaluation costs.
-    A target ratio of 1 gives the plain paired difference, whose common
-    random numbers give it far lower variance than two independent estimates.
-    A ``target_ratio`` that is not a finite real is refused before any draw.
+    noise, and the returned standard error calibrates that noise.  A claim
+    per evaluation, v2 / r2 = t v1 / r1 with r the evaluation costs, is the
+    same test, with the same z, at target t r2 / r1.  A target ratio of 1
+    gives the plain paired difference, whose common random numbers give it
+    far lower variance than two independent estimates.  A ``target_ratio``
+    that is not a finite real is refused before any draw.
     """
     _check_real(target_ratio, "target_ratio")
     v1, v2 = _replicates(variant, ((p1, d), (p2, d)), n_sims, rng)
-    if per_evaluation:
-        record = Variant.named(variant)
-        v1 = v1 / record.rounds(p1, 1)
-        v2 = v2 / record.rounds(p2, 1)
     return _summarize(v2 - target_ratio * v1)

@@ -104,10 +104,12 @@ def test_criterion_5_per_evaluation_monotonicity():
     drops_ok = True
     base = split_stream(RngStream(SEED), 50)
     for i, variant in enumerate(("ds", "mb")):
+        rounds = Variant.named(variant).rounds
         for p in range(1, 6):
+            # Per evaluation, value at p exceeds value at p + 1.
             delta = paired_ratio_gap(
-                variant, p + 1, p, 1000, 1.0, NSIMS, split_stream(base, 10 * i + p),
-                per_evaluation=True,
+                variant, p + 1, p, 1000, rounds(p, 1) / rounds(p + 1, 1), NSIMS,
+                split_stream(base, 10 * i + p),
             )
             drops_ok &= delta.mean > 3.0 * delta.std_error
     _report(5, gate.passed and chains_ok and drops_ok, gate.detail)

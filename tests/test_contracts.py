@@ -1,14 +1,14 @@
 """One contract table for the public inputs.
 
 Each integer argument of the public API gets a bool, a float, NaN, 0 and -1;
-each real-valued argument a bool, a string, NaN, both infinities, 0.0 and
--1.0; each named choice an unknown name, None and a list; each list argument
-an empty, a repeated and an iterator value; each integer flag of the CLI the
-same bad integers as text.  A library call must raise a ValueError (or a
-subclass) whose message shows the value, and a CLI call must exit 2 with a
-message naming the flag or the value, unless the row is an accept that the
-function's docstring documents.  Every parameter of every public callable
-has a row here or an exemption with its reason.
+each real-valued argument a bool, a string, NaN, both infinities, 0.0, -1.0
+and an int beyond the float range; each named choice an unknown name, None
+and a list; each list argument an empty, a repeated and an iterator value;
+each integer flag of the CLI the same bad integers as text.  A library call
+must raise a ValueError (or a subclass) whose message shows the value, and a
+CLI call must exit 2 with a message naming the flag or the value, unless the
+row is an accept that the function's docstring documents.  Every parameter
+of every public callable has a row here or an exemption with its reason.
 """
 
 import inspect
@@ -50,7 +50,8 @@ from subspace_dfo.cli import main
 
 ACCEPT = object()
 BAD_INTS = (True, 2.5, math.nan, 0, -1)
-BAD_REALS = (True, "1", math.nan, math.inf, -math.inf, 0.0, -1.0)
+HUGE = 10**400  # an int beyond the float range
+BAD_REALS = (True, "1", math.nan, math.inf, -math.inf, 0.0, -1.0, HUGE)
 BAD_NAMES = ("nope", None, ["nope"])
 DS = Variant.named("ds")
 BASIS = sample_stiefel(4, 2, RngStream(0))
@@ -236,7 +237,9 @@ def _library_rows():
                 if (name, value) in LIBRARY_SKIPPED:
                     continue
                 expected = ACCEPT if value in accepts else None
-                yield pytest.param(call, value, expected, id=f"{name}-{value!r}")
+                # HUGE goes by its formula in the id, not by its 401 digits.
+                label = "10**400" if value is HUGE else repr(value)
+                yield pytest.param(call, value, expected, id=f"{name}-{label}")
     for name, call in NAME_ARGS.items():
         for value in BAD_NAMES:
             yield pytest.param(call, value, None, id=f"{name}-{value!r}")
@@ -259,9 +262,13 @@ def test_library_input_contract(call, value, expected):
         assert expected in str(exc.value)
 
 
-# Keys that name their parameter differently; a key with no parameter covers
-# its callable's only one.
-ROW_PARAMS = {"run_parallel_sweep-cores": "run_parallel_sweep-cores_list"}
+# Keys that name their parameter differently, the components of ``cells``
+# included; a key with no parameter covers its callable's only one.
+ROW_PARAMS = {
+    "run_parallel_sweep-cores": "run_parallel_sweep-cores_list",
+    "estimates-p": "estimates-cells",
+    "estimates-d": "estimates-cells",
+}
 _RECORD = "an output record the package builds"
 _STREAM = "a stream, which RngStream checks when it is built"
 # Parameters with no row, each with its reason.
@@ -295,7 +302,6 @@ EXEMPT = {
     "run_driver-config": "a DriverConfig, whose fields have rows",
     "run_optimizer_experiment-config": "a DriverConfig, whose fields have rows",
     "run_named_figure-spec": "an ExperimentSpec, whose fields have rows",
-    "paired_ratio_gap-per_evaluation": "a flag, read for its truth value",
     "run_verify-out_dir": "a path; a bad one fails as the file system fails it",
 }
 
@@ -312,17 +318,17 @@ def _public_parameters():
 
 
 def test_every_public_parameter_has_a_row_or_an_exemption():
+    signatures = list(_public_parameters())
+    public = {f"{owner}-{param}" for owner, params in signatures for param in params}
+    sole = {owner: f"{owner}-{params[0]}" for owner, params in signatures if len(params) == 1}
     keys = {*INT_ARGS, *REAL_ARGS, *NAME_ARGS, *LIST_ROWS}
-    covered = {ROW_PARAMS.get(key, key) for key in keys}
-    missing = [
-        f"{owner}-{param}"
-        for owner, params in _public_parameters()
-        for param in params
-        if f"{owner}-{param}" not in covered | set(EXEMPT)
-        and not (len(params) == 1 and owner in covered)
-    ]
-    assert not missing, missing
+    covered = {sole.get(key, key) for key in (ROW_PARAMS.get(key, key) for key in keys)}
+    missing = public - covered - set(EXEMPT)
+    assert not missing, sorted(missing)
     assert not set(EXEMPT) & covered
+    # A key of a parameter that no longer exists is stale.
+    stale = (covered | set(EXEMPT)) - public
+    assert not stale, sorted(stale)
 
 
 FORMULA = ["formula", "--variant", "ds", "--d", "8", "--p", "2"]

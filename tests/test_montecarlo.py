@@ -324,14 +324,24 @@ class TestPerEvaluationEstimate:
         assert per_eval["value"] == base.mean / 4.0
 
 
+def _cost_ratio(variant, p1, p2):
+    """The target at which ``paired_ratio_gap(variant, p1, p2, ...)`` tests
+    equal values per evaluation: v_p2 / r(p2) = v_p1 / r(p1) exactly when
+    v_p2 = (r(p2) / r(p1)) v_p1, for r the evaluations of one iteration."""
+    rounds = Variant.named(variant).rounds
+    return rounds(p2, 1) / rounds(p1, 1)
+
+
 class TestPairing:
     def test_identical_levels_give_zero(self):
-        delta = paired_ratio_gap("ds", 3, 3, 50, 1.0, 2000, RngStream(10), per_evaluation=True)
+        target = _cost_ratio("ds", 3, 3)
+        delta = paired_ratio_gap("ds", 3, 3, 50, target, 2000, RngStream(10))
         assert delta.mean == 0.0 and delta.std_error == 0.0
 
     def test_identical_model_levels_give_zero(self):
         # The gap between equal cut points is a Gamma(0) piece, exactly 0.
-        delta = paired_ratio_gap("mb", 4, 4, 50, 1.0, 5000, RngStream(15), per_evaluation=True)
+        target = _cost_ratio("mb", 4, 4)
+        delta = paired_ratio_gap("mb", 4, 4, 50, target, 5000, RngStream(15))
         assert delta.mean == 0.0 and delta.std_error == 0.0
 
     def test_model_full_dimension_level_is_exactly_one(self):
@@ -340,11 +350,13 @@ class TestPairing:
         assert np.all((v2 > 0.0) & (v2 < 1.0))
 
     def test_polling_drop_is_significant(self):
-        delta = paired_ratio_gap("ds", 2, 1, 1000, 1.0, 10_000, RngStream(11), per_evaluation=True)
+        target = _cost_ratio("ds", 2, 1)
+        delta = paired_ratio_gap("ds", 2, 1, 1000, target, 10_000, RngStream(11))
         assert delta.mean > 3.0 * delta.std_error
 
     def test_model_drop_is_significant(self):
-        delta = paired_ratio_gap("mb", 3, 2, 1000, 1.0, 10_000, RngStream(12), per_evaluation=True)
+        target = _cost_ratio("mb", 3, 2)
+        delta = paired_ratio_gap("mb", 3, 2, 1000, target, 10_000, RngStream(12))
         assert delta.mean > 3.0 * delta.std_error
 
     def test_ratio_gap_detects_true_ratio(self):
@@ -365,10 +377,20 @@ class TestPairing:
             paired_ratio_gap("ds", 1, 2, 100, target, 1000, RngStream(0))
 
     def test_per_evaluation_ratio_gap(self):
-        gap = paired_ratio_gap(
-            "mb", 1, 2, 1000, math.pi / 4.0, 10_000, RngStream(14), per_evaluation=True
-        )
+        target = math.pi / 4.0 * _cost_ratio("mb", 1, 2)
+        gap = paired_ratio_gap("mb", 1, 2, 1000, target, 10_000, RngStream(14))
         assert abs(gap.mean) <= 3.0 * gap.std_error
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_cost_ratio_target_is_the_per_evaluation_gap(self, variant, p):
+        # z of v_p - (r(p) / r(p + 1)) v_{p+1} is z of v_p / r(p) - v_{p+1} / r(p + 1).
+        rounds = Variant.named(variant).rounds
+        target = rounds(p, 1) / rounds(p + 1, 1)
+        gap = paired_ratio_gap(variant, p + 1, p, 12, target, 3000, RngStream(17))
+        low, high = _replicates(variant, [(p + 1, 12), (p, 12)], 3000, RngStream(17))
+        m, se = _mean_se(high / rounds(p, 1) - low / rounds(p + 1, 1))
+        assert gap.mean / gap.std_error == pytest.approx(m / se, rel=1e-12)
 
 
 def _d_normal_values(variant, ps, d, n, rng):
@@ -413,12 +435,10 @@ class TestChiSquareTailOracle:
     def test_paired_compare_matches_d_normal_sampler(self, variant):
         p1, p2, d = 5, 2, 300
         base = RngStream(5)
-        new = paired_ratio_gap(
-            variant, p2, p1, d, 1.0, self.N, split_stream(base, 2), per_evaluation=True
-        )
+        target = _cost_ratio(variant, p2, p1)
+        new = paired_ratio_gap(variant, p2, p1, d, target, self.N, split_stream(base, 2))
         v1, v2 = _d_normal_values(variant, (p1, p2), d, self.N, split_stream(base, 3))
-        record = Variant.named(variant)
-        diffs = v1 / record.rounds(p1, 1) - v2 / record.rounds(p2, 1)
+        diffs = v1 - target * v2
         m_old, se_old = _mean_se(diffs)
         gap = abs(new.mean - m_old)
         assert gap <= 3.0 * math.hypot(new.std_error, se_old)
