@@ -8,8 +8,8 @@ header of its record type's field names; a cell is empty for None, ``pass`` or
 with ``,`` written ``;``.  A figure's Monte Carlo cells, every (p, d) of one
 variant, are scored on one draw from a child stream keyed by (variant,
 max d): a cell at d reads the draw's first d coordinates.  So a cell's value
-depends on the whole grid, not on its (p, d) alone.  A gate cell draws its
-own stream, keyed by (variant, p, d).
+depends on the whole grid, not on its (p, d) alone.  The gates score their
+reduced cells the same way: one draw per cell set.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .montecarlo import (
     SAMPLER,
     _summarize,
     _usable_cpus,
-    estimate,
     estimates,
     full_basis_estimates,
     paired_ratio_gap,
@@ -230,16 +229,6 @@ def p_values_for(d: int, p_rule: tuple[int, ...] | str) -> tuple[int, ...]:
     return tuple(p for p in p_rule if p <= d)
 
 
-def cell_stream(base: RngStream, variant: str, p: int, d: int) -> RngStream:
-    """Child stream for one Monte Carlo cell, keyed by the cell's identity.
-
-    Keying by (variant, p, d) rather than by enumeration order keeps a
-    gate cell's randomness stable when other cells are added or removed.
-    """
-    variant_index = VARIANTS.index(variant)
-    return split_stream(split_stream(split_stream(base, variant_index), p), d)
-
-
 # How a figure draws its Monte Carlo rows; recorded in every figure manifest.
 FIGURE_MC_DRAWS = (
     "one draw per figure, from the row stream of its largest d; a cell at d reads its first d "
@@ -248,13 +237,9 @@ FIGURE_MC_DRAWS = (
 
 
 def row_stream(base: RngStream, variant: str, d: int) -> RngStream:
-    """Child stream keyed by (variant, d); a figure draws all its cells from
-    the one at its largest d.
-
-    It is the cell stream at p = 0, which is never a cell, so it differs from
-    every cell stream.
-    """
-    return cell_stream(base, variant, 0, d)
+    """Child stream (variant index, 0, d) of ``base``: a figure, and gates 1
+    and 2, draw all their cells from the one at their largest d."""
+    return split_stream(split_stream(split_stream(base, VARIANTS.index(variant)), 0), d)
 
 
 def _metric_divisor(record: Variant, metric: str, p: int) -> float:
@@ -434,42 +419,42 @@ def _gate_stream(seed: int, criterion: int) -> RngStream:
 
 
 def _closed_form_cells(
-    criterion: int, variant: str, p_rule: tuple[int, ...] | str, n_sims: int, seed: int
+    variant: str, p_rule: tuple[int, ...] | str, n_sims: int, seed: int
 ) -> tuple[bool, str]:
     """Whether MC matches the exact decrease at every p of
     ``p_values_for(d, p_rule)`` over D_GRID, and where |z| is largest.
 
-    Each cell draws its own stream and must lie within 3 standard errors; a
-    p = d cell must instead be exactly 1 with zero standard error.
+    All cells are scored by one ``estimates`` call on the row stream of
+    max(D_GRID), as a figure's are, so gate 2 scores the MC rows of the
+    ``mb-vary-d`` figure at the same seed and n_sims.  Each cell must lie
+    within 3 standard errors; a p = d cell must instead be exactly 1 with
+    zero standard error.
     """
-    base = _gate_stream(seed, criterion)
     record = Variant.named(variant)
-    worst = 0.0
-    worst_cell = (0, 0)
-    ok = True
-    for d in D_GRID:
-        for p in p_values_for(d, p_rule):
-            est = estimate(variant, p, d, n_sims, cell_stream(base, variant, p, d))
-            exact = record.exact(p, d)
-            if p == d:
-                ok = ok and exact == 1.0 and est.mean == 1.0 and est.std_error == 0.0
-                continue
-            z = abs(est.mean - exact) / est.std_error
-            if z > worst:
-                worst, worst_cell = z, (p, d)
-            ok = ok and z <= 3.0
+    cells = [(p, d) for d in D_GRID for p in p_values_for(d, p_rule)]
+    stream = row_stream(RngStream(seed), variant, max(D_GRID))
+    worst, worst_cell, ok = 0.0, (0, 0), True
+    for (p, d), est in zip(cells, estimates(variant, cells, n_sims, stream)):
+        exact = record.exact(p, d)
+        if p == d:
+            ok = ok and exact == 1.0 and est.mean == 1.0 and est.std_error == 0.0
+            continue
+        z = abs(est.mean - exact) / est.std_error
+        if z > worst:
+            worst, worst_cell = z, (p, d)
+        ok = ok and z <= 3.0
     return ok, f"max |z| = {_fmt(worst)} at (p={worst_cell[0]}; d={worst_cell[1]})"
 
 
 def gate_ds_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Polling closed forms at p in {1, 2} versus MC over the dimension grid."""
-    ok, where = _closed_form_cells(1, "ds", (1, 2), n_sims, seed)
+    ok, where = _closed_form_cells("ds", (1, 2), n_sims, seed)
     return GateResult(1, "ds-closed-form-vs-mc", ok, f"{where}; gate |z| <= 3")
 
 
 def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Model closed form versus MC at p in {1, 2, d/2, d}; p = d must be exact."""
-    ok, where = _closed_form_cells(2, "mb", "standard", n_sims, seed)
+    ok, where = _closed_form_cells("mb", "standard", n_sims, seed)
     return GateResult(2, "mb-closed-form-vs-mc", ok, f"{where}; p=d cells exact")
 
 
@@ -601,18 +586,22 @@ def gate_basis_invariance(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
     """Full-basis sampling agrees with the reduced path at matched (p, d).
 
     The full-basis draw does not depend on the variant, so each (p, d) cell
-    is drawn once, on child stream 2i, and scored for both variants.  The
-    reduced cells keep one stream each: 2i + 1 for polling, 9 + 2i for the
-    model step.
+    i is drawn once, on child stream 2i, and scored for both variants.  The
+    reduced cells of the variant at index j of ``VARIANTS`` are scored as a
+    figure scores them: one ``estimates`` call, on child stream 8 + j.
     """
     base = _gate_stream(seed, 8)
+    cells = ((1, 16), (4, 16), (8, 64), (32, 64))
+    reduced = [
+        estimates(variant, cells, n_sims, split_stream(base, 8 + j))
+        for j, variant in enumerate(VARIANTS)
+    ]
     worst = 0.0
     ok = True
-    for i, (p, d) in enumerate(((1, 16), (4, 16), (8, 64), (32, 64))):
+    for i, (p, d) in enumerate(cells):
         fulls = full_basis_estimates(p, d, n_sims, split_stream(base, 2 * i))
-        for j, (variant, full) in enumerate(zip(VARIANTS, fulls)):
-            reduced = estimate(variant, p, d, n_sims, split_stream(base, 8 * j + 2 * i + 1))
-            z = abs(full.mean - reduced.mean) / math.hypot(full.std_error, reduced.std_error)
+        for full, ests in zip(fulls, reduced):
+            z = abs(full.mean - ests[i].mean) / math.hypot(full.std_error, ests[i].std_error)
             worst = max(worst, z)
             ok = ok and z <= 3.0
     return GateResult(

@@ -36,9 +36,10 @@ from subspace_dfo.cli import main
 from subspace_dfo.experiments import (
     D_GRID,
     METHODS,
-    cell_stream,
     default_figure_spec,
     gate_basis_invariance,
+    gate_ds_closed_form,
+    gate_mb_closed_form,
     gate_optimizer_behavior,
     p_values_for,
     row_stream,
@@ -393,7 +394,7 @@ class TestFigureRowDraws:
             tracemalloc.stop()
         assert peak < 6 * 2**20, peak
 
-    def test_row_stream_is_stable_and_no_cell_stream(self):
+    def test_row_stream_is_stable_and_keyed_by_variant(self):
         def first_draws(stream):
             return stream.generator().standard_normal(4).tobytes()
 
@@ -401,8 +402,6 @@ class TestFigureRowDraws:
         for variant in ("ds", "mb"):
             row = first_draws(row_stream(base, variant, 16))
             assert row == first_draws(row_stream(RngStream(0), variant, 16))
-            cells = {first_draws(cell_stream(base, variant, p, 16)) for p in range(1, 17)}
-            assert row not in cells
         assert first_draws(row_stream(base, "ds", 16)) != first_draws(row_stream(base, "mb", 16))
 
     def test_worker_threads_give_the_serial_bytes(self, monkeypatch):
@@ -655,6 +654,42 @@ class TestVerifyRunner:
         assert sum(seconds.values()) <= wall
         # Timings stay out of the byte-stable CSV.
         assert (tmp_path / "verify_gates.csv").read_text() == to_csv(GateResult, results)
+
+
+class TestGateDraws:
+    """Gates 1, 2 and 8 score each reduced cell set as a figure does: one
+    ``estimates`` call, so one draw spans every d of the set."""
+
+    def test_mb_gate_scores_the_mb_vary_d_figure_rows(self):
+        rows = run_named_figure(default_figure_spec("mb-vary-d", n_sims=300, seed=5))
+        exact = {(r.p, r.d): r.value for r in rows if r.method == "exact"}
+        worst, worst_cell = 0.0, None
+        for r in rows:
+            if r.method == "mc" and r.p != r.d:
+                z = abs(r.value - exact[r.p, r.d]) / r.std_error
+                if z > worst:
+                    worst, worst_cell = z, (r.p, r.d)
+        where = f"max |z| = {format(worst, '.17g')} at (p={worst_cell[0]}; d={worst_cell[1]})"
+        assert gate_mb_closed_form(n_sims=300, seed=5).detail == f"{where}; p=d cells exact"
+
+    def test_reduced_blocks_span_dimensions_and_read_below_the_head(self, monkeypatch):
+        calls = []
+        for name in ("_polling_scores", "_model_scores"):
+            scores = getattr(montecarlo, name)
+
+            def spy(gen, cells, out, name=name, scores=scores):
+                calls.append((name, cells))
+                return scores(gen, cells, out)
+
+            monkeypatch.setattr(montecarlo, name, spy)
+        for gate in (gate_ds_closed_form, gate_mb_closed_form, gate_basis_invariance):
+            assert gate(n_sims=100, seed=0).passed
+        assert any(len({d for _, d in cells}) > 1 for _, cells in calls)
+        # A d below the head width max(p) is read off the head's columns.
+        assert any(
+            name == "_polling_scores" and min(d for _, d in cells) < max(p for p, _ in cells)
+            for name, cells in calls
+        )
 
 
 class TestBasisInvarianceGate:
