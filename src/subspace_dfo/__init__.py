@@ -56,6 +56,7 @@ from .montecarlo import (
     replicate_decreases,
 )
 from .experiments import (
+    Check,
     ExperimentSpec,
     GateResult,
     ResultRow,
@@ -96,6 +97,7 @@ __all__ = [
     "estimates",
     "paired_ratio_gap",
     "replicate_decreases",
+    "Check",
     "ExperimentSpec",
     "GateResult",
     "ResultRow",

@@ -36,7 +36,9 @@ from .experiments import (
     OBJECTIVE_NAMES,
     ResultRow,
     _metric_divisor,
+    _worst,
     default_figure_spec,
+    mc_checks,
     run_named_figure,
     run_optimizer_experiment,
     run_parallel_sweep,
@@ -162,7 +164,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             d_values=(args.d,) if args.d is not None else None,
         )
         rows = run_named_figure(spec)
-        manifest = {"spec": asdict(spec), "mc_draws": FIGURE_MC_DRAWS}
+        # The MC rows against the exact rows, scored as gates 1 and 2 score theirs.
+        checks = mc_checks(rows)
+        worst = _worst(checks).get("|z|")
+        manifest = {"spec": asdict(spec), "mc_draws": FIGURE_MC_DRAWS, "mc_vs_exact": {
+            "cells": len(checks), "passed": all(c.passed for c in checks),
+            "max_abs_z": worst and worst.value, "at": worst and worst.cell,
+        }}
     out_dir = Path(args.out) if args.out else _default_outdir()
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{name}.csv"

@@ -2,14 +2,15 @@
 
 Everything here is deterministic given a seed: re-running any experiment with
 the same spec and seed produces byte-identical output.  ``to_csv`` writes
-every table (``ResultRow``, ``optimizer.TraceRecord``, ``GateResult``) under a
+every table (``ResultRow``, ``optimizer.TraceRecord``, ``GateResult``, ``Check``) under a
 header of its record type's field names; a cell is empty for None, ``pass`` or
 ``FAIL`` for a bool, a float at 17 significant digits, and otherwise ``str``
 with ``,`` written ``;``.  A figure's Monte Carlo cells, every (p, d) of one
 variant, are scored on one draw from a child stream keyed by (variant,
 max d): a cell at d reads the draw's first d coordinates.  So a cell's value
 depends on the whole grid, not on its (p, d) alone.  The gates score their
-reduced cells the same way: one draw per cell set.
+reduced cells the same way, and gates 1 and 2 run a figure.  A gate is a
+list of ``Check`` records, one per tested cell and statistic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .formulas import (
     Variant,
     _checked,
     expected_decrease_ds,
-    expected_decrease_mb,
     polling_factor,
 )
 from .montecarlo import (
@@ -130,8 +130,9 @@ def _cell(value: object) -> str:
 
 def to_csv(kind: type, records: Iterable) -> str:
     """``records``, instances of the dataclass ``kind``, one CSV line each under
-    a header of ``kind``'s field names; the module docstring gives the cells."""
-    names = [field.name for field in dataclasses.fields(kind)]
+    a header of ``kind``'s field names; the module docstring gives the cells.
+    A field left out of the repr (``GateResult.checks``) is left out here too."""
+    names = [field.name for field in dataclasses.fields(kind) if field.repr]
     lines = [",".join([_cell(getattr(r, name)) for name in names]) for r in records]
     return "\n".join([",".join(names), *lines, ""])
 
@@ -288,26 +289,16 @@ def default_figure_spec(
     name: str, n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
 ) -> ExperimentSpec:
     _check_choice(name, [n for n in FIGURE_NAMES if n != "parallel-sweep"], "grid")
-    variant = name.split("-")[0]
-    perfev = "-perfev-" in name
     vary_p = name.endswith("-vary-p")
-    if vary_p:
-        d_values: tuple[int, ...] = (D_VARY_P,)
-        p_rule: tuple[int, ...] | str = P_LIST_VARY_P
-        include: tuple[str, ...] = (METHOD_EXACT, METHOD_MC)
-    else:
-        d_values = D_GRID
-        p_rule = "standard"
-        include = METHODS
     return ExperimentSpec(
         name=name,
-        variant=variant,
-        d_values=d_values,
-        p_rule=p_rule,
+        variant=name.split("-")[0],
+        d_values=(D_VARY_P,) if vary_p else D_GRID,
+        p_rule=P_LIST_VARY_P if vary_p else "standard",
         n_sims=n_sims,
         seed=seed,
-        outputs=METRIC_EVALUATION if perfev else METRIC_ITERATION,
-        include=include,
+        outputs=METRIC_EVALUATION if "-perfev-" in name else METRIC_ITERATION,
+        include=(METHOD_EXACT, METHOD_MC) if vary_p else METHODS,
     )
 
 
@@ -400,132 +391,162 @@ def run_optimizer_experiment(
 
 
 # ----------------------------------------------------------------------------
-# Verification gates.  Each gate checks one acceptance bullet end to end and
-# reports a deterministic detail string; the CLI turns failures into a nonzero
-# exit code.
+# Verification gates.  Each gate checks one acceptance bullet end to end as a
+# list of ``Check`` records, one per tested cell and statistic, and returns
+# them through ``_gate``, which derives the pass flag and the detail string;
+# the CLI turns failures into a nonzero exit code.
 # ----------------------------------------------------------------------------
+
+SIGMA_3, ONE_SIDED, EXACT = "3-sigma", "one-sided", "exact"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One tested cell of a gate: ``statistic`` at ``cell`` has ``value``.
+    ``kind`` is ``"3-sigma"`` (a two-sided |z|), ``"one-sided"`` (a z that
+    must exceed ``bound``) or ``"exact"`` (a deterministic error)."""
+
+    gate: int
+    cell: str
+    statistic: str
+    value: float
+    bound: float
+    kind: str
+
+    def __post_init__(self) -> None:
+        _check_choice(self.kind, (SIGMA_3, ONE_SIDED, EXACT), "kind")
+
+    @property
+    def passed(self) -> bool:
+        """The one pass rule: at most ``bound``, or above it when one-sided;
+        a NaN value fails every kind."""
+        return self.value > self.bound if self.kind == ONE_SIDED else self.value <= self.bound
 
 
 @dataclass(frozen=True)
 class GateResult:
+    """A gate's verdict, derived from its ``checks`` by ``_gate``; the checks
+    stay out of the repr, and so out of ``verify_gates.csv``."""
+
     criterion: int
     name: str
     passed: bool
     detail: str
+    checks: tuple[Check, ...] = dataclasses.field(default=(), repr=False)
 
 
-def _gate_stream(seed: int, criterion: int) -> RngStream:
-    return split_stream(RngStream(seed), criterion)
+def _z(gap: float, std_error: float) -> float:
+    """``gap`` in standard errors; over a zero standard error a zero gap is
+    0 and any other gap is infinite."""
+    return gap / std_error if std_error else (gap * math.inf if gap else 0.0)
 
 
-def _closed_form_cells(
-    variant: str, p_rule: tuple[int, ...] | str, n_sims: int, seed: int
-) -> tuple[bool, str]:
-    """Whether MC matches the exact decrease at every p of
-    ``p_values_for(d, p_rule)`` over D_GRID, and where |z| is largest.
+def _worst(checks: Iterable[Check]) -> dict[str, Check]:
+    """Per statistic, in first-seen order, its first worst check: NaN, else
+    the largest value, or the smallest when one-sided."""
+    worst: dict[str, Check] = {}
+    for c in checks:
+        w = worst.setdefault(c.statistic, c)
+        sign = -1.0 if c.kind == ONE_SIDED else 1.0
+        if math.isnan(c.value) > math.isnan(w.value) or sign * c.value > sign * w.value:
+            worst[c.statistic] = c
+    return worst
 
-    All cells are scored by one ``estimates`` call on the row stream of
-    max(D_GRID), as a figure's are, so gate 2 scores the MC rows of the
-    ``mb-vary-d`` figure at the same seed and n_sims.  Each cell must lie
-    within 3 standard errors; a p = d cell must instead be exactly 1 with
-    zero standard error.
-    """
-    record = Variant.named(variant)
-    cells = [(p, d) for d in D_GRID for p in p_values_for(d, p_rule)]
-    stream = row_stream(RngStream(seed), variant, max(D_GRID))
-    worst, worst_cell, ok = 0.0, (0, 0), True
-    for (p, d), est in zip(cells, estimates(variant, cells, n_sims, stream)):
-        exact = record.exact(p, d)
-        if p == d:
-            ok = ok and exact == 1.0 and est.mean == 1.0 and est.std_error == 0.0
-            continue
-        z = abs(est.mean - exact) / est.std_error
-        if z > worst:
-            worst, worst_cell = z, (p, d)
-        ok = ok and z <= 3.0
-    return ok, f"max |z| = {_fmt(worst)} at (p={worst_cell[0]}; d={worst_cell[1]})"
+
+def _gate(criterion: int, name: str, checks: Iterable[Check]) -> GateResult:
+    """The gate passes iff every check does; its detail gives each
+    statistic's worst value, its cell and the bound."""
+    checks = tuple(checks)
+    detail = "; ".join(
+        f"{'min' if c.kind == ONE_SIDED else 'max'} {statistic} = {_fmt(c.value)} at {c.cell} "
+        f"(gate {'> ' if c.kind == ONE_SIDED else ''}{c.bound:g})"
+        for statistic, c in _worst(checks).items()
+    )
+    return GateResult(criterion, name, all(c.passed for c in checks), detail, checks)
+
+
+def mc_checks(rows: Iterable[ResultRow], gate: int = 0) -> list[Check]:
+    """One check per Monte Carlo row of a figure with an exact row at its
+    (p, d): |z| at most 3, or, for a row with standard error 0 (the model
+    at p = d, where per iteration both rows are 1), no gap at all.  The
+    checks carry ``gate``, 0 outside the gate suite."""
+    rows = list(rows)
+    exact = {(r.p, r.d): r.value for r in rows if r.method == METHOD_EXACT}
+    checks = []
+    for r in (r for r in rows if r.method == METHOD_MC and (r.p, r.d) in exact):
+        cell, gap = f"(p={r.p}; d={r.d})", r.value - exact[r.p, r.d]
+        if r.std_error:
+            checks.append(Check(gate, cell, "|z|", abs(_z(gap, r.std_error)), 3.0, SIGMA_3))
+        else:
+            checks.append(Check(gate, cell, "|mc - exact|", abs(gap), 0.0, EXACT))
+    return checks
 
 
 def gate_ds_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
-    """Polling closed forms at p in {1, 2} versus MC over the dimension grid."""
-    ok, where = _closed_form_cells("ds", (1, 2), n_sims, seed)
-    return GateResult(1, "ds-closed-form-vs-mc", ok, f"{where}; gate |z| <= 3")
+    """Polling closed forms at p in {1, 2} versus MC over the dimension grid,
+    on the rows of a figure with that p rule."""
+    spec = ExperimentSpec("ds-closed-form-vs-mc", "ds", D_GRID, (1, 2), n_sims, seed,
+                          include=(METHOD_EXACT, METHOD_MC))
+    return _gate(1, spec.name, mc_checks(run_named_figure(spec), 1))
 
 
 def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
-    """Model closed form versus MC at p in {1, 2, d/2, d}; p = d must be exact."""
-    ok, where = _closed_form_cells("mb", "standard", n_sims, seed)
-    return GateResult(2, "mb-closed-form-vs-mc", ok, f"{where}; p=d cells exact")
+    """Model closed form versus MC at p in {1, 2, d/2, d}, on the MC rows of
+    the ``mb-vary-d`` figure at the same seed and n_sims."""
+    spec = ExperimentSpec("mb-closed-form-vs-mc", "mb", D_GRID, "standard", n_sims, seed,
+                          include=(METHOD_EXACT, METHOD_MC))
+    return _gate(2, spec.name, mc_checks(run_named_figure(spec), 2))
 
 
-def gate_quadrature_constants(
-    n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
-) -> GateResult:
+def gate_quadrature_constants(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """The general polling factor at p = 2 against its closed form, and the
     p = 3, 4 decrease-to-dimension-factor constants."""
     level2 = abs(polling_factor(2) - math.sqrt(2.0 / math.pi))
-    ok = level2 <= 1e-10
-    worst = {}
+    checks = [Check(3, "(p=2)", "|pf2 - sqrt(2/pi)|", level2, 1e-10, EXACT)]
     for p, constant in ((3, DS_RATIO_P3), (4, DS_RATIO_P4)):
-        ratios = (expected_decrease_ds(p, d) / gamma_half_ratio(d) for d in (p, 8, 64, 512, 4096))
-        worst[p] = max(abs(ratio - constant) for ratio in ratios)
-    ok = ok and all(w <= 1e-3 for w in worst.values())
-    return GateResult(
-        3,
-        "quadrature-constants",
-        ok,
-        f"|pf2 - sqrt(2/pi)| = {_fmt(level2)}; |ratio3 - {DS_RATIO_P3}| = {_fmt(worst[3])}; "
-        f"|ratio4 - {DS_RATIO_P4}| = {_fmt(worst[4])}",
-    )
+        checks += [
+            Check(3, f"(p={p}; d={d})", f"|ratio{p} - {constant}|",
+                  abs(expected_decrease_ds(p, d) / gamma_half_ratio(d) - constant), 1e-3, EXACT)
+            for d in (p, 8, 64, 512, 4096)
+        ]
+    return _gate(3, "quadrature-constants", checks)
 
 
 def gate_ratio_identities(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """The four p = 1 to p = 2 ratios by formula, and the two per-iteration
     ones by paired MC at d = 1000: an iteration at p = 2 costs exactly twice
     one at p = 1, so a per-evaluation cell would retest a per-iteration claim."""
-    base = _gate_stream(seed, 4)
+    base = split_stream(RngStream(seed), 4)
     sqrt2 = math.sqrt(2.0)
     ds, mb = Variant.named("ds"), Variant.named("mb")
-    worst_formula = 0.0
+    checks = []
     for d in (8, 64, 1000, 1024):
-        checks = (
-            expected_decrease_ds(2, d) / expected_decrease_ds(1, d) - sqrt2,
-            expected_decrease_mb(2, d) / expected_decrease_mb(1, d) - math.pi / 2,
-            ds.per_work(2, d, 1) / ds.per_work(1, d, 1) - sqrt2 / 2,
-            mb.per_work(2, d, 1) / mb.per_work(1, d, 1) - math.pi / 4,
-        )
-        worst_formula = max(worst_formula, max(abs(c) for c in checks))
-    ok = worst_formula <= 1e-10
-    worst_mc = 0.0
+        residuals = {
+            "ds per-iteration": ds.exact(2, d) / ds.exact(1, d) - sqrt2,
+            "mb per-iteration": mb.exact(2, d) / mb.exact(1, d) - math.pi / 2,
+            "ds per-evaluation": ds.per_work(2, d, 1) / ds.per_work(1, d, 1) - sqrt2 / 2,
+            "mb per-evaluation": mb.per_work(2, d, 1) / mb.per_work(1, d, 1) - math.pi / 4,
+        }
+        checks += [Check(4, f"({ratio}; d={d})", "formula residual", abs(r), 1e-10, EXACT)
+                   for ratio, r in residuals.items()]
     for i, (variant, target) in enumerate((("ds", sqrt2), ("mb", math.pi / 2))):
         gap = paired_ratio_gap(variant, 1, 2, 1000, target, n_sims, split_stream(base, i))
-        z = abs(gap.mean) / gap.std_error
-        worst_mc = max(worst_mc, z)
-        ok = ok and z <= 3.0
-    return GateResult(
-        4,
-        "ratio-identities",
-        ok,
-        f"max formula residual = {_fmt(worst_formula)} (gate 1e-10); "
-        f"max paired |z| = {_fmt(worst_mc)} (gate 3)",
-    )
+        z = abs(_z(gap.mean, gap.std_error))
+        checks.append(Check(4, f"({variant}; d=1000)", "paired |z|", z, 3.0, SIGMA_3))
+    return _gate(4, "ratio-identities", checks)
 
 
 def gate_per_evaluation_monotonicity(
     n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
 ) -> GateResult:
     """Per-evaluation decrease strictly falls as p grows, by formula and paired MC."""
-    base = _gate_stream(seed, 5)
-    ds, mb = Variant.named("ds"), Variant.named("mb")
-    ok = True
-    for d in (64, 1024):
-        top = min(d - 1, 64)
-        ds_seq = [ds.per_work(p, d, 1) for p in range(1, top + 1)]
-        ok = ok and all(a > b for a, b in zip(ds_seq, ds_seq[1:]))
-        mb_seq = [mb.per_work(p, d, 1) for p in range(2, top + 1)]
-        ok = ok and all(a > b for a, b in zip(mb_seq, mb_seq[1:]))
-        ok = ok and mb.per_work(1, d, 1) > mb.per_work(2, d, 1)
-    min_z = math.inf
+    base = split_stream(RngStream(seed), 5)
+    checks = []
+    for d, variant in itertools.product((64, 1024), VARIANTS):
+        seq = [Variant.named(variant).per_work(p, d, 1) for p in range(1, min(d - 1, 64) + 1)]
+        rises = float(sum(a <= b for a, b in zip(seq, seq[1:])))
+        cell = f"({variant}; p<={len(seq)}; d={d})"
+        checks.append(Check(5, cell, "formula steps not falling", rises, 0.0, EXACT))
     for cell, (variant, p) in enumerate(itertools.product(VARIANTS, range(1, 6))):
         # Value at p minus r(p) / r(p + 1) times that at p + 1 on common draws:
         # r(p) times the per-evaluation gap, so z is the same.
@@ -534,52 +555,38 @@ def gate_per_evaluation_monotonicity(
             variant, p + 1, p, 1000, rounds(p, 1) / rounds(p + 1, 1), n_sims,
             split_stream(base, cell),
         )
-        z = delta.mean / delta.std_error
-        min_z = min(min_z, z)
-        ok = ok and delta.mean > 0.0 and z > 3.0
-    return GateResult(
-        5,
-        "per-evaluation-monotonicity",
-        ok,
-        f"formula chains strict; min paired z = {_fmt(min_z)} (gate > 3)",
-    )
+        z = _z(delta.mean, delta.std_error)
+        checks.append(Check(5, f"({variant}; p={p}; d=1000)", "paired z", z, 3.0, ONE_SIDED))
+    return _gate(5, "per-evaluation-monotonicity", checks)
 
 
 def gate_separability(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Cross-ratio identity over 100 random (p1, p2, d1, d2) tuples with p1, p2
     in 1..8, both variants."""
-    gen = _gate_stream(seed, 6).generator()
-    worst = 0.0
+    gen = split_stream(RngStream(seed), 6).generator()
+    checks = []
     for _ in range(100):
         p1, p2 = int(gen.integers(1, 9)), int(gen.integers(1, 9))
         low = max(p1, p2)
         d1, d2 = int(gen.integers(low, 2049)), int(gen.integers(low, 2049))
-        for fn in (expected_decrease_ds, expected_decrease_mb):
-            cross = (fn(p1, d1) * fn(p2, d2)) / (fn(p1, d2) * fn(p2, d1))
-            worst = max(worst, abs(cross - 1.0))
-    return GateResult(
-        6,
-        "separability",
-        worst <= 1e-10,
-        f"max |cross-ratio - 1| = {_fmt(worst)} (gate 1e-10)",
-    )
+        for record in map(Variant.named, VARIANTS):
+            fn = record.exact
+            gap = abs((fn(p1, d1) * fn(p2, d2)) / (fn(p1, d2) * fn(p2, d1)) - 1.0)
+            cell = f"({record.name}; p={p1} {p2}; d={d1} {d2})"
+            checks.append(Check(6, cell, "|cross-ratio - 1|", gap, 1e-10, EXACT))
+    return _gate(6, "separability", checks)
 
 
 def gate_asymptotics(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Large-d forms within 1% of the exact values for d >= 100, p from 1 to d."""
-    worst = 0.0
-    for variant in VARIANTS:
-        record = Variant.named(variant)
+    checks = []
+    for record in map(Variant.named, VARIANTS):
         for d in (100, 128, 256, 512, 1024, 4096):
             for p in (1, 2, 3, 10, d // 2, d):
                 exact, asym = record.exact(p, d), record.asymptotic(p, d)
-                worst = max(worst, abs(asym - exact) / exact)
-    return GateResult(
-        7,
-        "asymptotics",
-        worst < 0.01,
-        f"max relative gap = {_fmt(worst)} (gate 0.01)",
-    )
+                cell, gap = f"({record.name}; p={p}; d={d})", abs(asym - exact) / exact
+                checks.append(Check(7, cell, "relative gap", gap, 0.01, EXACT))
+    return _gate(7, "asymptotics", checks)
 
 
 def gate_basis_invariance(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
@@ -590,83 +597,65 @@ def gate_basis_invariance(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
     reduced cells of the variant at index j of ``VARIANTS`` are scored as a
     figure scores them: one ``estimates`` call, on child stream 8 + j.
     """
-    base = _gate_stream(seed, 8)
+    base = split_stream(RngStream(seed), 8)
     cells = ((1, 16), (4, 16), (8, 64), (32, 64))
     reduced = [
         estimates(variant, cells, n_sims, split_stream(base, 8 + j))
         for j, variant in enumerate(VARIANTS)
     ]
-    worst = 0.0
-    ok = True
+    checks = []
     for i, (p, d) in enumerate(cells):
         fulls = full_basis_estimates(p, d, n_sims, split_stream(base, 2 * i))
-        for full, ests in zip(fulls, reduced):
-            z = abs(full.mean - ests[i].mean) / math.hypot(full.std_error, ests[i].std_error)
-            worst = max(worst, z)
-            ok = ok and z <= 3.0
-    return GateResult(
-        8,
-        "basis-invariance",
-        ok,
-        f"max combined |z| = {_fmt(worst)} (gate 3)",
-    )
+        for variant, full, ests in zip(VARIANTS, fulls, reduced):
+            se = math.hypot(full.std_error, ests[i].std_error)
+            z = abs(_z(full.mean - ests[i].mean, se))
+            checks.append(Check(8, f"({variant}; p={p}; d={d})", "combined |z|", z, 3.0, SIGMA_3))
+    return _gate(8, "basis-invariance", checks)
 
 
 def gate_parallel_sweeps(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Per-work argmax lands at p = c/2 (polling) and p = c (model), with the
-    documented two-way tie for the model at c = 2."""
-    ok = True
-    notes = []
-    tie_cells = []
-    for variant in VARIANTS:
-        record = Variant.named(variant)
-        _, ties = run_parallel_sweep(variant, record.sweep_d, record.sweep_cores)
-        for cores, tied in ties.items():
-            ok = ok and tied[0] == record.sweep_step(cores)
-            notes.append(f"{variant} c={cores} argmax p={tied[0]}")
+    documented two-way tie for the model at c = 2: p = 2 and p = 4, both
+    sqrt(pi)/4 times the dimension factor."""
+    checks = []
+    for record in map(Variant.named, VARIANTS):
+        d = record.sweep_d
+        for cores, tied in run_parallel_sweep(record.name, d, record.sweep_cores)[1].items():
+            cell = f"({record.name}; c={cores})"
+            rule = (2, 4) if (record.name, cores) == ("mb", 2) else (record.sweep_step(cores),)
+            off = float(len(set(tied) ^ set(rule)))
+            checks.append(Check(9, cell, "argmax points off the rule", off, 0.0, EXACT))
             if len(tied) > 1:
-                tie_gap = abs(
-                    record.per_work(tied[0], record.sweep_d, cores)
-                    - record.per_work(tied[1], record.sweep_d, cores)
-                )
-                ok = ok and tie_gap <= 1e-12
-                tie_cells.append((variant, cores, tied))
-                notes.append(f"tie gap = {_fmt(tie_gap)}")
-    # The one documented tie: the model's p = 2 and p = 4 at c = 2, both
-    # sqrt(pi)/4 times the dimension factor.
-    ok = ok and tie_cells == [("mb", 2, (2, 4))]
-    return GateResult(9, "parallel-sweeps", ok, "; ".join(notes))
+                gap = abs(record.per_work(tied[0], d, cores) - record.per_work(tied[1], d, cores))
+                checks.append(Check(9, cell, "tie gap", gap, 1e-12, EXACT))
+    return _gate(9, "parallel-sweeps", checks)
 
 
-def gate_optimizer_behavior(
-    n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED
-) -> GateResult:
+def gate_optimizer_behavior(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Driver decreases match the projected-gradient norms exactly and the
     evaluation accounting matches the cost model."""
     _check_nsims(n_sims)
-    base = _gate_stream(seed, 10)
+    base = split_stream(RngStream(seed), 10)
     d, p = 50, 3
     g = sample_unit_vector(d, split_stream(base, 0))
-    worst_gap = 0.0
-    ok = True
+    checks = []
     for kind, stream_idx in (("ds-complete", 1), ("mb", 2)):
         variant = Variant.named(ITERATION_KINDS[kind])
-        norm_ord, cost = variant.norm, variant.rounds(p, 1)
         objective = ObjectiveHandle(lambda x, g=g: float(g @ x), d, name="linear")
         config = DriverConfig(p=p, max_evaluations=420, iteration_kind=kind)
         driver_rng = split_stream(base, stream_idx)
         trace = run_driver(objective, np.zeros(d), config, driver_rng)
-        best = trace.best_values()
-        iterations = len(trace.records) - 1
-        bases = itertools.islice(_bases(d, p, driver_rng.generator()), iterations)
+        best, records = trace.best_values(), trace.records
+        bases = itertools.islice(_bases(d, p, driver_rng.generator()), len(records) - 1)
         for k, basis in enumerate(bases, start=1):
-            proj = float(np.linalg.norm(basis.T @ g, ord=norm_ord))
-            step = trace.records[k].step_size
-            gap = abs((best[k - 1] - best[k]) - step * proj)
-            worst_gap = max(worst_gap, gap)
-            evals = trace.records[k].eval_count - trace.records[k - 1].eval_count
-            ok = ok and evals == cost
-    ok = ok and worst_gap <= 1e-12
+            proj = float(np.linalg.norm(basis.T @ g, ord=variant.norm))
+            gap = abs((best[k - 1] - best[k]) - records[k].step_size * proj)
+            evals = records[k].eval_count - records[k - 1].eval_count
+            checks += [
+                Check(10, f"({kind}; k={k})", "decrease gap", gap, 1e-12, EXACT),
+                Check(10, f"({kind}; k={k})", "evaluations off the cost",
+                      abs(evals - variant.rounds(p, 1)), 0.0, EXACT),
+            ]
 
     # Average evaluations of the p = 1 model iteration: the trial point reuses
     # the poll point whenever the model already points at it.
@@ -676,18 +665,14 @@ def gate_optimizer_behavior(
     counts = np.empty(n_sims)
     reuse_rng = split_stream(base, 4)
     for k, basis in enumerate(itertools.islice(_bases(d1, 1, reuse_rng.generator()), n_sims)):
-        _, _, evaluations = mb_iteration(objective1, np.zeros(d1), 0.0, basis, 1.0)
-        counts[k] = evaluations
-        ok = ok and evaluations in (1, 2)
-    est = _summarize(counts)
-    ok = ok and abs(est.mean - 1.5) <= 3.0 * est.std_error
-    return GateResult(
-        10,
-        "optimizer-behavior",
-        ok,
-        f"max decrease gap = {_fmt(worst_gap)} (gate 1e-12); "
-        f"mean p=1 model cost = {_fmt(est.mean)} +- {_fmt(est.std_error)} (gate 1.5 within 3 se)",
-    )
+        _, _, counts[k] = mb_iteration(objective1, np.zeros(d1), 0.0, basis, 1.0)
+    est, cell = _summarize(counts), f"(mb; p=1; d={d1})"
+    others = float(np.count_nonzero((counts != 1) & (counts != 2)))
+    return _gate(10, "optimizer-behavior", checks + [
+        Check(10, cell, "p=1 model costs not 1 or 2", others, 0.0, EXACT),
+        Check(10, cell, "p=1 model cost |z| from 1.5", abs(_z(est.mean - 1.5, est.std_error)),
+              3.0, SIGMA_3),
+    ])
 
 
 ALL_GATES = (
@@ -710,9 +695,11 @@ def run_verify(
 ) -> tuple[list[GateResult], int]:
     """Run every gate; returns the results and a CLI exit code (0 iff all pass).
 
-    With ``out_dir`` set, writes ``verify_gates.csv`` (deterministic bytes for
-    a given seed) and a JSON manifest alongside, which also holds the seconds
-    each gate took.  A bad ``n_sims`` is refused before the first gate.
+    With ``out_dir`` set, writes ``verify_gates.csv`` (one row per gate),
+    ``verify_checks.csv`` (one ``Check`` per row, gate by gate; both files
+    have deterministic bytes for a given seed) and a JSON manifest alongside,
+    which also holds the seconds each gate took.  A bad ``n_sims`` is
+    refused before the first gate.
     """
     _check_nsims(n_sims)
     results, seconds = [], []
@@ -724,9 +711,11 @@ def run_verify(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "verify_gates.csv").write_text(
-            to_csv(GateResult, results), encoding="ascii", newline="\n"
-        )
+        for name, kind, records in (
+            ("verify_gates.csv", GateResult, results),
+            ("verify_checks.csv", Check, [c for r in results for c in r.checks]),
+        ):
+            (out / name).write_text(to_csv(kind, records), encoding="ascii", newline="\n")
         write_manifest(
             out / "verify_manifest.json",
             {

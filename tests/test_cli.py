@@ -1,5 +1,6 @@
 """Command-line tests: exit codes, file outputs, byte determinism."""
 
+import csv
 import json
 
 import numpy as np
@@ -229,6 +230,36 @@ def test_verify_small_run_exits_cleanly(tmp_path, capsys):
         assert f"criterion {criterion} " in out
     assert (tmp_path / "verify_gates.csv").exists()
     assert code in (0, 1)
+
+
+def test_verify_with_a_zero_standard_error_fails_without_a_traceback(capsys):
+    # At n = 2 and seed 3 both p = 1 model costs are 2, so that cell's SE is 0:
+    # its z is infinite and gate 10 fails, as any other gate may at n = 2.
+    assert main(["verify", "--nsims", "2", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] criterion 10 (optimizer-behavior)" in captured.out
+    assert "max p=1 model cost |z| from 1.5 = inf" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_figure_manifest_reports_mc_against_exact(tmp_path):
+    # The manifest's summary is recomputed here from the figure's own CSV.
+    assert main(["figure", "mb-vary-d", "--nsims", "300", "--seed", "5",
+                 "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "mb-vary-d.csv").read_text().splitlines()))
+    exact = {(r["p"], r["d"]): float(r["value"]) for r in rows if r["method"] == "exact"}
+    mc = [r for r in rows if r["method"] == "mc"]
+    z = {
+        f"(p={r['p']}; d={r['d']})": abs(float(r["value"]) - exact[r["p"], r["d"]])
+        / float(r["std_error"])
+        for r in mc if float(r["std_error"]) > 0
+    }
+    at = max(z, key=z.get)
+    manifest = json.loads((tmp_path / "mb-vary-d.manifest.json").read_text())
+    assert manifest["mc_vs_exact"] == {
+        "cells": len(mc), "passed": True, "max_abs_z": z[at], "at": at,
+    }
+    assert len(mc) - len(z) == 8  # p = d: zero SE, checked for equality
 
 
 def test_manifests_record_sampler(tmp_path):

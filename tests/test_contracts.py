@@ -286,7 +286,8 @@ EXEMPT = {
         ("DriverTrace", ("records", "x")),
         ("TraceRecord", ("iteration", "eval_count", "best_value", "step_size")),
         ("Estimate", ("mean", "std_error")),
-        ("GateResult", ("criterion", "name", "passed", "detail")),
+        ("GateResult", ("criterion", "name", "passed", "detail", "checks")),
+        ("Check", ("gate", "cell", "statistic", "value", "bound", "kind")),
         ("ResultRow", ("variant", "d", "p", "method", "metric", "value", "std_error",
                        "n_sims", "seed")),
     ) for field in fields},

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from subspace_dfo import (
+    Check,
     DomainError,
     DriverConfig,
     ExperimentSpec,
@@ -31,7 +32,7 @@ from subspace_dfo import (
     run_verify,
     split_stream,
 )
-from subspace_dfo import montecarlo
+from subspace_dfo import experiments, montecarlo
 from subspace_dfo.cli import main
 from subspace_dfo.experiments import (
     D_GRID,
@@ -41,6 +42,7 @@ from subspace_dfo.experiments import (
     gate_ds_closed_form,
     gate_mb_closed_form,
     gate_optimizer_behavior,
+    gate_quadrature_constants,
     p_values_for,
     row_stream,
     run_named_figure,
@@ -435,8 +437,9 @@ class TestCsvSerialization:
             (ResultRow, "variant,d,p,method,metric,value,std_error,n_sims,seed"),
             (TraceRecord, "iteration,eval_count,best_value,step_size"),
             (GateResult, "criterion,name,passed,detail"),
+            (Check, "gate,cell,statistic,value,bound,kind"),
         ],
-        ids=["figure", "trace", "verify"],
+        ids=["figure", "trace", "verify", "verify-checks"],
     )
     def test_a_table_with_no_records_is_its_header(self, kind, header):
         assert to_csv(kind, []) == header + "\n"
@@ -632,16 +635,34 @@ class TestObjectives:
 class TestVerifyRunner:
     def test_writes_deterministic_gate_csv(self, tmp_path):
         results, code = run_verify(seed=0, n_sims=400, out_dir=tmp_path / "a")
-        assert (tmp_path / "a" / "verify_gates.csv").exists()
         assert (tmp_path / "a" / "verify_manifest.json").exists()
         run_verify(seed=0, n_sims=400, out_dir=tmp_path / "b")
-        assert (tmp_path / "a" / "verify_gates.csv").read_bytes() == (
-            tmp_path / "b" / "verify_gates.csv"
-        ).read_bytes()
+        for name in ("verify_gates.csv", "verify_checks.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         text = to_csv(GateResult, results)
         assert text.splitlines()[0] == "criterion,name,passed,detail"
+        checks = [c for r in results for c in r.checks]
+        assert (tmp_path / "a" / "verify_checks.csv").read_text() == to_csv(Check, checks)
         manifest = json.loads((tmp_path / "a" / "verify_manifest.json").read_text())
         assert manifest["seed"] == 0 and manifest["n_sims"] == 400
+
+    def test_the_checks_file_counts_each_kind_per_gate(self, tmp_path):
+        # The suite's 3-sigma cells, two-sided: 16/24/2/8/1 in gates 1/2/4/8/10,
+        # and gate 5's one-sided cells.
+        run_verify(seed=0, n_sims=400, out_dir=tmp_path)
+        lines = (tmp_path / "verify_checks.csv").read_text().splitlines()
+        assert lines[0] == "gate,cell,statistic,value,bound,kind"
+        counts = {}
+        for line in lines[1:]:
+            gate, *_, kind = line.split(",")
+            counts[kind, int(gate)] = counts.get((kind, int(gate)), 0) + 1
+        sigma = {g: n for (kind, g), n in counts.items() if kind == "3-sigma"}
+        assert sigma == {1: 16, 2: 24, 4: 2, 8: 8, 10: 1}
+        assert sum(sigma.values()) == 51
+        assert {g: n for (kind, g), n in counts.items() if kind == "one-sided"} == {5: 10}
+        # Every gate has checks, and an MC cell with zero SE (mb at p = d) is exact.
+        assert {g for _, g in counts} == set(range(1, 11))
+        assert counts["exact", 2] == len(D_GRID)
 
     def test_manifest_records_gate_seconds(self, tmp_path):
         start = time.perf_counter()
@@ -668,9 +689,18 @@ class TestGateDraws:
             if r.method == "mc" and r.p != r.d:
                 z = abs(r.value - exact[r.p, r.d]) / r.std_error
                 if z > worst:
-                    worst, worst_cell = z, (r.p, r.d)
-        where = f"max |z| = {format(worst, '.17g')} at (p={worst_cell[0]}; d={worst_cell[1]})"
-        assert gate_mb_closed_form(n_sims=300, seed=5).detail == f"{where}; p=d cells exact"
+                    worst, worst_cell = z, f"(p={r.p}; d={r.d})"
+        gate = gate_mb_closed_form(n_sims=300, seed=5)
+        top = max((c for c in gate.checks if c.statistic == "|z|"), key=lambda c: c.value)
+        assert (top.value, top.cell, top.kind) == (worst, worst_cell, "3-sigma")
+        assert gate.detail == (
+            f"max |z| = {format(worst, '.17g')} at {worst_cell} (gate 3); "
+            "max |mc - exact| = 0 at (p=8; d=8) (gate 0)"
+        )
+        # The p = d cells have zero SE and must equal the exact value, 1.
+        assert [c.cell for c in gate.checks if c.kind == "exact"] == [
+            f"(p={d}; d={d})" for d in D_GRID
+        ]
 
     def test_reduced_blocks_span_dimensions_and_read_below_the_head(self, monkeypatch):
         calls = []
@@ -706,3 +736,53 @@ class TestBasisInvarianceGate:
         gate = gate_basis_invariance(n_sims=300, seed=0)
         assert gate.criterion == 8
         assert drawn == {((1, 16),): 300, ((4, 16),): 300, ((8, 64),): 300, ((32, 64),): 300}
+
+
+class TestChecks:
+    """A gate is its list of ``Check`` records: one pass rule, one detail rule."""
+
+    @pytest.mark.parametrize("kind, passes", [("3-sigma", True), ("exact", True),
+                                              ("one-sided", False)])
+    def test_a_value_at_the_bound(self, kind, passes):
+        assert Check(1, "(p=1; d=8)", "|z|", 3.0, 3.0, kind).passed is passes
+
+    @pytest.mark.parametrize("kind", ["3-sigma", "exact", "one-sided"])
+    def test_a_nan_value_fails_every_kind(self, kind):
+        assert not Check(1, "(p=1; d=8)", "|z|", math.nan, 3.0, kind).passed
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            Check(1, "(p=1; d=8)", "|z|", 1.0, 3.0, "two-sided")
+
+    def test_a_zero_standard_error_gives_zero_or_infinite_z(self):
+        assert experiments._z(0.0, 0.0) == 0.0
+        assert experiments._z(0.5, 0.0) == math.inf
+        assert experiments._z(-0.5, 0.0) == -math.inf
+        assert experiments._z(1.0, 4.0) == 0.25
+        assert math.isnan(experiments._z(math.nan, 0.0))
+
+    def test_detail_names_each_statistics_first_worst_cell_in_first_seen_order(self):
+        checks = [
+            Check(5, "a", "paired z", 7.0, 3.0, "one-sided"),
+            Check(5, "b", "gap", 0.5, 1.0, "exact"),
+            Check(5, "c", "paired z", 4.0, 3.0, "one-sided"),
+            Check(5, "d", "gap", 0.75, 1.0, "exact"),
+            Check(5, "e", "paired z", 4.0, 3.0, "one-sided"),
+            Check(5, "f", "gap", 0.75, 1.0, "exact"),
+        ]
+        gate = experiments._gate(5, "name", checks)
+        assert gate.passed and gate.checks == tuple(checks)
+        assert gate.detail == "min paired z = 4 at c (gate > 3); max gap = 0.75 at d (gate 1)"
+        nan = Check(5, "g", "gap", math.nan, 1.0, "exact")
+        gate = experiments._gate(5, "name", checks + [nan])
+        assert not gate.passed
+        assert gate.detail.endswith("max gap = nan at g (gate 1)")
+
+    def test_a_tampered_constant_fails_its_gate_by_name(self, monkeypatch):
+        assert gate_quadrature_constants().passed
+        monkeypatch.setattr(experiments, "DS_RATIO_P3", 0.5)
+        gate = gate_quadrature_constants()
+        assert not gate.passed
+        failed = {c.statistic for c in gate.checks if not c.passed}
+        assert failed == {"|ratio3 - 0.5|"}
+        assert "max |ratio3 - 0.5| = " in gate.detail
