@@ -592,10 +592,12 @@ def gate_asymptotics(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> G
 def gate_basis_invariance(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Full-basis sampling agrees with the reduced path at matched (p, d).
 
-    The full-basis draw does not depend on the variant, so each (p, d) cell
-    i is drawn once, on child stream 2i, and scored for both variants.  The
-    reduced cells of the variant at index j of ``VARIANTS`` are scored as a
-    figure scores them: one ``estimates`` call, on child stream 8 + j.
+    The full-basis draw depends on neither the variant nor any p below the
+    widest, so it is one draw per d, read at each p: one
+    ``full_basis_estimates`` call per d, on child stream 2i, with i the
+    index in ``cells`` of that d's widest cell, scored for both variants.
+    The reduced cells of the variant at index j of ``VARIANTS`` are scored
+    as a figure scores them: one ``estimates`` call, on child stream 8 + j.
     """
     base = split_stream(RngStream(seed), 8)
     cells = ((1, 16), (4, 16), (8, 64), (32, 64))
@@ -603,10 +605,14 @@ def gate_basis_invariance(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED)
         estimates(variant, cells, n_sims, split_stream(base, 8 + j))
         for j, variant in enumerate(VARIANTS)
     ]
+    fulls = {}
+    for d in sorted({d for _, d in cells}):
+        ps = tuple(p for p, e in cells if e == d)
+        stream = split_stream(base, 2 * cells.index((max(ps), d)))
+        fulls.update(zip(((p, d) for p in ps), full_basis_estimates(ps, d, n_sims, stream)))
     checks = []
     for i, (p, d) in enumerate(cells):
-        fulls = full_basis_estimates(p, d, n_sims, split_stream(base, 2 * i))
-        for variant, full, ests in zip(VARIANTS, fulls, reduced):
+        for variant, full, ests in zip(VARIANTS, fulls[p, d], reduced):
             se = math.hypot(full.std_error, ests[i].std_error)
             z = abs(_z(full.mean - ests[i].mean, se))
             checks.append(Check(8, f"({variant}; p={p}; d={d})", "combined |z|", z, 3.0, SIGMA_3))

@@ -20,8 +20,11 @@ alike.  Two sampling modes exist:
   gradient, at O(d p) per replicate.  It exists to validate the reduction.
   The draw does not depend on the variant: one draw fixes the projection
   Q^T g, and both variants' scores (its max-norm and its 2-norm) are read
-  from it, so ``full_basis_estimates`` scores a cell for both variants at
-  the cost of one.
+  from it.  Nor does it depend on p below the widest: reflection k acts on
+  coordinates k..d only, so the first p entries after max(p) reflections
+  are a p-column projection.  So ``full_basis_estimates`` makes one draw
+  per d, read at each p, and scores every (p, d) cell at that d for both
+  variants at the cost of the widest one.
 
 Every entry point checks 1 <= p <= d and an integer n_sims >= 2 before any draw.
 Replicates are generated in fixed-size blocks, each from its own child
@@ -35,12 +38,13 @@ at most 2^15 values (256 KB), or one row of p if that is more, and every
 chunk of a block is drawn into one buffer.  A full-basis chunk holds
 2^15 // d replicates (at least one): their gradients, then one reflection's
 normals at a time, each at most 2^15 values or one row of d.  A full-basis
-worker holds a few such arrays and its block's projections, at most
-2 * 10^6 / d values: about 1 MB in all while d <= 2^15.
+worker holds a few such arrays and its block's projections on the widest
+p, at most 2 * 10^6 / d values: about 1 MB in all while d <= 2^15.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -48,7 +52,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import _check_choice, _check_nsims, _check_pd, _check_real
+from .errors import _check_choice, _check_nsims, _check_pd, _check_real, _read_list
 from .formulas import VARIANTS, Variant
 from .rng import RngStream, split_stream
 
@@ -57,12 +61,14 @@ REDUCTIONS = ("reduced", "full-basis")
 # How each path draws a replicate; recorded in every run manifest.
 SAMPLER = (
     "reduced: ds p normals + chi-square tail, mb chi-square head + tail; "
-    "full-basis: g reflected by p fresh Householder reflections"
+    "full-basis: g reflected by max(p) fresh Householder reflections, "
+    "one draw per d, read at each p"
 )
 
-# Replicates per block in reduced mode.  Full-basis blocks shrink so each
-# holds at most _FULL_BASIS_BUDGET / (d p) replicates, which spreads a costly
-# cell over enough blocks to keep every worker busy.
+# Replicates per block in reduced mode.  A full-basis draw is one per d,
+# read at each p, and its blocks shrink so each holds at most
+# _FULL_BASIS_BUDGET / (d max(p)) replicates, which spreads a costly draw
+# over enough blocks to keep every worker busy.
 _BLOCK = 4096
 _FULL_BASIS_BUDGET = 2_000_000
 # Most values one array of a block holds: 256 KB, or one row if that is more.
@@ -151,8 +157,8 @@ def _model_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) -> No
 
 def _full_basis_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) -> None:
     """Each variant's norm of the unit gradient g projected on a Haar-random
-    basis at the one (p, d) cell, into the rows of ``out`` in ``VARIANTS``
-    order.
+    basis at each p of the cell set (ps, d), into the rows of ``out``: for
+    each p in ``ps`` order, one row per variant in ``VARIANTS`` order.
 
     The basis Q is never formed.  It is H_1 ... H_p [I_p; 0], a product of
     Householder reflections, and Q^T g is the first p entries of
@@ -166,27 +172,34 @@ def _full_basis_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) 
     column, which neither score can see (both read |Q^T g| only), at
     O(d p) work and d + p d - p (p - 1) / 2 normals per replicate.
 
+    One draw serves every p: it makes max(p) reflections, and since
+    reflection k leaves the first k - 1 entries alone, the first p entries
+    of the result are those after p reflections.  So each p reads a prefix
+    of one draw, and the widest p reads what a draw for it alone gives.
+
     Replicates run in chunks of ``_CHUNK // d`` rows (at least
     one).  Each chunk draws its rows of g, then each reflection's normals
     in order.  Rounding can push a norm of the unit projection past 1 (at
     p = d it is 1 up to rounding), so scores are capped at 1.
     """
-    ((p, d),) = cells
+    ps, d = cells
+    top = max(ps)
     m = out.shape[1]
-    proj = np.empty((m, p))
+    proj = np.empty((m, top))
     rows = max(1, _CHUNK // d)
     for lo in range(0, m, rows):
         y = gen.standard_normal((min(rows, m - lo), d))
         y /= _row_norms(y)[:, None]
-        for k in range(p):
+        for k in range(top):
             v = gen.standard_normal((len(y), d - k))
             v[:, 0] += np.copysign(_row_norms(v), v[:, 0])
             v /= _row_norms(v)[:, None]
             tail = y[:, k:]
             tail -= 2.0 * np.einsum("ij,ij->i", v, tail)[:, None] * v
-        proj[lo : lo + rows] = y[:, :p]
-    for row, v in zip(out, VARIANTS):
-        np.minimum(np.linalg.norm(proj, ord=Variant.named(v).norm, axis=1), 1.0, out=row)
+        proj[lo : lo + rows] = y[:, :top]
+    for row, (p, v) in zip(out, itertools.product(ps, VARIANTS)):
+        norm = Variant.named(v).norm
+        np.minimum(np.linalg.norm(proj[:, :p], ord=norm, axis=1), 1.0, out=row)
 
 
 def _usable_cpus() -> int:
@@ -225,17 +238,25 @@ def _run_blocks(
     return out
 
 
-def _full_basis_replicates(p: int, d: int, n_sims: int, rng: RngStream) -> np.ndarray:
-    """Full-basis replicate values of one (p, d) cell, one row per variant in
-    ``VARIANTS`` order, scored on the same draws.
+def _full_basis_replicates(
+    ps: Iterable[int], d: int, n_sims: int, rng: RngStream
+) -> np.ndarray:
+    """Full-basis replicate values at each p of ``ps`` at one d, indexed
+    [p in ``ps`` order, variant in ``VARIANTS`` order, replicate], all scored
+    on one draw.
 
-    Blocks shrink as d p grows, so a costly cell spans several blocks.
+    ``ps`` is read once; an empty or repeated list, or a p outside 1..d, is
+    refused before any draw.  Blocks shrink as d max(p) grows, so a costly
+    draw spans several blocks.
     """
-    _check_pd(p, d)
+    ps = _read_list(ps, "ps", check=lambda p: _check_pd(p, d))
     _check_nsims(n_sims)
-    block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * p)))
-    draws = block * (d + p * d - p * (p - 1) // 2)
-    return _run_blocks(_full_basis_scores, len(VARIANTS), ((p, d),), n_sims, rng, block, draws)
+    top = max(ps)
+    block = max(1, min(_BLOCK, _FULL_BASIS_BUDGET // (d * top)))
+    draws = block * (d + top * d - top * (top - 1) // 2)
+    rows = len(ps) * len(VARIANTS)
+    values = _run_blocks(_full_basis_scores, rows, (ps, d), n_sims, rng, block, draws)
+    return values.reshape(len(ps), len(VARIANTS), n_sims)
 
 
 def _replicates(variant: str, cells: Iterable, n_sims: int, rng: RngStream) -> np.ndarray:
@@ -267,12 +288,13 @@ def replicate_decreases(
 ) -> np.ndarray:
     """Per-replicate decrease values, each in [0, 1], in deterministic order.
 
-    Full-basis mode returns the variant's row of ``_full_basis_replicates``.
+    Full-basis mode returns the variant's row of ``_full_basis_replicates``
+    at the one p.
     """
     _check_choice(reduction, REDUCTIONS, "reduction")
     if reduction == "full-basis":
         Variant.named(variant)
-        return _full_basis_replicates(p, d, n_sims, rng)[VARIANTS.index(variant)]
+        return _full_basis_replicates((p,), d, n_sims, rng)[0, VARIANTS.index(variant)]
     return _replicates(variant, ((p, d),), n_sims, rng)[0]
 
 
@@ -313,13 +335,22 @@ def estimates(
     return tuple(map(_summarize, _replicates(variant, cells, n_sims, rng)))
 
 
-def full_basis_estimates(p: int, d: int, n_sims: int, rng: RngStream) -> tuple[Estimate, ...]:
-    """Full-basis estimates of one (p, d) cell for every variant, in
-    ``VARIANTS`` order, all scored on one draw.
+def full_basis_estimates(
+    ps: Iterable[int], d: int, n_sims: int, rng: RngStream
+) -> tuple[tuple[Estimate, ...], ...]:
+    """Full-basis estimates at each p of ``ps`` at one d: one tuple per p, in
+    ``ps`` order, of one estimate per variant, in ``VARIANTS`` order, all
+    scored on one draw per d, read at each p.
 
-    Each equals ``estimate(v, p, d, n_sims, rng, "full-basis")`` bit for bit.
+    ``ps`` is read once, so an iterator works; an empty or repeated list,
+    or a p outside 1..d, is refused before any draw.  The draw makes max(p)
+    reflections in blocks sized by d max(p), so the values depend on the
+    widest p, not on the others: the widest p's estimates equal
+    ``estimate(v, max(ps), d, n_sims, rng, "full-basis")`` bit for bit, and
+    a narrower p reads the leading entries of that draw's projection.
     """
-    return tuple(map(_summarize, _full_basis_replicates(p, d, n_sims, rng)))
+    values = _full_basis_replicates(ps, d, n_sims, rng)
+    return tuple(tuple(map(_summarize, rows)) for rows in values)
 
 
 def paired_ratio_gap(

@@ -269,7 +269,8 @@ def test_manifests_record_sampler(tmp_path):
         manifest = json.loads((tmp_path / name).read_text())
         assert manifest["sampler"] == (
             "reduced: ds p normals + chi-square tail, mb chi-square head + tail; "
-            "full-basis: g reflected by p fresh Householder reflections"
+            "full-basis: g reflected by max(p) fresh Householder reflections, "
+            "one draw per d, read at each p"
         )
 
 

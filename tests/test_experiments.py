@@ -129,7 +129,9 @@ REPLICATE_COUNT_ENTRY_POINTS = {
         "ds", 2, 8, n, RngStream(0), "full-basis"
     ),
     "estimates": lambda n: estimates("mb", [(1, 8), (2, 16)], n, RngStream(0)),
-    "full_basis_estimates": lambda n: montecarlo.full_basis_estimates(2, 8, n, RngStream(0)),
+    "full_basis_estimates": lambda n: montecarlo.full_basis_estimates(
+        (1, 2), 8, n, RngStream(0)
+    ),
     "paired_ratio_gap": lambda n: montecarlo.paired_ratio_gap(
         "ds", 1, 2, 8, 1.0, n, RngStream(0)
     ),
@@ -723,8 +725,8 @@ class TestGateDraws:
 
 
 class TestBasisInvarianceGate:
-    def test_draws_each_full_basis_cell_once(self, monkeypatch):
-        # Both variants are scored from one full-basis draw per (p, d) cell.
+    def test_draws_each_dimension_once(self, monkeypatch):
+        # Both variants at every p of a d are scored from one full-basis draw per d.
         drawn = {}
         scores = montecarlo._full_basis_scores
 
@@ -735,7 +737,7 @@ class TestBasisInvarianceGate:
         monkeypatch.setattr(montecarlo, "_full_basis_scores", spy)
         gate = gate_basis_invariance(n_sims=300, seed=0)
         assert gate.criterion == 8
-        assert drawn == {((1, 16),): 300, ((4, 16),): 300, ((8, 64),): 300, ((32, 64),): 300}
+        assert drawn == {((1, 4), 16): 300, ((8, 32), 64): 300}
 
 
 class TestChecks:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -525,10 +526,12 @@ class TestFullBasisOracle:
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     def test_draw_order_is_pinned(self, variant):
         # g's chunk rows, then each reflection's normals in turn, reflected
-        # with the package's arithmetic, give its floats bit for bit.
+        # with the package's arithmetic, give its floats bit for bit.  A
+        # narrower p of the same draw reads the leading entries of the
+        # reflected g: reflection k leaves the entries before k alone.
         p, d, n = 32, 64, 2000
         rng = RngStream(18)
-        expected = []
+        expected, prefix = [], []
         for gen, r in _full_basis_chunks(p, d, n, rng):
             y = gen.standard_normal((r, d))
             y /= np.sqrt(np.einsum("ij,ij->i", y, y))[:, None]
@@ -538,8 +541,13 @@ class TestFullBasisOracle:
                 v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
                 y[:, k:] -= 2.0 * np.einsum("ij,ij->i", v, y[:, k:])[:, None] * v
             expected.append(_score(variant, y[:, :p]))
+            prefix.append(_score(variant, y[:, :8]))
         new = replicate_decreases(variant, p, d, n, rng, "full-basis")
         assert np.array_equal(new, np.concatenate(expected))
+        row = VARIANTS.index(variant)
+        shared = _full_basis_replicates((8, 32), d, n, rng)
+        assert np.array_equal(shared[1, row], new)
+        assert np.array_equal(shared[0, row], np.concatenate(prefix))
 
     @pytest.mark.parametrize("p,d", [(4, 16), (8, 64), (32, 64)])
     def test_mean_matches_sign_corrected_qr_sampler(self, p, d):
@@ -547,7 +555,7 @@ class TestFullBasisOracle:
         # two samplers draw from independent child streams.
         n = 20_000
         base = RngStream(29)
-        news = full_basis_estimates(p, d, n, split_stream(base, 0))
+        (news,) = full_basis_estimates((p,), d, n, split_stream(base, 0))
         olds = _q_forming_values(p, d, n, split_stream(base, 1))
         for variant, new, old in zip(VARIANTS, news, olds):
             m_old, se_old = _mean_se(old)
@@ -559,7 +567,7 @@ class TestFullBasisOracle:
         gen = RngStream(31).generator()
         tracemalloc.start()
         try:
-            montecarlo._full_basis_scores(gen, [(p, d)], np.empty((len(VARIANTS), m)))
+            montecarlo._full_basis_scores(gen, ((p,), d), np.empty((len(VARIANTS), m)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -567,17 +575,63 @@ class TestFullBasisOracle:
 
 
 class TestFullBasisSharedDraw:
-    """One full-basis draw scores both variants."""
+    """One full-basis draw per d scores both variants at each p."""
 
     @pytest.mark.parametrize("p,d", [(1, 16), (32, 64), (16, 16)])
     def test_each_variant_reads_its_entry_of_the_shared_draw(self, p, d):
         rng = RngStream(19)
-        values = _full_basis_replicates(p, d, 2000, rng)
-        estimates = full_basis_estimates(p, d, 2000, rng)
+        (values,) = _full_basis_replicates((p,), d, 2000, rng)
+        (estimates,) = full_basis_estimates((p,), d, 2000, rng)
         assert len(values) == len(estimates) == len(VARIANTS)
         for variant, row, shared in zip(VARIANTS, values, estimates):
             assert np.array_equal(replicate_decreases(variant, p, d, 2000, rng, "full-basis"), row)
             assert estimate(variant, p, d, 2000, rng, "full-basis") == shared
+
+    def test_estimates_come_per_p_in_ps_order_and_take_an_iterator(self):
+        rng = RngStream(20)
+        values = _full_basis_replicates((32, 8), 64, 300, rng)
+        ests = full_basis_estimates(iter([32, 8]), 64, 300, rng)
+        assert values.shape == (2, len(VARIANTS), 300)
+        assert ests == tuple(tuple(map(montecarlo._summarize, rows)) for rows in values)
+        # The widest p reads what a draw for it alone gives, whatever the order.
+        assert ests[0] == full_basis_estimates((32,), 64, 300, rng)[0]
+        assert np.array_equal(values[::-1], _full_basis_replicates((8, 32), 64, 300, rng))
+
+    def test_draws_the_widest_cells_normals_only(self, monkeypatch):
+        # g and 32 reflections: 64 + 32 * 64 - 32 * 31 / 2 = 1,616 normals
+        # per replicate, none more for p = 8.
+        drawn = []
+
+        class Counting(np.random.Generator):
+            def standard_normal(self, size=None, *args, **kwargs):
+                drawn.append(int(np.prod(size)))
+                return super().standard_normal(size, *args, **kwargs)
+
+        generator = RngStream.generator
+        monkeypatch.setattr(
+            RngStream, "generator", lambda self: Counting(generator(self).bit_generator)
+        )
+        n = 2000
+        full_basis_estimates((8, 32), 64, n, RngStream(21))
+        assert sum(drawn) == n * 1616
+
+    @pytest.mark.parametrize(
+        "ps,d,error,message",
+        [
+            ((), 16, ValueError, "ps must name at least one value, got none"),
+            ([4, 1, 4], 16, ValueError, "ps must not repeat a value, got [4, 1, 4]"),
+            ((4, 17), 16, InvalidDimensionError, "need 1 <= p <= d, got p=17, d=16"),
+            ((0,), 16, InvalidDimensionError, "need 1 <= p <= d, got p=0, d=16"),
+            (4, 16, ValueError, "ps must be a list of integers, got 4"),
+        ],
+    )
+    def test_bad_ps_is_refused_before_any_draw(self, monkeypatch, ps, d, error, message):
+        made = []
+        generator = RngStream.generator
+        monkeypatch.setattr(RngStream, "generator", lambda self: made.append(self) or generator(self))
+        with pytest.raises(error, match=re.escape(message)):
+            full_basis_estimates(ps, d, 100, RngStream(22))
+        assert made == []
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     def test_scores_never_exceed_one_at_full_dimension(self, variant):
@@ -612,8 +666,7 @@ class TestWorkerThreads:
         variant, ps, d, reduction = cell
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         if reduction == "full-basis":
-            (p,) = ps
-            return _full_basis_replicates(p, d, n, RngStream(23))
+            return _full_basis_replicates(ps, d, n, RngStream(23))
         return _replicates(variant, [(p, d) for p in ps], n, RngStream(23))
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]}")
