@@ -35,7 +35,11 @@ usable CPU (numpy releases the interpreter lock while it draws and reduces);
 smaller cells, which threads would only slow, run serially.  Within a block
 the normals are drawn in row chunks, in stream order.  A reduced chunk holds
 at most 2^15 values (256 KB), or one row of p if that is more, and every
-chunk of a block is drawn into one buffer.  A full-basis chunk holds
+chunk of a block is drawn into one buffer.  A polling chunk makes one
+max-reduction over the segments between its sorted cut points and one
+running max along them, not a call per cut point: each numpy call takes the
+interpreter lock back, so on worker threads the call count, not the work,
+sets the cost.  A full-basis chunk holds
 2^15 // d replicates (at least one): their gradients, then one reflection's
 normals at a time, each at most 2^15 values or one row of d.  A full-basis
 worker holds a few such arrays and its block's projections on the widest
@@ -105,36 +109,41 @@ def _polling_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) -> 
     exactly 0, drawing nothing, for shape 0.  Chunks end on whole rows and
     the buffer fills with the values a fresh array would hold, so the chunk
     size changes no value.
+
+    A chunk finds its peaks in two calls whatever the number of cut points:
+    one max-reduction over the segments between sorted cut points, then a
+    running max along them.  Worker threads pay per numpy call, since each
+    call takes the interpreter lock back, so a call or two per cut point
+    would hold them in turn.
     """
     m = out.shape[1]
     cuts = sorted({p for p, _ in cells})
     dims = sorted({d for _, d in cells})
     top = cuts[-1]
     widths = [d for d in dims if d < top] + [top]
+    starts = [0] + cuts[:-1]
     head_sq = np.empty((len(widths), m))
-    peaks = np.empty((len(cuts), m))
+    peaks = np.empty((m, len(cuts)))
     rows = min(m, max(1, _CHUNK // top))
     buf = np.empty((rows, top))
     for lo in range(0, m, rows):
-        head = buf[: min(rows, m - lo)]
+        hi = min(m, lo + rows)
+        head = buf[: hi - lo]
         gen.standard_normal(out=head)
         # einsum sums the row products without a head * head temporary.
         for sq, width in zip(head_sq, widths):
-            sq[lo : lo + rows] = np.einsum("ij,ij->i", head[:, :width], head[:, :width])
+            np.einsum("ij,ij->i", head[:, :width], head[:, :width], out=sq[lo:hi])
         np.abs(head, out=head)
-        # A running max over the sorted cut points reads each column once;
-        # |x| and max are exact, so each peak is the float a direct max gives.
-        for j, (start, stop) in enumerate(zip([0] + cuts, cuts)):
-            peak = peaks[j, lo : lo + rows]
-            head[:, start:stop].max(axis=1, out=peak)
-            if j:
-                np.maximum(peak, peaks[j - 1, lo : lo + rows], out=peak)
+        # The cuts are sorted and distinct, so no segment is empty.  |x| and
+        # max are exact, so each peak is the float a direct max gives.
+        np.maximum.reduceat(head, starts, axis=1, out=peaks[lo:hi])
+        np.maximum.accumulate(peaks[lo:hi], axis=1, out=peaks[lo:hi])
     norm_sq = dict(zip(widths, head_sq))
     above = [d for d in dims if d >= top]
     for lo, hi in zip([top] + above, above):
         norm_sq[hi] = norm_sq[lo] + 2.0 * gen.standard_gamma((hi - lo) / 2.0, m)
     for row, (p, d) in zip(out, cells):
-        np.divide(peaks[cuts.index(p)], np.sqrt(norm_sq[d]), out=row)
+        np.divide(peaks[:, cuts.index(p)], np.sqrt(norm_sq[d]), out=row)
 
 
 def _model_scores(gen: np.random.Generator, cells: tuple, out: np.ndarray) -> None:
@@ -270,11 +279,14 @@ def _replicates(variant: str, cells: Iterable, n_sims: int, rng: RngStream) -> n
         _check_pd(p, d)
     _check_nsims(n_sims)
     if norm == math.inf:
-        # The max-norm reads each of the first max(p) coordinates.
-        draws = _BLOCK * (max(p for p, _ in cells) + 1)
+        # The max-norm draws each of the first max(p) coordinates and one
+        # chi-square piece per d above them.
+        top = max(p for p, _ in cells)
+        draws = _BLOCK * (top + len({d for _, d in cells if d > top}))
         return _run_blocks(_polling_scores, len(cells), cells, n_sims, rng, _BLOCK, draws)
-    # The 2-norm reads squared norms only, one chi-square per gap between the p and d.
-    draws = _BLOCK * (len(cells) + 1)
+    # The 2-norm reads squared norms only, one chi-square per gap between the
+    # sorted distinct p and d.
+    draws = _BLOCK * len({n for cell in cells for n in cell})
     return _run_blocks(_model_scores, len(cells), cells, n_sims, rng, _BLOCK, draws)
 
 

@@ -29,7 +29,7 @@ from subspace_dfo import (
 )
 from subspace_dfo import montecarlo
 from subspace_dfo.cli import main
-from subspace_dfo.experiments import D_VARY_P, P_LIST_VARY_P
+from subspace_dfo.experiments import D_GRID, D_VARY_P, P_LIST_VARY_P
 from subspace_dfo.montecarlo import (
     _BLOCK,
     _full_basis_replicates,
@@ -240,9 +240,15 @@ class TestEstimates:
             variant, cells, 10, RngStream(0)
         )
 
-    @pytest.mark.parametrize("ps", [(10, 2, 5), (3, 3, 1), (1000,), (1, 2, 3, 500, 20, 1000)])
+    @pytest.mark.parametrize(
+        "ps",
+        [(10, 2, 5), (3, 3, 1), (1000,), (1, 2, 3, 500, 20, 1000), (1,), (1, 2, 3, 4, 5), (999, 1000)],
+    )
     def test_running_max_equals_direct_max(self, ps):
-        # The reference takes each p's max over its own first p columns.
+        # The reference takes each p's max over its own first p columns.  The
+        # kernel reduces each segment between sorted cut points, so a lone
+        # cut, a cut at every column and a one-column last segment are its
+        # edges.
         def direct(gen, m, ps, d):
             top = max(ps)
             head_sq = np.empty(m)
@@ -659,15 +665,19 @@ class TestWorkerThreads:
         ("ds", (5, 700), 1024, "reduced"),
         ("mb", (3, 40), 1000, "reduced"),
         ("ds", (32,), 64, "full-basis"),
+        # Twelve cut points, so each chunk's max-reduction has twelve segments.
+        ("ds", P_LIST_VARY_P, D_VARY_P, "reduced"),
     ]
 
     @staticmethod
     def _run_with_cpus(monkeypatch, cpus, cell, n):
+        # A reduced cell's d may be a tuple: one (p, d) cell per pair.
         variant, ps, d, reduction = cell
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         if reduction == "full-basis":
             return _full_basis_replicates(ps, d, n, RngStream(23))
-        return _replicates(variant, [(p, d) for p in ps], n, RngStream(23))
+        ds = d if isinstance(d, tuple) else (d,)
+        return _replicates(variant, [(p, e) for e in ds for p in ps], n, RngStream(23))
 
     @pytest.mark.parametrize("cell", CELLS, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}-{c[3]}")
     def test_any_worker_count_matches_serial(self, monkeypatch, cell):
@@ -683,10 +693,24 @@ class TestWorkerThreads:
 
     @pytest.mark.parametrize(
         "cell,on_workers",
-        [(CELLS[0], True), (CELLS[3], True), (CELLS[2], False), (("ds", (2,), 6, "reduced"), False)],
+        [
+            (CELLS[0], True),
+            (CELLS[3], True),
+            (CELLS[2], False),
+            (("ds", (2,), 6, "reduced"), False),
+            # 32 cells on the 11 distinct points of the mb-vary-d grid: one
+            # gamma piece per point, 11 * 4096 values a block.
+            (("mb", (1, 2, 4, 8), D_GRID, "reduced"), False),
+            # 15 head columns and no d above them: 15 * 4096 values.
+            (("ds", (15,), 15, "reduced"), False),
+            # 14 head columns and two d above them: 16 * 4096 values.
+            (("ds", (14,), (16, 1000), "reduced"), True),
+        ],
     )
     def test_only_large_blocks_go_to_workers(self, monkeypatch, cell, on_workers):
-        # A block that draws fewer than 2^16 values stays on the calling thread.
+        # A block that draws fewer than 2^16 values stays on the calling
+        # thread.  Polling draws max(p) normals and one chi-square piece per
+        # d above max(p); the model step one piece per distinct p or d.
         seen = []
         name = {"ds": "_polling_scores", "mb": "_model_scores"}[cell[0]]
         if cell[3] == "full-basis":
