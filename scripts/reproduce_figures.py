@@ -3,7 +3,8 @@
 
 Writes one CSV plus one JSON manifest per figure into the output directory
 (default ./figures, or SUBSPACE_DFO_OUTDIR when set).  Re-running with the
-same seed reproduces the CSV bytes exactly.
+same seed reproduces the CSV bytes exactly.  ``--only`` runs the named
+figures, each once, in the order of ``FIGURE_NAMES``.
 """
 
 import argparse
@@ -23,12 +24,14 @@ def main() -> int:
     parser.add_argument("--nsims", type=int, default=DEFAULT_NSIMS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
-        "--only", nargs="*", choices=FIGURE_NAMES, default=None,
-        help="subset of figures to run (default: all)",
+        "--only", nargs="+", choices=FIGURE_NAMES, default=FIGURE_NAMES,
+        help="subset of figures to run, each once in the default order (default: all)",
     )
     args = parser.parse_args()
 
-    names = args.only or FIGURE_NAMES
+    # FIGURE_NAMES order runs a per-evaluation grid after its sibling, whose
+    # draw it reads.
+    names = [name for name in FIGURE_NAMES if name in args.only]
     start = time.perf_counter()
     for name in names:
         if name == "parallel-sweep":

@@ -8,9 +8,12 @@ header of its record type's field names; a cell is empty for None, ``pass`` or
 with ``,`` written ``;``.  A figure's Monte Carlo cells, every (p, d) of one
 variant, are scored on one draw from a child stream keyed by (variant,
 max d): a cell at d reads the draw's first d coordinates.  So a cell's value
-depends on the whole grid, not on its (p, d) alone.  The gates score their
-reduced cells the same way, and gates 1 and 2 run a figure.  A gate is a
-list of ``Check`` records, one per tested cell and statistic.
+depends on the whole grid, not on its (p, d) alone.  A per-evaluation grid
+reads its per-iteration sibling's estimates when that sibling was one of the
+last two per-iteration grids drawn in the process, and otherwise draws; a
+grid that draws always draws.  The gates score their reduced cells as a
+figure does, and gates 1 and 2 run a figure.  A gate is a list of ``Check``
+records, one per tested cell and statistic.
 """
 
 from __future__ import annotations
@@ -249,6 +252,15 @@ def _metric_divisor(record: Variant, metric: str, p: int) -> float:
     return 1.0 if metric == METRIC_ITERATION else record.rounds(p, 1)
 
 
+# The Monte Carlo estimates of the last two per-iteration grids drawn in this
+# process, oldest first: ((p, d), Estimate) pairs keyed by (variant, cells,
+# n_sims, seed), which fix the row stream and so every float.  Two, because
+# FIGURE_NAMES runs both per-iteration grids of a variant before their
+# per-evaluation siblings.  A new draw rebinds the store; no stored value
+# changes.
+_ITERATION_DRAWS: dict[tuple, tuple] = {}
+
+
 def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """Rows of a vary-d or vary-p grid: per cell, the methods ``spec.include``
     selects, in the metric ``spec.outputs``.
@@ -256,16 +268,28 @@ def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     Every Monte Carlo cell is scored by one ``estimates`` call on the row
     stream of the largest d under RngStream(spec.seed) (see ``row_stream``),
     so reruns with the same spec are bit-identical.  A d with no p draws
-    nothing.
+    nothing.  A per-iteration grid always draws, and is kept as one of the
+    last two drawn.  A per-evaluation grid draws nothing when its sibling,
+    the same variant, cells, n_sims and seed per iteration, is one of those
+    two: its values are the sibling's divided by ``rounds(p, 1)`` either way.
+    Otherwise it draws, and is not kept.
     """
+    global _ITERATION_DRAWS
     record = Variant.named(spec.variant)
     metric = spec.outputs
     formula_of = {METHOD_EXACT: record.exact, METHOD_ASYMPTOTIC: record.asymptotic}
     cells = [(p, d) for d in spec.d_values for p in p_values_for(d, spec.p_rule)]
     mc = {}
     if METHOD_MC in spec.include:
-        stream = row_stream(RngStream(spec.seed), spec.variant, max(spec.d_values))
-        mc = dict(zip(cells, estimates(spec.variant, cells, spec.n_sims, stream)))
+        key = (spec.variant, tuple(cells), spec.n_sims, spec.seed)
+        drawn = _ITERATION_DRAWS.get(key) if metric == METRIC_EVALUATION else None
+        if drawn is None:
+            stream = row_stream(RngStream(spec.seed), spec.variant, max(spec.d_values))
+            drawn = tuple(zip(cells, estimates(spec.variant, cells, spec.n_sims, stream)))
+            if metric == METRIC_ITERATION:
+                older = [item for item in _ITERATION_DRAWS.items() if item[0] != key]
+                _ITERATION_DRAWS = dict([*older[-1:], (key, drawn)])
+        mc = dict(drawn)
     rows: list[ResultRow] = []
     for p, d in cells:
         scale = _metric_divisor(record, metric, p)

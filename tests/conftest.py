@@ -1,0 +1,22 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from subspace_dfo import experiments
+
+
+@pytest.fixture
+def grid_draws(monkeypatch):
+    """The (variant, cells, n_sims) of every ``estimates`` call that
+    ``experiments`` makes, in call order: one per Monte Carlo draw of a
+    figure or a gate."""
+    calls = []
+    draw = experiments.estimates
+
+    def spy(variant, cells, n_sims, rng):
+        cells = tuple(cells)
+        calls.append((variant, cells, n_sims))
+        return draw(variant, cells, n_sims, rng)
+
+    monkeypatch.setattr(experiments, "estimates", spy)
+    return calls

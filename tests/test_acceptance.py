@@ -152,11 +152,14 @@ def test_criterion_10_optimizer_behavior():
     _report(10, gate.passed, gate.detail)
 
 
-def test_criterion_11_verify_determinism(tmp_path, capsys):
+def test_criterion_11_verify_determinism(tmp_path, capsys, grid_draws):
     start = time.perf_counter()
     code_a = main(["verify", "--seed", "0", "--out", str(tmp_path / "a")])
     first_runtime = time.perf_counter() - start
+    first_draws = list(grid_draws)
     code_b = main(["verify", "--seed", "0", "--out", str(tmp_path / "b")])
+    # The second run draws every Monte Carlo cell again.
+    assert first_draws and grid_draws == first_draws * 2
     capsys.readouterr()
     bytes_a = (tmp_path / "a" / "verify_gates.csv").read_bytes()
     bytes_b = (tmp_path / "b" / "verify_gates.csv").read_bytes()

@@ -104,13 +104,14 @@ def test_figure_manifest_records_draws_and_environment(tmp_path):
     assert isinstance(env["usable_cpus"], int) and env["usable_cpus"] >= 1
 
 
-def test_figure_rerun_is_byte_identical(tmp_path):
+def test_figure_rerun_is_byte_identical(tmp_path, grid_draws):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(
             ["figure", "mb-vary-d", "--nsims", "300", "--seed", "0", "--out", str(out)]
         ) == 0
     assert (a / "mb-vary-d.csv").read_bytes() == (b / "mb-vary-d.csv").read_bytes()
+    assert len(grid_draws) == 2  # each run drew
 
 
 def test_figure_config_file_with_flag_override(tmp_path):

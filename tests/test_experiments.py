@@ -68,6 +68,20 @@ def small_vary_d_spec(variant: str, **overrides) -> ExperimentSpec:
     return spec.merged(overrides)
 
 
+def per_evaluation_rows(variant: str, rows: list[ResultRow]) -> list[ResultRow]:
+    """Per-iteration ``rows`` as per-evaluation rows: value and SE divided by
+    the evaluations of one iteration."""
+    record = Variant.named(variant)
+    out = []
+    for r in rows:
+        cost = record.rounds(r.p, 1)
+        se = None if r.std_error is None else r.std_error / cost
+        out.append(
+            dataclasses.replace(r, metric="per-evaluation", value=r.value / cost, std_error=se)
+        )
+    return out
+
+
 class TestSpec:
     def test_standard_p_rule(self):
         assert p_values_for(8, "standard") == (1, 2, 4, 8)
@@ -191,20 +205,16 @@ class TestGridRows:
                     assert abs(r.value - exact[(r.d, r.p)]) <= 3.0 * r.std_error
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
-    def test_per_evaluation_outputs(self, variant):
-        # Each perfev row is its sibling's row divided by one iteration's cost.
-        record = Variant.named(variant)
+    def test_per_evaluation_outputs(self, monkeypatch, grid_draws, variant):
+        # Each perfev row is its sibling's row divided by one iteration's cost,
+        # also when the perfev grid makes its own draw.
         rows = run_named_figure(small_vary_d_spec(variant))
+        monkeypatch.setattr(experiments, "_ITERATION_DRAWS", {})
         perfev = run_named_figure(small_vary_d_spec(variant, outputs="per-evaluation"))
+        assert len(grid_draws) == 2
         assert {r.metric for r in rows} == {"per-iteration"}
         assert {r.method for r in rows} == {"mc", "exact", "asymptotic"}
-        assert len(perfev) == len(rows)
-        for r, e in zip(rows, perfev):
-            cost = record.rounds(r.p, 1)
-            se = None if r.std_error is None else r.std_error / cost
-            assert e == dataclasses.replace(
-                r, metric="per-evaluation", value=r.value / cost, std_error=se
-            )
+        assert perfev == per_evaluation_rows(variant, rows)
 
     def test_vary_p_exact_rows_at_every_p(self):
         spec = ExperimentSpec(
@@ -424,6 +434,69 @@ class TestFigureRowDraws:
         assert [on_main for _, on_main in calls] == [True, True, False, False]
 
 
+class TestSiblingDraws:
+    """A per-evaluation grid reads its per-iteration sibling's estimates when
+    that sibling is one of the last two per-iteration grids drawn; a grid that
+    draws always draws."""
+
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_ITERATION_DRAWS", {})
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_hit_draws_nothing_and_divides_the_sibling(self, grid_draws, variant):
+        rows = run_named_figure(small_vary_d_spec(variant))
+        assert len(grid_draws) == 1
+        perfev = run_named_figure(small_vary_d_spec(variant, outputs="per-evaluation"))
+        assert len(grid_draws) == 1
+        assert perfev == per_evaluation_rows(variant, rows)
+
+    @pytest.mark.parametrize("variant", ["ds", "mb"])
+    def test_miss_draws_the_same_rows(self, monkeypatch, grid_draws, variant):
+        perfev_spec = small_vary_d_spec(variant, outputs="per-evaluation")
+        run_named_figure(small_vary_d_spec(variant))
+        hit = run_named_figure(perfev_spec)
+        monkeypatch.setattr(experiments, "_ITERATION_DRAWS", {})
+        miss = run_named_figure(perfev_spec)
+        assert len(grid_draws) == 2
+        assert miss == hit
+        # A perfev grid that drew is not kept: its rerun draws again.
+        run_named_figure(perfev_spec)
+        assert len(grid_draws) == 3
+
+    @pytest.mark.parametrize(
+        "other", [{"seed": 1}, {"n_sims": 1500}, {"d_values": (8, 32)}, {"p_rule": (1, 2)}]
+    )
+    def test_a_different_sibling_leads_to_a_draw(self, grid_draws, other):
+        run_named_figure(small_vary_d_spec("ds", **other))
+        perfev = run_named_figure(small_vary_d_spec("ds", outputs="per-evaluation"))
+        assert len(grid_draws) == 2
+        assert grid_draws[1] == ("ds", TestFigureRowDraws.SMALL_CELLS, 2000)
+        assert perfev == per_evaluation_rows("ds", run_named_figure(small_vary_d_spec("ds")))
+
+    def test_the_last_two_drawn_are_kept(self, grid_draws):
+        perfev_spec = small_vary_d_spec("mb", outputs="per-evaluation")
+        run_named_figure(small_vary_d_spec("mb"))
+        run_named_figure(small_vary_d_spec("ds"))
+        run_named_figure(perfev_spec)
+        assert len(grid_draws) == 2
+        run_named_figure(small_vary_d_spec("ds", seed=1))
+        run_named_figure(small_vary_d_spec("ds", seed=2))
+        run_named_figure(perfev_spec)
+        assert len(grid_draws) == 5 and grid_draws[-1][0] == "mb"
+
+    def test_no_free_reruns(self, grid_draws):
+        # Each pass draws its four per-iteration grids and no perfev grid.
+        names = [name for name in experiments.FIGURE_NAMES if name != "parallel-sweep"]
+        passes = []
+        for _ in range(2):
+            passes.append([run_named_figure(default_figure_spec(name, 100, 3)) for name in names])
+        assert len(grid_draws) == 8
+        assert grid_draws[:4] == grid_draws[4:]
+        assert {(variant, n) for variant, _, n in grid_draws} == {("ds", 100), ("mb", 100)}
+        assert passes[0] == passes[1]
+
+
 class TestCsvSerialization:
     def test_header_and_order(self):
         rows = [ResultRow("ds", 8, 1, "exact", "per-iteration", 0.25)]
@@ -469,10 +542,11 @@ class TestCsvSerialization:
         for line, row in zip(text.splitlines()[1:], rows):
             assert float(line.split(",")[5]) == row.value
 
-    def test_byte_identical_rerun(self):
+    def test_byte_identical_rerun(self, grid_draws):
         a = to_csv(ResultRow, run_named_figure(small_vary_d_spec("mb")))
         b = to_csv(ResultRow, run_named_figure(small_vary_d_spec("mb")))
         assert a == b
+        assert len(grid_draws) == 2  # each run drew
 
     def test_seed_changes_mc_rows_only(self):
         a = run_named_figure(small_vary_d_spec("mb"))
@@ -635,10 +709,13 @@ class TestObjectives:
 
 
 class TestVerifyRunner:
-    def test_writes_deterministic_gate_csv(self, tmp_path):
+    def test_writes_deterministic_gate_csv(self, tmp_path, grid_draws):
         results, code = run_verify(seed=0, n_sims=400, out_dir=tmp_path / "a")
         assert (tmp_path / "a" / "verify_manifest.json").exists()
+        first = list(grid_draws)
         run_verify(seed=0, n_sims=400, out_dir=tmp_path / "b")
+        # Each run drew: gates 1 and 2 once each, gate 8 once per variant.
+        assert len(first) == 4 and grid_draws == first * 2
         for name in ("verify_gates.csv", "verify_checks.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         text = to_csv(GateResult, results)
