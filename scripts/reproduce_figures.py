@@ -29,8 +29,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    # FIGURE_NAMES order runs a per-evaluation grid after its sibling, whose
-    # draw it reads.
+    # FIGURE_NAMES order runs each variant's vary-d grid first: it makes the
+    # variant's one figure draw, which the variant's other named grids read.
     names = [name for name in FIGURE_NAMES if name in args.only]
     start = time.perf_counter()
     for name in names:

@@ -5,15 +5,17 @@ the same spec and seed produces byte-identical output.  ``to_csv`` writes
 every table (``ResultRow``, ``optimizer.TraceRecord``, ``GateResult``, ``Check``) under a
 header of its record type's field names; a cell is empty for None, ``pass`` or
 ``FAIL`` for a bool, a float at 17 significant digits, and otherwise ``str``
-with ``,`` written ``;``.  A figure's Monte Carlo cells, every (p, d) of one
-variant, are scored on one draw from a child stream keyed by (variant,
-max d): a cell at d reads the draw's first d coordinates.  So a cell's value
-depends on the whole grid, not on its (p, d) alone.  A per-evaluation grid
-reads its per-iteration sibling's estimates when that sibling was one of the
-last two per-iteration grids drawn in the process, and otherwise draws; a
-grid that draws always draws.  The gates score their reduced cells as a
-figure does, and gates 1 and 2 run a figure.  A gate is a list of ``Check``
-records, one per tested cell and statistic.
+with ``,`` written ``;``.  A figure's Monte Carlo cells are scored on one
+draw from a child stream keyed by (variant, max d): a cell at d reads the
+draw's first d coordinates.  The named grids at their defaults share one
+draw per variant, over the union of their cells in R^1024; any other grid
+draws its own cells.  So a cell's value depends on the whole draw, not on
+its (p, d) alone.  A per-iteration vary-d grid, or a per-iteration grid
+that draws its own cells, always draws; every other grid reads the same
+draw when it is one of the last two kept in the process, and otherwise
+draws.  The gates score their reduced cells as a figure does, and gates 1
+and 2 run a figure (gate 2 the ``mb-vary-d`` one).  A gate is a list of
+``Check`` records, one per tested cell and statistic.
 """
 
 from __future__ import annotations
@@ -235,14 +237,15 @@ def p_values_for(d: int, p_rule: tuple[int, ...] | str) -> tuple[int, ...]:
 
 # How a figure draws its Monte Carlo rows; recorded in every figure manifest.
 FIGURE_MC_DRAWS = (
-    "one draw per figure, from the row stream of its largest d; a cell at d reads its first d "
-    "coordinates"
+    "one draw per variant for the named grids at their defaults, over the union of their cells, "
+    "and otherwise one draw per figure, from the row stream of the draw's largest d; a cell at d "
+    "reads its first d coordinates"
 )
 
 
 def row_stream(base: RngStream, variant: str, d: int) -> RngStream:
-    """Child stream (variant index, 0, d) of ``base``: a figure, and gates 1
-    and 2, draw all their cells from the one at their largest d."""
+    """Child stream (variant index, 0, d) of ``base``: a figure's draw, and
+    gates 1 and 2, score all their cells on the one at the draw's largest d."""
     return split_stream(split_stream(split_stream(base, VARIANTS.index(variant)), 0), d)
 
 
@@ -252,40 +255,68 @@ def _metric_divisor(record: Variant, metric: str, p: int) -> float:
     return 1.0 if metric == METRIC_ITERATION else record.rounds(p, 1)
 
 
-# The Monte Carlo estimates of the last two per-iteration grids drawn in this
-# process, oldest first: ((p, d), Estimate) pairs keyed by (variant, cells,
-# n_sims, seed), which fix the row stream and so every float.  Two, because
-# FIGURE_NAMES runs both per-iteration grids of a variant before their
-# per-evaluation siblings.  A new draw rebinds the store; no stored value
-# changes.
+# The Monte Carlo estimates of the last two per-iteration draws made in this
+# process, oldest first: ((p, d), Estimate) pairs keyed by (variant, drawn
+# cells, n_sims, seed), which fix the row stream and so every float.  Two, so
+# a grid still reads its variant's draw after the other variant has drawn.  A
+# new draw rebinds the store; no stored value changes.
 _ITERATION_DRAWS: dict[tuple, tuple] = {}
+
+
+def _grid_cells(spec: ExperimentSpec) -> list[tuple[int, int]]:
+    """The (p, d) cells of ``spec``'s rows, d by d."""
+    return [(p, d) for d in spec.d_values for p in p_values_for(d, spec.p_rule)]
+
+
+def _drawn_cells(spec: ExperimentSpec) -> tuple[tuple[int, int], ...]:
+    """The cells the draw behind ``spec``'s Monte Carlo rows scores.
+
+    A named grid at its defaults (its name in FIGURE_NAMES, and its variant,
+    d_values and p_rule those of ``default_figure_spec``) draws its
+    variant's figure draw: the default cells of every named grid of that
+    variant, in FIGURE_NAMES order, so the vary-d cells, then the vary-p
+    cells.  They all fit in R^max(D_GRID).  Any other grid draws its own.
+    """
+    named = [default_figure_spec(name) for name in FIGURE_NAMES if name != "parallel-sweep"]
+    grid = (spec.name, spec.variant, spec.d_values, spec.p_rule)
+    if any((s.name, s.variant, s.d_values, s.p_rule) == grid for s in named):
+        named = [s for s in named if s.variant == spec.variant]
+        return tuple(dict.fromkeys(cell for s in named for cell in _grid_cells(s)))
+    return tuple(_grid_cells(spec))
 
 
 def run_named_figure(spec: ExperimentSpec) -> list[ResultRow]:
     """Rows of a vary-d or vary-p grid: per cell, the methods ``spec.include``
     selects, in the metric ``spec.outputs``.
 
-    Every Monte Carlo cell is scored by one ``estimates`` call on the row
-    stream of the largest d under RngStream(spec.seed) (see ``row_stream``),
-    so reruns with the same spec are bit-identical.  A d with no p draws
-    nothing.  A per-iteration grid always draws, and is kept as one of the
-    last two drawn.  A per-evaluation grid draws nothing when its sibling,
-    the same variant, cells, n_sims and seed per iteration, is one of those
-    two: its values are the sibling's divided by ``rounds(p, 1)`` either way.
-    Otherwise it draws, and is not kept.
+    The Monte Carlo cells are read off one ``estimates`` call over the
+    ``_drawn_cells`` of the spec, on the row stream of their largest d under
+    RngStream(spec.seed) (see ``row_stream``), so reruns with the same spec
+    are bit-identical.  A d with no p draws nothing.  A per-iteration grid
+    whose largest d is its draw's largest d (a vary-d grid, or any grid that
+    draws its own cells) always draws.  Every other grid (a named vary-p
+    grid, a per-evaluation grid) reads the draw of the same variant, drawn
+    cells, n_sims and seed when it is one of the last two per-iteration
+    draws kept, and draws only on a miss.  A per-iteration grid keeps what
+    it draws; a per-evaluation grid's values are the per-iteration ones
+    divided by ``rounds(p, 1)`` either way.
     """
     global _ITERATION_DRAWS
     record = Variant.named(spec.variant)
     metric = spec.outputs
     formula_of = {METHOD_EXACT: record.exact, METHOD_ASYMPTOTIC: record.asymptotic}
-    cells = [(p, d) for d in spec.d_values for p in p_values_for(d, spec.p_rule)]
+    cells = _grid_cells(spec)
     mc = {}
     if METHOD_MC in spec.include:
-        key = (spec.variant, tuple(cells), spec.n_sims, spec.seed)
-        drawn = _ITERATION_DRAWS.get(key) if metric == METRIC_EVALUATION else None
+        drawn_cells = _drawn_cells(spec)
+        top = max(d for _, d in drawn_cells)
+        key = (spec.variant, drawn_cells, spec.n_sims, spec.seed)
+        drawer = metric == METRIC_ITERATION and max(spec.d_values) == top
+        drawn = None if drawer else _ITERATION_DRAWS.get(key)
         if drawn is None:
-            stream = row_stream(RngStream(spec.seed), spec.variant, max(spec.d_values))
-            drawn = tuple(zip(cells, estimates(spec.variant, cells, spec.n_sims, stream)))
+            stream = row_stream(RngStream(spec.seed), spec.variant, top)
+            ests = estimates(spec.variant, drawn_cells, spec.n_sims, stream)
+            drawn = tuple(zip(drawn_cells, ests))
             if metric == METRIC_ITERATION:
                 older = [item for item in _ITERATION_DRAWS.items() if item[0] != key]
                 _ITERATION_DRAWS = dict([*older[-1:], (key, drawn)])
@@ -516,10 +547,12 @@ def gate_ds_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -
 
 def gate_mb_closed_form(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:
     """Model closed form versus MC at p in {1, 2, d/2, d}, on the MC rows of
-    the ``mb-vary-d`` figure at the same seed and n_sims."""
-    spec = ExperimentSpec("mb-closed-form-vs-mc", "mb", D_GRID, "standard", n_sims, seed,
-                          include=(METHOD_EXACT, METHOD_MC))
-    return _gate(2, spec.name, mc_checks(run_named_figure(spec), 2))
+    the ``mb-vary-d`` figure at the same seed and n_sims: the spec is that
+    figure's, so it draws the figure draw of mb."""
+    spec = dataclasses.replace(
+        default_figure_spec("mb-vary-d", n_sims, seed), include=(METHOD_EXACT, METHOD_MC)
+    )
+    return _gate(2, "mb-closed-form-vs-mc", mc_checks(run_named_figure(spec), 2))
 
 
 def gate_quadrature_constants(n_sims: int = DEFAULT_NSIMS, seed: int = DEFAULT_SEED) -> GateResult:

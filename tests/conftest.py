@@ -5,6 +5,13 @@ import pytest
 from subspace_dfo import experiments
 
 
+@pytest.fixture(autouse=True)
+def empty_draw_store(monkeypatch):
+    """Each test starts with no kept figure draw, so none reads a draw that
+    another test made."""
+    monkeypatch.setattr(experiments, "_ITERATION_DRAWS", {})
+
+
 @pytest.fixture
 def grid_draws(monkeypatch):
     """The (variant, cells, n_sims) of every ``estimates`` call that

@@ -15,7 +15,6 @@ import numpy as np
 from subspace_dfo import (
     RngStream,
     Variant,
-    estimates,
     expected_decrease_ds,
     expected_decrease_mb,
     gamma_half_ratio,
@@ -26,6 +25,7 @@ from subspace_dfo import (
 from subspace_dfo.cli import main
 from subspace_dfo.experiments import (
     D_GRID,
+    default_figure_spec,
     gate_asymptotics,
     gate_basis_invariance,
     gate_ds_closed_form,
@@ -36,8 +36,7 @@ from subspace_dfo.experiments import (
     gate_quadrature_constants,
     gate_ratio_identities,
     gate_separability,
-    p_values_for,
-    row_stream,
+    run_named_figure,
 )
 
 NSIMS = 10_000
@@ -62,11 +61,10 @@ def test_criterion_2_mb_closed_form_cross_check():
     elapsed = time.perf_counter() - start
     # The p = d cells must be exact on both sides, not merely within noise;
     # the gate scores every cell on this one shared draw.
-    cells = [(p, d) for d in D_GRID for p in p_values_for(d, "standard")]
-    stream = row_stream(RngStream(SEED), "mb", max(D_GRID))
-    shared = dict(zip(cells, estimates("mb", cells, NSIMS, stream)))
+    rows = run_named_figure(default_figure_spec("mb-vary-d", NSIMS, SEED))
+    shared = {(r.p, r.d): r.value for r in rows if r.method == "mc"}
     exactness = all(
-        expected_decrease_mb(d, d) == 1.0 and shared[d, d].mean == 1.0 for d in D_GRID
+        expected_decrease_mb(d, d) == 1.0 and shared[d, d] == 1.0 for d in D_GRID
     )
     _report(
         2,

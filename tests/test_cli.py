@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from subspace_dfo import experiments
 from subspace_dfo.cli import main
 
 # The CSV schemas are a contract, so they are spelled out here: a reordered
@@ -95,8 +96,9 @@ def test_figure_manifest_records_draws_and_environment(tmp_path):
     assert main(["figure", "ds-vary-d", "--nsims", "100", "--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "ds-vary-d.manifest.json").read_text())
     assert manifest["mc_draws"] == (
-        "one draw per figure, from the row stream of its largest d; a cell at d reads its first d "
-        "coordinates"
+        "one draw per variant for the named grids at their defaults, over the union of their "
+        "cells, and otherwise one draw per figure, from the row stream of the draw's largest d; "
+        "a cell at d reads its first d coordinates"
     )
     env = manifest["environment"]
     assert env["numpy"] == np.__version__
@@ -112,6 +114,30 @@ def test_figure_rerun_is_byte_identical(tmp_path, grid_draws):
         ) == 0
     assert (a / "mb-vary-d.csv").read_bytes() == (b / "mb-vary-d.csv").read_bytes()
     assert len(grid_draws) == 2  # each run drew
+
+
+def test_figure_vary_p_alone_writes_the_bytes_it_writes_after_vary_d(
+    tmp_path, monkeypatch, grid_draws
+):
+    args = ["--nsims", "200", "--seed", "1"]
+    alone, after = tmp_path / "alone", tmp_path / "after"
+    assert main(["figure", "ds-vary-p", *args, "--out", str(alone)]) == 0
+    monkeypatch.setattr(experiments, "_ITERATION_DRAWS", {})
+    for name in ("ds-vary-d", "ds-vary-p"):
+        assert main(["figure", name, *args, "--out", str(after)]) == 0
+    assert (alone / "ds-vary-p.csv").read_bytes() == (after / "ds-vary-p.csv").read_bytes()
+    # Both runs drew the figure draw of ds: alone, and in ds-vary-d.
+    assert len(grid_draws) == 2 and grid_draws[0] == grid_draws[1]
+
+
+def test_figure_vary_p_at_another_d_draws_its_own_cells(tmp_path, grid_draws):
+    args = ["--nsims", "100", "--seed", "0", "--out", str(tmp_path)]
+    assert main(["figure", "ds-vary-d", *args]) == 0
+    family = ("ds", grid_draws[0][1], 100, 0)
+    assert main(["figure", "ds-vary-p", "--d", "64", *args]) == 0
+    own = tuple((p, 64) for p in (1, 2, 3, 4, 5, 10, 20, 50))
+    assert grid_draws[1:] == [("ds", own, 100)]
+    assert list(experiments._ITERATION_DRAWS) == [family, ("ds", own, 100, 0)]
 
 
 def test_figure_config_file_with_flag_override(tmp_path):

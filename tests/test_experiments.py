@@ -37,6 +37,7 @@ from subspace_dfo.cli import main
 from subspace_dfo.experiments import (
     D_GRID,
     METHODS,
+    P_LIST_VARY_P,
     default_figure_spec,
     gate_basis_invariance,
     gate_ds_closed_form,
@@ -435,13 +436,9 @@ class TestFigureRowDraws:
 
 
 class TestSiblingDraws:
-    """A per-evaluation grid reads its per-iteration sibling's estimates when
-    that sibling is one of the last two per-iteration grids drawn; a grid that
-    draws always draws."""
-
-    @pytest.fixture(autouse=True)
-    def empty_store(self, monkeypatch):
-        monkeypatch.setattr(experiments, "_ITERATION_DRAWS", {})
+    """A per-evaluation grid, or a named vary-p grid, reads the draw it shares
+    when that draw is one of the last two per-iteration draws kept; a vary-d
+    grid, or a grid that draws its own cells, always draws."""
 
     @pytest.mark.parametrize("variant", ["ds", "mb"])
     def test_hit_draws_nothing_and_divides_the_sibling(self, grid_draws, variant):
@@ -486,15 +483,40 @@ class TestSiblingDraws:
         assert len(grid_draws) == 5 and grid_draws[-1][0] == "mb"
 
     def test_no_free_reruns(self, grid_draws):
-        # Each pass draws its four per-iteration grids and no perfev grid.
+        # Each pass draws once per variant, in its vary-d grid; every other
+        # named grid reads that draw.
         names = [name for name in experiments.FIGURE_NAMES if name != "parallel-sweep"]
         passes = []
         for _ in range(2):
             passes.append([run_named_figure(default_figure_spec(name, 100, 3)) for name in names])
-        assert len(grid_draws) == 8
-        assert grid_draws[:4] == grid_draws[4:]
+        assert len(grid_draws) == 4
+        assert grid_draws[:2] == grid_draws[2:]
         assert {(variant, n) for variant, _, n in grid_draws} == {("ds", 100), ("mb", 100)}
         assert passes[0] == passes[1]
+
+    def test_one_draw_per_variant_ends_with_the_vary_p_cells(self, grid_draws):
+        for name in ("ds-vary-d", "ds-vary-p", "ds-perfev-vary-d", "ds-perfev-vary-p"):
+            run_named_figure(default_figure_spec(name, 100, 0))
+        vary_d = tuple((p, d) for d in D_GRID for p in p_values_for(d, "standard"))
+        vary_p = tuple((p, 1000) for p in P_LIST_VARY_P)
+        assert grid_draws == [("ds", vary_d + vary_p, 100)]
+
+    def test_the_figure_draw_moves_no_vary_d_value(self, monkeypatch):
+        # Two blocks on two worker threads, as a default grid runs.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        n_sims = montecarlo._BLOCK + 100
+        cells = [(p, d) for d in D_GRID for p in p_values_for(d, "standard")]
+        own = estimates("ds", cells, n_sims, row_stream(RngStream(0), "ds", 1024))
+        rows = run_named_figure(default_figure_spec("ds-vary-d", n_sims, 0))
+        mc = [r for r in rows if r.method == "mc"]
+        assert [(r.p, r.d) for r in mc] == cells
+        assert [(r.value, r.std_error) for r in mc] == [(e.mean, e.std_error) for e in own]
+
+    def test_a_lone_vary_p_rerun_reads_its_first_draw(self, grid_draws):
+        spec = default_figure_spec("mb-vary-p", 100, 0)
+        first = run_named_figure(spec)
+        assert run_named_figure(spec) == first
+        assert len(grid_draws) == 1 and grid_draws[0][1][-1] == (1000, 1000)
 
 
 class TestCsvSerialization:

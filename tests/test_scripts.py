@@ -18,8 +18,9 @@ def test_reproduce_figures_rerun_is_byte_identical(tmp_path, monkeypatch, capsys
         args = ["--nsims", "200", "--seed", "0", "--out", str(tmp_path / out)]
         monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", *args])
         assert script["main"]() == 0
-    # Each run draws its four per-iteration grids; the perfev grids read them.
-    assert len(grid_draws) == 8 and grid_draws[:4] == grid_draws[4:]
+    # Each run draws once per variant, in its vary-d grid; the other named
+    # grids read that draw.
+    assert len(grid_draws) == 4 and grid_draws[:2] == grid_draws[2:]
     csvs = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*.csv"))
     assert len(csvs) == 10
     for path in csvs:
@@ -55,8 +56,9 @@ def test_reproduce_figures_only_runs_each_name_once_in_figure_order(
     wrote = [line.split()[1] for line in capsys.readouterr().out.splitlines()
              if line.startswith("wrote") and line.endswith(".csv")]
     assert wrote == [str(tmp_path / "ds-vary-d.csv"), str(tmp_path / "ds-perfev-vary-d.csv")]
-    # The perfev grid reads the draw of its sibling, run first.
-    assert [cells[-1] for _, cells, _ in grid_draws] == [(1024, 1024)]
+    # The perfev grid reads the draw of its sibling, run first: the figure
+    # draw of ds, whose last cell is the last vary-p cell.
+    assert [cells[-1] for _, cells, _ in grid_draws] == [(1000, 1000)]
 
 
 def test_optimizer_demo_runs_every_kind_at_three_dimensions(monkeypatch, capsys):
